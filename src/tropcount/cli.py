@@ -54,10 +54,25 @@ class RunConfig:
     trials: int = 0
     out: Optional[str] = None
     format: str = "text"
-    jobs: int = 1
     inputs: tuple = ()
     points_file: Optional[str] = None
     dmax: int = 0
+
+
+class _BadInput(Exception):
+    """An input file whose content does not describe what was asked for."""
+
+
+def _read_json(path: str, parse):
+    """parse(data) for the JSON document in path; malformed content raises
+    _BadInput, which main reports as a usage error."""
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        # json.JSONDecodeError is a ValueError
+        except (ValueError, KeyError, TypeError) as exc:
+            kind = type(exc).__name__
+            raise _BadInput(f"{path}: malformed input ({kind}: {exc})") from exc
 
 
 def _usage(msg: str) -> SystemExit:
@@ -112,8 +127,7 @@ def _solution_json(s) -> dict:
 
 def cmd_count(cfg: RunConfig) -> int:
     if cfg.points_file is not None:
-        with open(cfg.points_file) as fh:
-            pc = PointConfig.from_json(json.load(fh))
+        pc = _read_json(cfg.points_file, PointConfig.from_json)
         if len(pc.points) != 3 * cfg.d - 1:
             sys.stderr.write(
                 f"error: degree {cfg.d} needs {3 * cfg.d - 1} points, "
@@ -140,14 +154,17 @@ def cmd_invariance(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_curve(path: str):
-    with open(path) as fh:
-        data = json.load(fh)
+def _curve_from_json(data):
+    # a fiber report stands for its first solution's curve
     if "solutions" in data:
         if not data["solutions"]:
-            raise _usage(f"{path}: fiber report contains no solutions")
+            raise ValueError("fiber report contains no solutions")
         data = data["solutions"][0]["curve"]
     return plane_curve_from_json(data)
+
+
+def _load_curve(path: str):
+    return _read_json(path, _curve_from_json)
 
 
 def cmd_intersect(cfg: RunConfig) -> int:
@@ -232,8 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tropcount",
         description="Count rational plane tropical curves and check the books.",
     )
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker budget hint (current engines are sequential)")
     sub = p.add_subparsers(dest="command", required=True)
 
     nd = sub.add_parser("nd", help="print the degree-count table")
@@ -269,7 +284,7 @@ def _run_config(ns: argparse.Namespace) -> RunConfig:
     seed = getattr(ns, "seed", None)
     if seed is None:
         seed = _default_seed()
-    cfg = RunConfig(command=ns.command, seed=seed, jobs=ns.jobs)
+    cfg = RunConfig(command=ns.command, seed=seed)
     if ns.command == "nd":
         if ns.dmax < 1:
             raise _usage("--dmax must be at least 1")
@@ -330,7 +345,7 @@ def main(argv=None) -> int:
     except StructuralViolation as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CENSUS
-    except OSError as exc:
+    except (OSError, _BadInput) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

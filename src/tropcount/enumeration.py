@@ -25,7 +25,7 @@ from .graph import (
     parse_fraction,
     trivalent_trees_on_leaves,
 )
-from .linalg import Matrix, det, solve
+from .linalg import solve
 from .moduli_maps import M4Point, ev_matrix, ft4_coordinate, multiplicity, pi_matrix
 from .plane import (
     PlaneCurve,
@@ -170,13 +170,9 @@ def large_length(d: int, points) -> Fraction:
     diam = Fraction(0)
     for (ax, ay), (bx, by) in itertools.combinations(points, 2):
         diam = max(diam, abs(ax - bx) + abs(ay - by))
-    m = max(
-        abs(comp)
-        for t in base_trees(d)
-        for v in t.dirs
-        for comp in v
-    )
-    return 4 * diam * m + 1
+    # flag directions are (c-a, c-b) for 0 <= a, b, c <= d ends cut off, and
+    # the edge cutting off all d ends of direction (1,1) reaches d
+    return 4 * diam * d + 1
 
 
 def ev_config(d: int, seed: int, attempt: int = 0) -> PointConfig:
@@ -243,10 +239,6 @@ def enumerate_plane_types(d: int, n: int) -> Iterator[PlaneType]:
 # strings and vertex multiplicities
 
 
-def _graph_and_marks(c):
-    return c.graph, c.marks
-
-
 def find_string(c):
     """A leaf-to-leaf path avoiding the closed marked ends, or None.
 
@@ -255,25 +247,12 @@ def find_string(c):
     Returned as a flag tuple (end flag, bounded flags oriented along the
     walk, end flag).
     """
-    g, marks = _graph_and_marks(c)
+    g, marks = c.graph, c.marks
     mark_vertices = {g.flag_vertex[f] for f in marks}
     comp: Dict[int, int] = {}
     for v in range(g.num_vertices):
-        if v in mark_vertices or v in comp:
-            continue
-        stack = [v]
-        comp[v] = v
-        while stack:
-            u = stack.pop()
-            for f in g.flags_at(u):
-                p = g.flag_partner[f]
-                if p is None:
-                    continue
-                w = g.flag_vertex[p]
-                if w in mark_vertices or w in comp:
-                    continue
-                comp[w] = v
-                stack.append(w)
+        if v not in mark_vertices and v not in comp:
+            comp.update(dict.fromkeys(g.component(v, blocked=mark_vertices), v))
     ends_by_comp: Dict[int, List[int]] = {}
     for f in g.end_flags():
         if f in marks:
@@ -293,8 +272,8 @@ def curve_multiplicity(c) -> int:
     """Product of |det| over vertices away from all marks; 0 when a string exists."""
     if find_string(c) is not None:
         return 0
-    g, marks = _graph_and_marks(c)
-    mark_vertices = {g.flag_vertex[f] for f in marks}
+    g = c.graph
+    mark_vertices = {g.flag_vertex[f] for f in c.marks}
     result = 1
     for v in range(g.num_vertices):
         if v in mark_vertices:
@@ -427,53 +406,21 @@ class _TreeData:
                 return True
         return False
 
-    def _endpoints(self, h):
-        g = self.t.graph
-        p = g.flag_partner[h]
-        if p is None:
-            return (g.flag_vertex[h],)
-        return (g.flag_vertex[h], g.flag_vertex[p])
-
-    def _host_flag_at(self, h, v):
-        g = self.t.graph
-        if g.flag_vertex[h] == v:
-            return h
-        return g.flag_partner[h]
-
     def _path_dirs(self, h1, h2):
+        """Directions out of host h1, along the path between the two hosts,
+        then along host h2."""
         g = self.t.graph
         dirs = self.t.dirs
-        sources = self._endpoints(h1)
-        targets = set(self._endpoints(h2))
-        parent = {v: None for v in sources}
-        queue = list(sources)
-        hit = None
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            if u in targets:
-                hit = u
-                break
-            for f in g.flags_at(u):
-                p = g.flag_partner[f]
-                if p is None:
-                    continue
-                w = g.flag_vertex[p]
-                if w not in parent:
-                    parent[w] = (u, f)
-                    queue.append(w)
-        assert hit is not None
-        walk = []
-        u = hit
-        while parent[u] is not None:
-            prev, f = parent[u]
-            walk.append(dirs[f])
-            u = prev
-        walk.reverse()
-        first = vneg(dirs[self._host_flag_at(h1, u)])
-        last = dirs[self._host_flag_at(h2, hit)]
-        return [first] + walk + [last]
+        walk = g.path_flags(g.flag_vertex[h1], g.flag_vertex[h2])
+        first = vneg(dirs[h1])
+        if walk and walk[0] == h1:  # the walk starts along h1 itself
+            walk = walk[1:]
+            first = dirs[h1]
+        last = dirs[h2]
+        if walk and walk[-1] == g.flag_partner[h2]:  # it ends along h2
+            walk = walk[:-1]
+            last = vneg(dirs[h2])
+        return [first] + [dirs[f] for f in walk] + [last]
 
     def sectors(self) -> dict:
         if self._sectors is None:
@@ -496,75 +443,54 @@ class _TreeData:
             out = []
             for r in range(len(bounded) + 1):
                 for B in itertools.combinations(bounded, r):
-                    cut = set(B)
-                    comp = list(range(g.num_vertices))
-
-                    def find(x):
-                        while comp[x] != x:
-                            comp[x] = comp[comp[x]]
-                            x = comp[x]
-                        return x
-
-                    for e in bounded:
-                        if e in cut:
-                            continue
-                        a = g.flag_vertex[e]
-                        b = g.flag_vertex[g.flag_partner[e]]
-                        comp[find(a)] = find(b)
-                    groups: Dict[int, List[int]] = {}
+                    groups: List[set] = []
                     for v in range(g.num_vertices):
-                        groups.setdefault(find(v), []).append(v)
-                    ends: Dict[int, List[int]] = {k: [] for k in groups}
-                    for f in g.end_flags():
-                        ends[find(g.flag_vertex[f])].append(f)
-                    if any(not es for es in ends.values()):
+                        if not any(v in verts for verts in groups):
+                            groups.append(g.component(v, cut_edges=B))
+                    ends = [
+                        tuple(f for f in g.end_flags() if g.flag_vertex[f] in verts)
+                        for verts in groups
+                    ]
+                    if not all(ends):
                         continue
-                    boundary: Dict[int, List[Tuple[int, int]]] = {
-                        k: [] for k in groups
-                    }
-                    for e in B:
-                        p = g.flag_partner[e]
-                        boundary[find(g.flag_vertex[e])].append((e, e))
-                        boundary[find(g.flag_vertex[p])].append((e, p))
-                    comps = tuple(
-                        _Comp(
-                            frozenset(groups[k]),
-                            tuple(ends[k]),
-                            tuple(boundary[k]),
+                    boundary = [
+                        tuple(
+                            (e, f)
+                            for e in B
+                            for f in g.edge_flags(e)
+                            if g.flag_vertex[f] in verts
                         )
-                        for k in sorted(groups)
+                        for verts in groups
+                    ]
+                    comps = tuple(
+                        _Comp(frozenset(verts), es, bs)
+                        for verts, es, bs in zip(groups, ends, boundary)
                     )
                     out.append((B, comps))
             self._cuts = out
         return self._cuts
 
 
-_EV_TREES: Dict[int, List[_TreeData]] = {}
-_PI_TREES: Dict[int, List[_TreeData]] = {}
+_TREE_DATA: Dict[int, List[_TreeData]] = {}
+
+
+def _tree_data(d: int) -> List[_TreeData]:
+    """One _TreeData per degree-d base tree, shared by both fiber engines."""
+    if d not in _TREE_DATA:
+        _TREE_DATA[d] = [_TreeData(t) for t in base_trees(d)]
+    return _TREE_DATA[d]
 
 
 def _ev_tree_data(d: int) -> List[_TreeData]:
     # A contracted bounded edge gives a zero column, a vertex with parallel
     # directions a zero vertex factor; either kills every ev determinant.
-    if d not in _EV_TREES:
-        _EV_TREES[d] = [
-            td
-            for td in (_TreeData(t) for t in base_trees(d))
-            if not td.contracted and not td.collinear
-        ]
-    return _EV_TREES[d]
+    return [td for td in _tree_data(d) if not td.contracted and not td.collinear]
 
 
 def _pi_tree_data(d: int) -> List[_TreeData]:
     # Two contracted bounded edges give two columns supported only on the
     # single forgetful row, hence determinant zero.
-    if d not in _PI_TREES:
-        _PI_TREES[d] = [
-            td
-            for td in (_TreeData(t) for t in base_trees(d))
-            if len(td.contracted) <= 1
-        ]
-    return _PI_TREES[d]
+    return [td for td in _tree_data(d) if len(td.contracted) <= 1]
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +549,8 @@ def _subdivide(tree: PlaneType, placements: dict, n: int):
             fp[far] = open_flag
             ids.append(min(open_flag, far))
         piece_ids[h] = ids
-    assert all(m is not None for m in marks)
+    if None in marks:
+        raise AssertionError("placements left a mark without a host edge")
     t = PlaneType(AbstractType(Graph(fv, fp), tuple(marks)), tuple(dd))
     return t, piece_ids
 
@@ -646,7 +573,8 @@ def _comp_plan(td: _TreeData, comp: _Comp, kept_end: int):
                 continue
             p = g.flag_partner[f]
             if p is None:
-                assert f in cut_ends
+                if f not in cut_ends:
+                    raise AssertionError(f"end {f} reached but not cut")
                 branches.append(("m", f, f, None))
             else:
                 e = min(f, p)
@@ -656,7 +584,8 @@ def _comp_plan(td: _TreeData, comp: _Comp, kept_end: int):
                     w = g.flag_vertex[p]
                     visit(w, p)
                     branches.append(("c", w, p, e))
-        assert len(branches) == 2
+        if len(branches) != 2:
+            raise AssertionError(f"vertex {u} is not trivalent in the plan")
         plan.append((u, branches[0], branches[1]))
 
     visit(g.flag_vertex[kept_end], kept_end)
@@ -683,7 +612,8 @@ def _run_plan(plan, dirs, assign, pts, pos, lens):
         q1, u1, k1 = line(b1)
         q2, u2, k2 = line(b2)
         den = cross(u1, u2)
-        assert den != 0
+        if den == 0:
+            raise AssertionError(f"parallel lines meet at vertex {u}")
         wx = q2[0] - q1[0]
         wy = q2[1] - q1[1]
         s1 = Fraction(wx * u2[1] - wy * u2[0], den)
@@ -723,7 +653,11 @@ def _emit_ev_solution(td, assign, pos, lens, found, n):
     curve = mt.with_lengths(lengths, 0, root_pos)
     mult = multiplicity(ev_matrix(mt))
     # the vertex-product route must agree with the determinant route
-    assert mult == curve_multiplicity(curve) and mult > 0
+    vertex_mult = curve_multiplicity(curve)
+    if mult != vertex_mult or mult <= 0:
+        raise AssertionError(
+            f"multiplicity {mult} disagrees with vertex product {vertex_mult}"
+        )
     coords = (root_pos[0], root_pos[1]) + tuple(
         lengths[e] for e in mt.graph.bounded_edges()
     )
@@ -749,7 +683,8 @@ def _ev_search_tree(td: _TreeData, pts, ipts, found, n):
                         seen.add(h)
                         host_seq.append(h)
                 completes.setdefault(len(host_seq) - 1, []).append(ci)
-            assert len(host_seq) == n
+            if len(host_seq) != n:
+                raise AssertionError(f"{len(host_seq)} host edges for {n} marks")
             plans = {
                 ci: _comp_plan(td, comps[ci], kept[ci]) for ci in range(len(comps))
             }
@@ -849,7 +784,8 @@ def _pi_leaf(td, occupancy, cfg, d, found):
     if key in found:
         return
     mult = multiplicity(cm)
-    assert mult > 0
+    if mult <= 0:
+        raise AssertionError(f"nonpositive multiplicity {mult}")
     found[key] = FiberSolution(mt, tuple(xs), mult)
 
 
@@ -1073,21 +1009,7 @@ def decompose_reducible(c: PlaneCurve, edge: Optional[int] = None):
     side_min_mark = []
     for start_flag, dropped in ((e1, e2), (e2, e1)):
         v0 = g.flag_vertex[start_flag]
-        verts = {v0}
-        stack = [v0]
-        while stack:
-            u = stack.pop()
-            for f in g.flags_at(u):
-                if f in (e1, e2):
-                    continue
-                p = g.flag_partner[f]
-                if p is None:
-                    continue
-                w = g.flag_vertex[p]
-                if w not in verts:
-                    verts.add(w)
-                    stack.append(w)
-
+        verts = g.component(v0, cut_edges=(edge,))
         vmap = {v: i for i, v in enumerate(sorted(verts))}
         kept = [
             f

@@ -101,21 +101,25 @@ class Graph:
     def edge_flags(self, e: int):
         return e, self.flag_partner[e]
 
-    def is_connected(self) -> bool:
-        if self.num_vertices == 0:
-            return True
-        seen = {0}
-        stack = [0]
+    def component(self, start: int, cut_edges=(), blocked=()) -> set:
+        """Vertices reachable from start along bounded edges, crossing no
+        edge in cut_edges and entering no vertex in blocked."""
+        seen = {start}
+        stack = [start]
         while stack:
             v = stack.pop()
             for f in self._flags_at[v]:
                 p = self.flag_partner[f]
-                if p is not None:
-                    w = self.flag_vertex[p]
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return len(seen) == self.num_vertices
+                if p is None or min(f, p) in cut_edges:
+                    continue
+                w = self.flag_vertex[p]
+                if w not in seen and w not in blocked:
+                    seen.add(w)
+                    stack.append(w)
+        return seen
+
+    def is_connected(self) -> bool:
+        return self.num_vertices == 0 or len(self.component(0)) == self.num_vertices
 
     def genus(self) -> int:
         """First Betti number: #bounded edges - #vertices + 1."""
@@ -167,10 +171,6 @@ class Graph:
         return Graph(self.flag_vertex, self.flag_partner, None)
 
 
-def genus(g: Graph) -> int:
-    return g.genus()
-
-
 def _check_curve_shape(graph: Graph, marks) -> None:
     if not graph.is_connected():
         raise ValueError("curve must be connected")
@@ -219,10 +219,6 @@ class AbstractType:
     def codim(self) -> int:
         g = self.graph
         return sum(g.valence(v) - 3 for v in range(g.num_vertices))
-
-
-def codim(t) -> int:
-    return t.codim()
 
 
 def cell_dimension_abstract(t, n: int) -> int:

@@ -223,21 +223,7 @@ def _case_a_expected(c: PlaneCurve) -> int:
 def _census_case_b(s: FiberSolution, c: PlaneCurve, ray: str, d: int):
     g = c.graph
     edge = s.type.contracted_bounded_edges()[0]
-    f1 = edge
-    f2 = g.flag_partner[edge]
-    side_verts = set()
-    stack = [g.flag_vertex[f1]]
-    while stack:
-        u = stack.pop()
-        if u in side_verts:
-            continue
-        side_verts.add(u)
-        for f in g.flags_at(u):
-            if f in (f1, f2):
-                continue
-            p = g.flag_partner[f]
-            if p is not None:
-                stack.append(g.flag_vertex[p])
+    side_verts = g.component(g.flag_vertex[edge], cut_edges=(edge,))
     on_first = tuple(
         i for i in range(len(c.marks)) if g.flag_vertex[c.marks[i]] in side_verts
     )

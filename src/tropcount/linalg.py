@@ -9,9 +9,7 @@ terms, positive denominator).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-
-Rational = Fraction
+from math import lcm
 
 
 class Matrix:
@@ -49,9 +47,6 @@ class Matrix:
     def row(self, i: int):
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def row_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -76,10 +71,6 @@ class Matrix:
             for i in range(self.rows)
         )
 
-    def transpose(self) -> "Matrix":
-        out = [self.at(i, j) for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.cols, self.rows, out)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -98,44 +89,62 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
-def _integer_rows(m: Matrix):
+def _integer_rows(rows):
     """Scale each row to integers, returning (int rows, product of scales)."""
     scaled = []
     scale = Fraction(1)
-    for i in range(m.rows):
-        row = m.row(i)
+    for row in rows:
         mult = lcm(*(e.denominator for e in row)) if row else 1
         scaled.append([int(e * mult) for e in row])
         scale *= mult
     return scaled, scale
 
 
+def _eliminate(a, ncols: int):
+    """Fraction-free (Bareiss) row echelon form of integer rows, in place.
+
+    Columns 0..ncols-1 are pivoted in turn on their first nonzero entry at or
+    below the current row; a column with none is skipped.  Every entry stays
+    an integer minor of the input, so each division is exact.  Returns the
+    pivot columns and the sign of the row permutation.
+    """
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        pivot = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        row_r = a[r]
+        p = row_r[c]
+        for row_i in a[r + 1 :]:
+            f = row_i[c]
+            for j in range(c + 1, len(row_i)):
+                row_i[j] = (p * row_i[j] - f * row_r[j]) // prev
+            row_i[c] = 0
+        prev = p
+        pivots.append(c)
+        r += 1
+    return pivots, sign
+
+
 def det(m: Matrix) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant: the last pivot of the fraction-free elimination."""
     if not m.is_square():
         raise ValueError("determinant of non-square matrix")
     n = m.rows
     if n == 0:
         return Fraction(1)
-    a, scale = _integer_rows(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if pivot is None:
-                return Fraction(0)
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (akk * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
+    a, scale = _integer_rows(m.row(i) for i in range(n))
+    pivots, sign = _eliminate(a, n)
+    if len(pivots) < n:
+        return Fraction(0)
     return Fraction(sign * a[n - 1][n - 1], 1) / scale
 
 
@@ -167,31 +176,20 @@ def solve(m: Matrix, rhs) -> SolveResult:
     """
     if len(rhs) != m.rows:
         raise ValueError("rhs length != rows")
-    aug = [list(m.row(i)) + [Fraction(rhs[i])] for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pv = aug[r][c]
-        aug[r] = [e / pv for e in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return SolveResult(SolveResult.INCONSISTENT)
-    if len(pivots) < ncols:
+    n = m.cols
+    a, _ = _integer_rows(m.row(i) + (Fraction(rhs[i]),) for i in range(m.rows))
+    pivots, _ = _eliminate(a, n)
+    if any(row[n] != 0 for row in a[len(pivots) :]):
+        return SolveResult(SolveResult.INCONSISTENT)
+    if len(pivots) < n:
         return SolveResult(SolveResult.UNDERDETERMINED)
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    return SolveResult(SolveResult.UNIQUE, tuple(x))
+    # the leading n rows form a square system whose determinant is its last
+    # pivot den, so by Cramer's rule y = den·x is integral and every
+    # division in the back substitution is exact
+    den = a[n - 1][n - 1] if n else 1
+    y = [0] * n
+    for k in range(n - 1, -1, -1):
+        row = a[k]
+        acc = row[n] * den - sum(row[j] * y[j] for j in range(k + 1, n))
+        y[k] = acc // row[k]
+    return SolveResult(SolveResult.UNIQUE, tuple(Fraction(v, den) for v in y))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import AbstractType, Graph, MarkedAbstractCurve
+from .graph import AbstractType, Graph, MarkedAbstractCurve, contract_edge_type
 from .linalg import Matrix, det
 from .plane import PlaneCurve, PlaneType, image_position, vadd, vneg
 
@@ -296,27 +296,9 @@ def forget_points(c: PlaneCurve, m: int) -> PlaneCurve:
 
 def contract_plane_edge(t: PlaneType, e: int) -> PlaneType:
     """Boundary type of the cell where bounded edge e shrinks to a point."""
-    g = t.graph
-    f1, f2 = g.edge_flags(e)
-    keep = [f for f in range(g.num_flags()) if f not in (f1, f2)]
-    remap = {f: i for i, f in enumerate(keep)}
-    v_keep = min(g.flag_vertex[f1], g.flag_vertex[f2])
-    v_drop = max(g.flag_vertex[f1], g.flag_vertex[f2])
-    if v_keep == v_drop:
-        raise ValueError("contracting a loop")
-    fv = []
-    fp = []
-    for f in keep:
-        v = g.flag_vertex[f]
-        if v == v_drop:
-            v = v_keep
-        if v > v_drop:
-            v -= 1
-        fv.append(v)
-        fp.append(None if g.flag_partner[f] is None else remap[g.flag_partner[f]])
-    marks = tuple(remap[x] for x in t.marks)
-    dirs = tuple(t.dirs[f] for f in keep)
-    return PlaneType(AbstractType(Graph(fv, fp), marks), dirs)
+    gone = t.graph.edge_flags(e)
+    dirs = tuple(d for f, d in enumerate(t.dirs) if f not in gone)
+    return PlaneType(contract_edge_type(t.abstract, e), dirs)
 
 
 def resolve_four_valent(t: PlaneType, v: int, pairing) -> tuple:

@@ -48,7 +48,22 @@ def projective_degree(d: int):
     return tuple([(-1, 0)] * d + [(0, -1)] * d + [(1, 1)] * d)
 
 
-def _check_directions(graph: Graph, marks, dirs) -> None:
+def check_balancing(c) -> tuple:
+    """(True, None) if balanced, else (False, first offending vertex)."""
+    g = c.graph
+    dirs = c.dirs
+    for v in range(g.num_vertices):
+        total = (0, 0)
+        for f in g.flags_at(v):
+            total = vadd(total, dirs[f])
+        if total != ZERO:
+            return False, v
+    return True, None
+
+
+def _check_directions(c) -> None:
+    graph = c.graph
+    dirs = c.dirs
     if len(dirs) != graph.num_flags():
         raise ValueError("one direction per flag required")
     for f, p in enumerate(graph.flag_partner):
@@ -59,15 +74,12 @@ def _check_directions(graph: Graph, marks, dirs) -> None:
             raise ValueError("directions must be integer pairs")
         if p is not None and vadd(dirs[f], dirs[p]) != ZERO:
             raise ValueError(f"flags {f},{p} of a bounded edge must be opposite")
-    for m in marks:
+    for m in c.marks:
         if dirs[m] != ZERO:
             raise ValueError("marked ends must be contracted")
-    for v in range(graph.num_vertices):
-        total = (0, 0)
-        for f in graph.flags_at(v):
-            total = vadd(total, dirs[f])
-        if total != ZERO:
-            raise ValueError(f"balancing fails at vertex {v}")
+    balanced, v = check_balancing(c)
+    if not balanced:
+        raise ValueError(f"balancing fails at vertex {v}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,7 @@ class PlaneType:
 
     def __post_init__(self):
         object.__setattr__(self, "dirs", tuple(tuple(d) for d in self.dirs))
-        _check_directions(self.abstract.graph, self.abstract.marks, self.dirs)
+        _check_directions(self)
 
     @property
     def graph(self) -> Graph:
@@ -128,7 +140,7 @@ class PlaneCurve:
         g = self.curve.graph
         if not (0 <= self.root < g.num_vertices):
             raise ValueError("root out of range")
-        _check_directions(g, self.curve.marks, self.dirs)
+        _check_directions(self)
 
     @property
     def graph(self) -> Graph:
@@ -147,19 +159,6 @@ class PlaneCurve:
     def mark_vertex(self, i: int) -> int:
         """Vertex of the i-th mark (0-based index into the mark order)."""
         return self.graph.flag_vertex[self.marks[i]]
-
-
-def check_balancing(c) -> tuple:
-    """(True, None) if balanced, else (False, first offending vertex)."""
-    g = c.graph
-    dirs = c.dirs
-    for v in range(g.num_vertices):
-        total = (0, 0)
-        for f in g.flags_at(v):
-            total = vadd(total, dirs[f])
-        if total != ZERO:
-            return False, v
-    return True, None
 
 
 def derive_directions(graph: Graph, marks, end_dirs: dict):

@@ -98,6 +98,35 @@ def test_count_points_file_missing(capsys, tmp_path):
     assert main(["count", "--d", "1", "--points", missing]) == 2
 
 
+def malformed_input_exit(capsys, path, text, argv):
+    path.write_text(text)
+    code = main(argv + [str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+COUNT_POINTS = ["count", "--d", "1", "--points"]
+
+
+def test_count_points_file_short_point(capsys, tmp_path):
+    text = '{"points": [["1/1"], ["2/1", "3/1"]]}'
+    malformed_input_exit(capsys, tmp_path / "p.json", text, COUNT_POINTS)
+
+
+def test_count_points_file_not_json(capsys, tmp_path):
+    malformed_input_exit(capsys, tmp_path / "p.json", "nope", COUNT_POINTS)
+
+
+def test_count_points_file_missing_key(capsys, tmp_path):
+    malformed_input_exit(capsys, tmp_path / "p.json", '{"pts": []}', COUNT_POINTS)
+
+
+def test_render_curve_missing_key(capsys, tmp_path):
+    text = '{"graph": {"flags": []}}'
+    malformed_input_exit(capsys, tmp_path / "c.json", text, ["render"])
+
+
 def test_count_degenerate_points_exit(capsys, tmp_path):
     # both points on one tropical line: the fiber is not finite
     path = write_points(tmp_path / "bad.json", [(0, 0), (1, 1)])
@@ -182,8 +211,10 @@ def test_render_accepts_bare_curve_json(capsys, tmp_path):
     assert out.count('class="ray"') == 3
 
 
-def test_jobs_flag_accepted(capsys):
-    assert main(["--jobs", "2", "nd", "--dmax", "1"]) == 0
+def test_jobs_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2", "nd", "--dmax", "1"])
+    assert exc.value.code == 2
 
 
 def test_unknown_command(capsys):

@@ -1,4 +1,7 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -30,6 +33,8 @@ from tropcount.enumeration import (
     sampled_degree,
     sampled_fiber,
 )
+import tropcount
+from tropcount import enumeration
 from tropcount.graph import AbstractType, Graph, trivalent_trees_on_leaves
 from tropcount.moduli_maps import M4Point, m4_point
 from tropcount.plane import (
@@ -358,6 +363,26 @@ def test_config_shapes():
     assert doubled.m4.length == 2 * pi.m4.length
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_large_length_matches_base_tree_bound(d):
+    pts = sample_points(3 * d, seed=5)
+    diam = max(
+        abs(ax - bx) + abs(ay - by)
+        for (ax, ay), (bx, by) in itertools.combinations(pts, 2)
+    )
+    top = max(abs(x) for t in base_trees(d) for v in t.dirs for x in v)
+    assert large_length(d, pts) == 4 * diam * top + 1
+
+
+def test_pi_config_builds_no_base_trees(monkeypatch):
+    def refuse(d):
+        raise RuntimeError("base trees built")
+
+    monkeypatch.setattr(enumeration, "base_trees", refuse)
+    cfg = pi_config(3, 0, "A")
+    assert cfg.m4.ray == "A" and len(cfg.points) == 9
+
+
 def test_point_config_json_roundtrip():
     cfg = pi_config(2, seed=1, ray="C")
     assert PointConfig.from_json(cfg.to_json()) == cfg
@@ -510,3 +535,20 @@ def test_decompose_mark_side_bookkeeping():
     n1, n2 = len(c1.marks) - 1, len(c2.marks) - 1
     assert n1 + n2 == 6
     assert n1 >= 1 and n2 >= 1
+
+
+def test_multiplicity_cross_check_survives_optimize_flag():
+    # under python -O an assert would vanish; the engines raise instead
+    script = (
+        "from tropcount import enumeration as e\n"
+        "e.curve_multiplicity = lambda c: 0\n"
+        "try:\n"
+        "    e.fiber(e.EV, 1, e.ev_config(1, 0))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(tropcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=120)
+    assert proc.returncode == 0

@@ -9,11 +9,9 @@ from tropcount.graph import (
     MarkedAbstractCurve,
     canonical_form,
     cell_dimension_abstract,
-    codim,
     contract_edge_type,
     enumerate_abstract_types,
     fraction_str,
-    genus,
     graph_from_json,
     graph_to_json,
     parse_fraction,
@@ -68,7 +66,7 @@ def test_genus_examples():
 def test_genus_disconnected_rejected():
     g = Graph([0, 0, 1, 1], [1, 0, 3, 2])
     with pytest.raises(ValueError):
-        genus(g)
+        g.genus()
 
 
 def test_partner_must_be_involution():
@@ -126,7 +124,7 @@ def test_two_valent_vertices_rejected():
 
 def test_codim_examples():
     assert AbstractType(star3(), (0, 1, 2)).codim() == 0
-    assert codim(AbstractType(star4(), (0, 1, 2, 3))) == 1
+    assert AbstractType(star4(), (0, 1, 2, 3)).codim() == 1
     five = Graph([0] * 5, [None] * 5)
     assert AbstractType(five, tuple(range(5))).codim() == 2
 

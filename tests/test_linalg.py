@@ -25,6 +25,38 @@ def det_by_permutation_expansion(m: Matrix) -> Fraction:
     return total
 
 
+def solve_by_gauss_jordan(m: Matrix, rhs) -> SolveResult:
+    """Independent oracle: Gauss-Jordan over Fractions on the augmented rows."""
+    aug = [list(m.row(i)) + [Fraction(rhs[i])] for i in range(m.rows)]
+    nrows, ncols = m.rows, m.cols
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        pv = aug[r][c]
+        aug[r] = [e / pv for e in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for i in range(r, nrows):
+        if aug[i][ncols] != 0:
+            return SolveResult(SolveResult.INCONSISTENT)
+    if len(pivots) < ncols:
+        return SolveResult(SolveResult.UNDERDETERMINED)
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][ncols]
+    return SolveResult(SolveResult.UNIQUE, tuple(x))
+
+
 small_fractions = st.fractions(
     min_value=-6, max_value=6, max_denominator=4
 )
@@ -147,3 +179,43 @@ def test_solve_roundtrip(m, rhs):
 def test_solve_rhs_length_mismatch():
     with pytest.raises(ValueError):
         solve(Matrix.identity(2), [1, 2, 3])
+
+
+@st.composite
+def integer_systems(draw):
+    """Square, rectangular and rank-deficient integer systems, rational rhs.
+
+    Rows are repeated or scaled copies of earlier rows and columns are zeroed
+    at random, so consistent rank-deficient cases come up often."""
+    nrows = draw(st.integers(1, 5))
+    ncols = draw(st.one_of(st.just(nrows), st.integers(1, 5)))
+    entries = st.integers(-3, 3)
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.booleans()):
+            src = draw(st.sampled_from(rows))
+            k = draw(st.integers(-2, 2))
+            rows.append([k * e for e in src])
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=1)):
+        for row in rows:
+            row[j] = 0
+    m = Matrix.from_rows(rows)
+    if draw(st.booleans()):
+        # a right-hand side in the column space: consistent by construction
+        x = draw(st.lists(small_fractions, min_size=ncols, max_size=ncols))
+        rhs = list(m.mul_vector(x))
+    else:
+        rhs = draw(st.lists(small_fractions, min_size=nrows, max_size=nrows))
+    return m, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_solve_matches_gauss_jordan_oracle(system):
+    m, rhs = system
+    res = solve(m, rhs)
+    ref = solve_by_gauss_jordan(m, rhs)
+    assert res.status == ref.status
+    assert res.solution == ref.solution
