@@ -26,7 +26,14 @@ from .graph import (
     trivalent_trees_on_leaves,
 )
 from .linalg import solve
-from .moduli_maps import M4Point, ev_matrix, ft4_coordinate, multiplicity, pi_matrix
+from .moduli_maps import (
+    _PAIRINGS,
+    M4Point,
+    ev_matrix,
+    ft4_coordinate,
+    multiplicity,
+    pi_matrix,
+)
 from .plane import (
     PlaneCurve,
     PlaneType,
@@ -333,25 +340,27 @@ def _sector_reverse(sec):
 
 
 def _sector_meets_vertical(sec, dx) -> bool:
-    """Is any (dx, y) inside the sector?  Conservative on boundaries."""
+    """Is any (dx, y) inside the sector?  Conservative on boundaries.
+
+    dx is an integer; the bounds on y are compared cross-multiplied.
+    """
     if sec is None:
         return True
-    lo, hi = sec
-    lower, upper = None, None
-    # cross(lo, (dx, y)) >= 0  and  cross((dx, y), hi) >= 0
-    for vx, vy, sign in ((lo[0], lo[1], 1), (hi[0], hi[1], -1)):
-        # sign=+1: vx*y - vy*dx >= 0 ; sign=-1: vy*dx - vx*y >= 0
-        coeff = sign * vx
-        const = sign * vy * dx
+    (lx, ly), (hx, hy) = sec
+    lower = upper = None
+    # cross(lo, (dx, y)) >= 0 and cross((dx, y), hi) >= 0, each as coeff*y >= const
+    for coeff, const in ((lx, ly * dx), (-hx, -hy * dx)):
         if coeff > 0:
-            bound = Fraction(const, coeff)
-            lower = bound if lower is None else max(lower, bound)
+            lower = (const, coeff)
         elif coeff < 0:
-            bound = Fraction(const, coeff)
-            upper = bound if upper is None else min(upper, bound)
+            upper = (const, coeff)
         elif const > 0:
             return False
-    return lower is None or upper is None or lower <= upper
+    if lower is None or upper is None:
+        return True
+    # const_l / coeff_l <= const_u / coeff_u, times coeff_l * -coeff_u > 0
+    (cl, kl), (cu, ku) = lower, upper
+    return cl * -ku + cu * kl <= 0
 
 
 def _swap(v):
@@ -384,6 +393,7 @@ class _TreeData:
     handles: Tuple[int, ...] = ()
     _sectors: Optional[dict] = field(default=None, repr=False)
     _cuts: Optional[dict] = field(default=None, repr=False)
+    _pi: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         g = self.t.graph
@@ -469,6 +479,21 @@ class _TreeData:
                     out.append((B, comps))
             self._cuts = out
         return self._cuts
+
+    def pi_tables(self):
+        """(paths, dist, bounded edges, end flags) for the combined-map leaf:
+        paths[v] lists (bounded edge, flag walked) from vertex 0 to v, and
+        dist[u][v] counts the bounded edges between u and v."""
+        if self._pi is None:
+            g = self.t.graph
+            vs = range(g.num_vertices)
+            paths = [
+                tuple((g.edge_of_flag(f), f) for f in g.path_flags(0, v)) for v in vs
+            ]
+            edges = [{e for e, _ in p} for p in paths]
+            dist = [[len(edges[u] ^ edges[v]) for v in vs] for u in vs]
+            self._pi = (paths, dist, g.bounded_edges(), g.end_flags())
+        return self._pi
 
 
 _TREE_DATA: Dict[int, List[_TreeData]] = {}
@@ -753,19 +778,117 @@ def _ev_fiber(d: int, cfg: PointConfig) -> List[FiberSolution]:
 # combined-map fiber
 
 
-def _pi_leaf(td, occupancy, cfg, d, found):
+def _slot(items, m) -> int:
+    """Position, on its host, of the item carrying mark m."""
+    for s, it in enumerate(items):
+        if it == ("mark", m) or (it[0] == "cluster" and m in it[1]):
+            return s
+    raise AssertionError(f"mark {m} is not on its host")
+
+
+def _placement_ray(td: _TreeData, occupancy, where, n: int) -> str:
+    """Quartet ray (A, B, C or D) of marks 0-3 in the type a placement
+    builds, by the four-point condition on an exact tree metric.
+
+    Every base edge has length w = n + 1, more than any host's item count;
+    the item at slot s of a host sits s + 1 from the host's own flag, and a
+    clustered pair sits 1 further out, at distance 0 from each other.
+    """
+    g = td.t.graph
+    dist = td.pi_tables()[1]
+    w = n + 1
+    spots = []
+    for m in range(4):
+        h = where[m]
+        s = _slot(occupancy[h], m)
+        anchors = [(g.flag_vertex[h], s + 1)]
+        far = g.flag_partner[h]
+        if far is not None:
+            anchors.append((g.flag_vertex[far], w - s - 1))
+        spots.append((h, s, occupancy[h][s][0] == "cluster", anchors))
+
+    def delta(x, y):
+        hx, sx, cx, ax = spots[x]
+        hy, sy, cy, ay = spots[y]
+        if hx == hy:
+            return 0 if sx == sy else abs(sx - sy) + cx + cy
+        return cx + cy + min(ox + w * dist[p][q] + oy for p, ox in ax for q, oy in ay)
+
+    sums = [delta(i, j) + delta(k, l) for _, (i, j), (k, l) in _PAIRINGS]
+    low = min(sums)
+    return "D" if sums.count(low) > 1 else _PAIRINGS[sums.index(low)][0]
+
+
+def _pi_rows(td: _TreeData, occupancy, where, n: int, ray: str):
+    """Integer rows of the combined map on the type a placement builds.
+
+    Rows: x of mark 0, y of mark 1, both coordinates of marks 2..n-1, then
+    the ft4 row of the ray's quartet pairing.  Columns: root x, root y, the
+    pieces of each base bounded edge in walk order from its own flag, the
+    bounded pieces of each end, and last the cluster's contracted edge, if
+    any.  Returns the rows and the column of the first piece of each base
+    bounded edge and each end.
+    """
+    g = td.t.graph
+    dirs = td.t.dirs
+    paths, dist, bounded, ends = td.pi_tables()
+    size = 2 * n - 1
+    start = {}
+    col = 2
+    for e in bounded:
+        start[e] = col
+        col += len(occupancy.get(e, ())) + 1
+    for h in ends:
+        start[h] = col
+        col += len(occupancy[h])
+    clustered = any(it[0] == "cluster" for it in occupancy[where[0]])
+    if col + clustered != size:
+        raise AssertionError(f"{col + clustered} columns for {size} rows")
+    # (column, direction) along the path from the root to each mark
+    walks = []
+    for m in range(n):
+        h = where[m]
+        items = occupancy[h]
+        s = _slot(items, m)
+        far = g.flag_partner[h]
+        if far is None or dist[0][g.flag_vertex[h]] < dist[0][g.flag_vertex[far]]:
+            via, f, pieces = g.flag_vertex[h], h, range(s + 1)
+        else:
+            via, f, pieces = g.flag_vertex[far], far, range(s + 1, len(items) + 1)
+        walk = []
+        for e, ef in paths[via]:
+            c0 = start[e]
+            walk.extend((c0 + k, dirs[ef]) for k in range(len(occupancy.get(e, ())) + 1))
+        walk.extend((start[h] + k, dirs[f]) for k in pieces)
+        if items[s][0] == "cluster":
+            walk.append((size - 1, ZERO))
+        walks.append(walk)
+    rows = []
+    for m, c in [(0, 0), (1, 1)] + [(m, c) for m in range(2, n) for c in (0, 1)]:
+        row = [0] * size
+        row[c] = 1
+        for col, v in walks[m]:
+            row[col] = v[c]
+        rows.append(row)
+    # the central path of the pairing i, j | k, l is path(i, k) ∩ path(j, l)
+    (i, j), (k, l) = next(pair for r, *pair in _PAIRINGS if r == ray)
+    cols = [{col for col, _ in walks[q]} for q in range(4)]
+    central = (cols[i] ^ cols[k]) & (cols[j] ^ cols[l])
+    rows.append([int(col in central) for col in range(size)])
+    return rows, start
+
+
+def _pi_leaf(td: _TreeData, occupancy, where, d: int, ray: str, rhs, scale, found):
+    """One placement of all marks: decide its ray on the base tree, solve
+    its integer rows, and build the marked type only for a solution.
+
+    rhs is the fiber's right-hand side times the integer scale.
+    """
     n = 3 * d
-    placements = {h: list(items) for h, items in occupancy.items() if items}
-    mt, _ = _subdivide(td.t, placements, n)
-    ray, _row = ft4_coordinate(mt)
-    if ray != cfg.m4.ray:
+    if _placement_ray(td, occupancy, where, n) != ray:
         return
-    cm = pi_matrix(mt, d)
-    rhs: List[Fraction] = [cfg.line_x, cfg.line_y]
-    for p in cfg.points[2:]:
-        rhs.extend(p)
-    rhs.append(cfg.m4.length)
-    res = solve(cm.matrix, rhs)
+    rows, start = _pi_rows(td, occupancy, where, n, ray)
+    res = solve(rows, rhs)
     if res.status == "inconsistent":
         return
     if res.status == "underdetermined":
@@ -773,30 +896,41 @@ def _pi_leaf(td, occupancy, cfg, d, found):
             "rank-deficient consistent system: input in special position"
         )
     xs = res.solution
-    lens = xs[2:]
-    if any(v < 0 for v in lens):
+    if any(v < 0 for v in xs[2:]):
         return
-    if any(v == 0 for v in lens):
+    if any(v == 0 for v in xs[2:]):
         raise GeneralPositionViolation(
             "solution on a cell boundary (zero edge length)"
         )
+    placements = {h: list(items) for h, items in occupancy.items() if items}
+    mt, piece_ids = _subdivide(td.t, placements, n)
     key = canonical_plane_form(mt)
     if key in found:
         return
-    mult = multiplicity(cm)
-    if mult <= 0:
-        raise AssertionError(f"nonpositive multiplicity {mult}")
-    found[key] = FiberSolution(mt, tuple(xs), mult)
+    # the kernel must agree with the cell map of the type it stands for
+    mt_ray = ft4_coordinate(mt)[0]
+    if mt_ray != ray:
+        raise AssertionError(f"placement ray {ray} but the type's ray is {mt_ray}")
+    mult = multiplicity(pi_matrix(mt, d))
+    if mult != abs(res.det):
+        raise AssertionError(
+            f"multiplicity {mult} disagrees with the leaf determinant {res.det}"
+        )
+    col_of = dict(start)  # an unsplit bounded edge keeps its id
+    for h, ids in piece_ids.items():
+        for k, e in enumerate(ids):
+            col_of[e] = start[h] + k
+    cluster_col = len(rows) - 1
+    order = [0, 1] + [col_of.get(e, cluster_col) for e in mt.graph.bounded_edges()]
+    found[key] = FiberSolution(mt, tuple(xs[c] / scale for c in order), mult)
 
 
-def _pi_search_tree(td: _TreeData, cfg: PointConfig, d: int, ipts, found):
-    n = 3 * d
+def _pi_search_tree(td: _TreeData, n: int, ipts, leaf):
+    """Place the marks on one tree's edges, calling leaf(td, occupancy,
+    where) on every placement that passes the sector, line and quota tests."""
     secs = td.sectors()
     hosts = td.handles
-    g = td.t.graph
     dirs = td.t.dirs
-    a_num = cfg.line_x
-    b_num = cfg.line_y
     occupancy: Dict[int, list] = {h: [] for h in hosts}
     where: Dict[int, int] = {}
     insertion = list(range(2, n)) + [0, 1]
@@ -820,26 +954,18 @@ def _pi_search_tree(td: _TreeData, cfg: PointConfig, d: int, ipts, found):
         return True
 
     def line_ok(m, h):
-        # first mark sees a vertical line, second a horizontal one
+        # mark 0 sees the vertical line x = ipts[0][0], mark 1 the
+        # horizontal line y = ipts[1][1]
+        meets = _sector_meets_vertical if m == 0 else _sector_meets_horizontal
         for m2, h2 in where.items():
             if m2 < 2:
                 continue
+            delta = ipts[m][m] - ipts[m2][m]
             if h2 == h:
-                dh = dirs[h]
-                if m == 0 and dh[0] == 0 and a_num != cfg.points[m2][0]:
+                if dirs[h][m] == 0 and delta != 0:
                     return False
-                if m == 1 and dh[1] == 0 and b_num != cfg.points[m2][1]:
-                    return False
-                continue
-            sec = secs[(h2, h)]
-            if m == 0:
-                dx = a_num - cfg.points[m2][0]
-                if not _sector_meets_vertical(sec, dx):
-                    return False
-            else:
-                dy = b_num - cfg.points[m2][1]
-                if not _sector_meets_horizontal(sec, dy):
-                    return False
+            elif not meets(secs[(h2, h)], delta):
+                return False
         return True
 
     def quota_ok(h, m):
@@ -852,7 +978,7 @@ def _pi_search_tree(td: _TreeData, cfg: PointConfig, d: int, ipts, found):
 
     def rec(k):
         if k == len(insertion):
-            _pi_leaf(td, occupancy, cfg, d, found)
+            leaf(td, occupancy, where)
             return
         m = insertion[k]
         for h in hosts:
@@ -896,11 +1022,18 @@ def _pi_fiber(d: int, cfg: PointConfig) -> List[FiberSolution]:
     if cfg.m4 is None:
         raise ValueError("combined-map fiber needs an m4 target value")
     pts = cfg.points
-    den = math.lcm(*(c.denominator for p in pts for c in p))
-    ipts = [(int(x * den), int(y * den)) for x, y in pts]
+    length = cfg.m4.length
+    scale = math.lcm(*(c.denominator for p in pts for c in p), length.denominator)
+    ipts = [(int(x * scale), int(y * scale)) for x, y in pts]
+    rhs = [ipts[0][0], ipts[1][1]] + [c for p in ipts[2:] for c in p]
+    rhs.append(int(length * scale))
     found: dict = {}
+
+    def leaf(td, occupancy, where):
+        _pi_leaf(td, occupancy, where, d, cfg.m4.ray, rhs, scale, found)
+
     for td in _pi_tree_data(d):
-        _pi_search_tree(td, cfg, d, ipts, found)
+        _pi_search_tree(td, n, ipts, leaf)
     return [found[k] for k in sorted(found, key=repr)]
 
 
@@ -1036,7 +1169,7 @@ def decompose_reducible(c: PlaneCurve, edge: Optional[int] = None):
 
         old_marks = [m for m in c.marks if g.flag_vertex[m] in verts]
         marks = tuple(fmap[m] for m in old_marks) + (fmap[start_flag],)
-        if g.flag_vertex[c.root] in verts:
+        if c.root in verts:
             root_v, root_pos = vmap[c.root], c.root_pos
         else:
             root_v = vmap[v0]

@@ -92,7 +92,7 @@ class Matrix:
 def _integer_rows(rows):
     """Scale each row to integers, returning (int rows, product of scales)."""
     scaled = []
-    scale = Fraction(1)
+    scale = 1
     for row in rows:
         mult = lcm(*(e.denominator for e in row)) if row else 1
         scaled.append([int(e * mult) for e in row])
@@ -125,6 +125,8 @@ def _eliminate(a, ncols: int):
         p = row_r[c]
         for row_i in a[r + 1 :]:
             f = row_i[c]
+            if f == 0 and p == prev:
+                continue  # the update would leave this row as it is
             for j in range(c + 1, len(row_i)):
                 row_i[j] = (p * row_i[j] - f * row_r[j]) // prev
             row_i[c] = 0
@@ -149,17 +151,22 @@ def det(m: Matrix) -> Fraction:
 
 
 class SolveResult:
-    """Outcome of an exact linear solve: unique / inconsistent / underdetermined."""
+    """Outcome of an exact linear solve: unique / inconsistent / underdetermined.
 
-    __slots__ = ("status", "solution")
+    A unique solve of a square system also carries the determinant of its
+    coefficient matrix, read off the elimination's last pivot.
+    """
+
+    __slots__ = ("status", "solution", "det")
 
     UNIQUE = "unique"
     INCONSISTENT = "inconsistent"
     UNDERDETERMINED = "underdetermined"
 
-    def __init__(self, status: str, solution=None):
+    def __init__(self, status: str, solution=None, det=None):
         self.status = status
         self.solution = solution
+        self.det = det
 
     @property
     def is_unique(self) -> bool:
@@ -169,16 +176,23 @@ class SolveResult:
         return f"SolveResult({self.status}, {self.solution})"
 
 
-def solve(m: Matrix, rhs) -> SolveResult:
+def solve(m, rhs) -> SolveResult:
     """Solve m·x = rhs exactly and classify the system.
 
-    UNIQUE requires full column rank and consistency; no tolerances anywhere.
+    m is a Matrix, or a list of integer rows with an integer rhs, which is
+    eliminated as given.  UNIQUE requires full column rank and consistency;
+    no tolerances anywhere.
     """
-    if len(rhs) != m.rows:
+    nrows = m.rows if isinstance(m, Matrix) else len(m)
+    if len(rhs) != nrows:
         raise ValueError("rhs length != rows")
-    n = m.cols
-    a, _ = _integer_rows(m.row(i) + (Fraction(rhs[i]),) for i in range(m.rows))
-    pivots, _ = _eliminate(a, n)
+    if isinstance(m, Matrix):
+        n = m.cols
+        a, scale = _integer_rows(m.row(i) + (Fraction(rhs[i]),) for i in range(nrows))
+    else:
+        n = len(m[0]) if m else 0
+        a, scale = [[*row, b] for row, b in zip(m, rhs)], 1
+    pivots, sign = _eliminate(a, n)
     if any(row[n] != 0 for row in a[len(pivots) :]):
         return SolveResult(SolveResult.INCONSISTENT)
     if len(pivots) < n:
@@ -192,4 +206,7 @@ def solve(m: Matrix, rhs) -> SolveResult:
         row = a[k]
         acc = row[n] * den - sum(row[j] * y[j] for j in range(k + 1, n))
         y[k] = acc // row[k]
-    return SolveResult(SolveResult.UNIQUE, tuple(Fraction(v, den) for v in y))
+    square_det = Fraction(sign * den, scale) if nrows == n else None
+    return SolveResult(
+        SolveResult.UNIQUE, tuple(Fraction(v, den) for v in y), square_det
+    )

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -14,10 +15,14 @@ from tropcount.enumeration import (
     GeneralPositionViolation,
     PointConfig,
     _ev_tree_data,
+    _pi_search_tree,
+    _pi_tree_data,
+    _placement_ray,
     _sector,
     _sector_has,
     _sector_meets_horizontal,
     _sector_meets_vertical,
+    _subdivide,
     base_trees,
     curve_multiplicity,
     decompose_reducible,
@@ -36,8 +41,16 @@ from tropcount.enumeration import (
 import tropcount
 from tropcount import enumeration
 from tropcount.graph import AbstractType, Graph, trivalent_trees_on_leaves
-from tropcount.moduli_maps import M4Point, m4_point
+from tropcount.linalg import solve
+from tropcount.moduli_maps import (
+    M4Point,
+    ft4_coordinate,
+    m4_point,
+    multiplicity,
+    pi_matrix,
+)
 from tropcount.plane import (
+    PlaneCurve,
     PlaneType,
     canonical_plane_form,
     derive_directions,
@@ -296,6 +309,61 @@ def test_sector_line_feasibility_is_safe(gens, coeffs):
     assert _sector_meets_horizontal(sec, x[1])
 
 
+def sector_meets_vertical_by_fractions(sec, dx) -> bool:
+    """Oracle: the line test with Fraction bounds on y."""
+    if sec is None:
+        return True
+    lo, hi = sec
+    lower, upper = None, None
+    for vx, vy, sign in ((lo[0], lo[1], 1), (hi[0], hi[1], -1)):
+        coeff = sign * vx
+        const = sign * vy * dx
+        if coeff > 0:
+            bound = Fraction(const, coeff)
+            lower = bound if lower is None else max(lower, bound)
+        elif coeff < 0:
+            bound = Fraction(const, coeff)
+            upper = bound if upper is None else min(upper, bound)
+        elif const > 0:
+            return False
+    return lower is None or upper is None or lower <= upper
+
+
+def sector_meets_horizontal_by_fractions(sec, dy) -> bool:
+    if sec is None:
+        return True
+    lo, hi = sec
+    return sector_meets_vertical_by_fractions(((hi[1], hi[0]), (lo[1], lo[0])), dy)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(vectors, min_size=1, max_size=4),
+    st.sampled_from(["free", "zero", "generator", "boundary"]),
+    st.integers(0, 3),
+    st.integers(-6, 6),
+    st.integers(-30, 30),
+)
+def test_integer_line_tests_match_fraction_oracle(gens, kind, pick, t, free):
+    sec = _sector(gens)
+    # boundary cases: the line through the apex, and lines through integer
+    # points t*g of a generator's line or of a sector boundary
+    if kind == "zero":
+        along = (0, 0)
+    elif kind == "generator":
+        along = gens[pick % len(gens)]
+    elif kind == "boundary" and sec is not None:
+        along = sec[pick % 2]
+    else:
+        along = (free, free)
+        t = 1
+    dx, dy = t * along[0], t * along[1]
+    assert _sector_meets_vertical(sec, dx) == sector_meets_vertical_by_fractions(sec, dx)
+    assert _sector_meets_horizontal(sec, dy) == sector_meets_horizontal_by_fractions(
+        sec, dy
+    )
+
+
 def _handle_points(c, td, h, fractions):
     """Sample image points along handle h (bounded edge or unbounded end)."""
     g = c.graph
@@ -492,6 +560,73 @@ def test_invariance_check_conic():
         invariance_check(1, trials=1)
 
 
+def scaled_points(cfg):
+    scale = math.lcm(*(c.denominator for p in cfg.points for c in p))
+    return [(int(x * scale), int(y * scale)) for x, y in cfg.points]
+
+
+def dense_pi_fiber(d, cfg):
+    """Oracle: the dense combined-map leaf the integer kernel replaced.
+
+    Every placement is subdivided into its marked type, its ray is read off
+    ft4_coordinate, and pi_matrix is solved over Fractions."""
+    n = 3 * d
+    rhs = [cfg.line_x, cfg.line_y] + [c for p in cfg.points[2:] for c in p]
+    rhs.append(cfg.m4.length)
+    found = {}
+
+    def leaf(td, occupancy, where):
+        placements = {h: list(items) for h, items in occupancy.items() if items}
+        mt, _ = _subdivide(td.t, placements, n)
+        if ft4_coordinate(mt)[0] != cfg.m4.ray:
+            return
+        cm = pi_matrix(mt, d)
+        res = solve(cm.matrix, rhs)
+        if res.status == "inconsistent":
+            return
+        if res.status == "underdetermined":
+            raise GeneralPositionViolation("rank-deficient consistent system")
+        lens = res.solution[2:]
+        if any(v < 0 for v in lens):
+            return
+        if any(v == 0 for v in lens):
+            raise GeneralPositionViolation("zero edge length")
+        key = canonical_plane_form(mt)
+        if key not in found:
+            found[key] = FiberSolution(mt, res.solution, multiplicity(cm))
+
+    for td in _pi_tree_data(d):
+        _pi_search_tree(td, n, scaled_points(cfg), leaf)
+    return [found[k] for k in sorted(found, key=repr)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("ray", ["A", "B", "C"])
+def test_pi_fiber_matches_dense_leaf_oracle(seed, ray):
+    cfg = pi_config(2, seed, ray)
+    sols = fiber(PI, 2, cfg)
+    assert sols == dense_pi_fiber(2, cfg)
+    assert sum(s.mult for s in sols) == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("ray", ["A", "B", "C"])
+def test_placement_ray_matches_ft4_coordinate_on_every_leaf(seed, ray):
+    cfg = pi_config(2, seed, ray)
+    rays = []
+
+    def leaf(td, occupancy, where):
+        placements = {h: list(items) for h, items in occupancy.items() if items}
+        mt, _ = _subdivide(td.t, placements, 6)
+        rays.append((_placement_ray(td, occupancy, where, 6), ft4_coordinate(mt)[0]))
+
+    for td in _pi_tree_data(2):
+        _pi_search_tree(td, 6, scaled_points(cfg), leaf)
+    assert len(rays) > 100
+    assert all(ours == theirs for ours, theirs in rays)
+    assert {theirs for _, theirs in rays} == {"A", "B", "C"}
+
+
 # --- splitting reducible curves ---------------------------------------------
 
 
@@ -511,6 +646,22 @@ def test_decompose_reducible_conic_solutions():
         whole = sorted(image_segments(c), key=repr)
         parts = sorted(image_segments(c1) + image_segments(c2), key=repr)
         assert whole == parts
+
+
+def test_decompose_reducible_any_root():
+    cfg, sols = sampled_fiber(PI, 2, seed=0, ray="B")
+    c = sols[0].curve()
+
+    def mark_images(side):
+        # the marks' image positions, the glue point last
+        return [
+            image_position(side, side.mark_vertex(i)) for i in range(len(side.marks))
+        ]
+
+    expected = [mark_images(side) for side in decompose_reducible(c)]
+    for v in range(c.graph.num_vertices):
+        rerooted = PlaneCurve(c.curve, c.dirs, v, image_position(c, v))
+        assert [mark_images(side) for side in decompose_reducible(rerooted)] == expected
 
 
 def test_decompose_reducible_rejects_irreducible():
@@ -544,6 +695,30 @@ def test_multiplicity_cross_check_survives_optimize_flag():
         "e.curve_multiplicity = lambda c: 0\n"
         "try:\n"
         "    e.fiber(e.EV, 1, e.ev_config(1, 0))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(tropcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=120)
+    assert proc.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        "e.ft4_coordinate = lambda t: ('D', [])",
+        "e.multiplicity = lambda cm: 0",
+    ],
+)
+def test_pi_cross_checks_survive_optimize_flag(patch):
+    # each emitted combined-map solution is checked against its cell map
+    script = (
+        "from tropcount import enumeration as e\n"
+        f"{patch}\n"
+        "try:\n"
+        "    e.fiber(e.PI, 2, e.pi_config(2, 0, 'A'))\n"
         "except AssertionError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(1)\n"

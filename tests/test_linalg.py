@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,3 +220,20 @@ def test_solve_matches_gauss_jordan_oracle(system):
     ref = solve_by_gauss_jordan(m, rhs)
     assert res.status == ref.status
     assert res.solution == ref.solution
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_solve_plain_integer_rows_match_matrix(system):
+    m, rhs = system
+    scale = lcm(*(Fraction(b).denominator for b in rhs))
+    irhs = [int(b * scale) for b in rhs]
+    rows = [[int(e) for e in row] for row in m.row_lists()]
+    res = solve(rows, irhs)
+    ref = solve_by_gauss_jordan(m, irhs)
+    assert res.status == ref.status
+    assert res.solution == ref.solution
+    if res.is_unique and m.is_square():
+        assert res.det == det(m) != 0
+    else:
+        assert res.det is None
