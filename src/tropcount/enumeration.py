@@ -305,12 +305,15 @@ def _dot(u, v) -> int:
 def _sector_has(sec, x) -> bool:
     if sec is None:
         return True
-    lo, hi = sec
-    c1 = cross(lo, x)
-    c2 = cross(x, hi)
+    # cross(lo, x) and cross(x, hi), written out: this is the search's
+    # innermost test
+    (lx, ly), (hx, hy) = sec
+    x0, x1 = x
+    c1 = lx * x1 - ly * x0
+    c2 = x0 * hy - x1 * hx
     if c1 < 0 or c2 < 0:
         return False
-    return c1 > 0 or c2 > 0 or _dot(lo, x) > 0 or _dot(hi, x) > 0
+    return c1 > 0 or c2 > 0 or lx * x0 + ly * x1 > 0 or hx * x0 + hy * x1 > 0
 
 
 def _sector(gens):
@@ -617,64 +620,77 @@ def _comp_plan(td: _TreeData, comp: _Comp, kept_end: int):
     return plan
 
 
-def _run_plan(plan, dirs, assign, pts, pos, lens):
+def _run_plan(plan, dirs, assign, ipts, pos, lens):
     """Solve one component bottom-up; returns written keys or None.
 
     Each vertex is the intersection of two lines anchored below it; both
     intersection parameters are lengths and must be positive.  An exact
-    zero is a cell-boundary hit: the input is degenerate.
+    zero is a cell-boundary hit: the input is degenerate.  Everything is
+    in the integer points ipts: a vertex is stored as (X, Y, D) for
+    (X / D, Y / D) and a length as (N, D) for N / D, with D > 0 the product
+    of |cross| over the vertices below.
     """
     written = []
 
     def line(br):
         kind, a, f, e = br
         if kind == "m":
-            q = pts[assign[a]]
-            return q, vneg(dirs[f]), ("p", f)
-        return pos[("v", a)], dirs[f], ("e", e)
+            x, y = ipts[assign[a]]
+            return x, y, 1, vneg(dirs[f]), ("p", f)
+        x, y, dv = pos[("v", a)]
+        return x, y, dv, dirs[f], ("e", e)
 
     for u, b1, b2 in plan:
-        q1, u1, k1 = line(b1)
-        q2, u2, k2 = line(b2)
-        den = cross(u1, u2)
-        if den == 0:
+        x1, y1, d1, u1, k1 = line(b1)
+        x2, y2, d2, u2, k2 = line(b2)
+        a = cross(u1, u2)
+        if a == 0:
             raise AssertionError(f"parallel lines meet at vertex {u}")
-        wx = q2[0] - q1[0]
-        wy = q2[1] - q1[1]
-        s1 = Fraction(wx * u2[1] - wy * u2[0], den)
-        s2 = Fraction(wx * u1[1] - wy * u1[0], den)
-        if s1 == 0 or s2 == 0:
+        wx = x2 * d1 - x1 * d2
+        wy = y2 * d1 - y1 * d2
+        n1 = wx * u2[1] - wy * u2[0]
+        n2 = wx * u1[1] - wy * u1[0]
+        if a < 0:
+            a, n1, n2 = -a, -n1, -n2
+        if n1 == 0 or n2 == 0:
             raise GeneralPositionViolation(
                 "solution on a cell boundary (zero edge length)"
             )
-        if s1 < 0 or s2 < 0:
+        if n1 < 0 or n2 < 0:
             for key in written:
                 del (pos if key[0] == "v" else lens)[key]
             return None
-        pos[("v", u)] = (q1[0] + s1 * u1[0], q1[1] + s1 * u1[1])
-        lens[k1] = s1
-        lens[k2] = s2
+        # s1 = n1 / dv and s2 = n2 / dv, with q1 = (x1, y1) / d1
+        dv = d1 * d2 * a
+        pos[("v", u)] = (x1 * d2 * a + n1 * u1[0], y1 * d2 * a + n1 * u1[1], dv)
+        lens[k1] = (n1, dv)
+        lens[k2] = (n2, dv)
         written.extend((k1, k2, ("v", u)))
     return written
 
 
-def _emit_ev_solution(td, assign, pos, lens, found, n):
+def _emit_ev_solution(td, assign, pos, lens, found, n, scale):
+    """Build the marked type and its solution; scale is the factor from
+    the input points to the integer points the plan solved in."""
     g = td.t.graph
     placements = {h: [("mark", m)] for h, m in assign.items()}
     mt, piece_ids = _subdivide(td.t, placements, n)
     key = canonical_plane_form(mt)
     if key in found:
         return
-    lengths = {}
-    for k, v in lens.items():
-        if k[0] == "e":
-            lengths[k[1]] = v
+
+    def length(key):
+        num, dv = lens[key]
+        return Fraction(num, dv * scale)
+
+    lengths = {k[1]: length(k) for k in lens if k[0] == "e"}
     for h, ids in piece_ids.items():
         far = g.flag_partner[h]
-        lengths[ids[0]] = lens[("p", h)]
+        lengths[ids[0]] = length(("p", h))
         if far is not None:
-            lengths[ids[1]] = lens[("p", far)]
-    root_pos = pos[("v", 0)]
+            lengths[ids[1]] = length(("p", far))
+    x, y, dv = pos[("v", 0)]
+    root_pos = (Fraction(x, dv * scale), Fraction(y, dv * scale))
     curve = mt.with_lengths(lengths, 0, root_pos)
     mult = multiplicity(ev_matrix(mt))
     # the vertex-product route must agree with the determinant route
@@ -689,7 +705,7 @@ def _emit_ev_solution(td, assign, pos, lens, found, n):
     found[key] = FiberSolution(mt, coords, mult)
 
 
-def _ev_search_tree(td: _TreeData, pts, ipts, found, n):
+def _ev_search_tree(td: _TreeData, ipts, found, n, scale):
     secs = td.sectors()
     for B, comps in td.cut_structures():
         for kept in itertools.product(*(c.ends for c in comps)):
@@ -710,9 +726,7 @@ def _ev_search_tree(td: _TreeData, pts, ipts, found, n):
                 completes.setdefault(len(host_seq) - 1, []).append(ci)
             if len(host_seq) != n:
                 raise AssertionError(f"{len(host_seq)} host edges for {n} marks")
-            plans = {
-                ci: _comp_plan(td, comps[ci], kept[ci]) for ci in range(len(comps))
-            }
+            plans: dict = {}  # built when the search first completes a component
             assign: Dict[int, int] = {}
             placed: List[Tuple[int, int]] = []
             pos: dict = {}
@@ -721,7 +735,7 @@ def _ev_search_tree(td: _TreeData, pts, ipts, found, n):
 
             def rec(k):
                 if k == n:
-                    _emit_ev_solution(td, assign, pos, lens, found, n)
+                    _emit_ev_solution(td, assign, pos, lens, found, n, scale)
                     return
                 h = host_seq[k]
                 for m in range(n):
@@ -744,7 +758,9 @@ def _ev_search_tree(td: _TreeData, pts, ipts, found, n):
                     solved = []
                     feasible = True
                     for ci in completes.get(k, ()):
-                        written = _run_plan(plans[ci], td.t.dirs, assign, pts, pos, lens)
+                        if ci not in plans:
+                            plans[ci] = _comp_plan(td, comps[ci], kept[ci])
+                        written = _run_plan(plans[ci], td.t.dirs, assign, ipts, pos, lens)
                         if written is None:
                             feasible = False
                             break
@@ -765,12 +781,13 @@ def _ev_fiber(d: int, cfg: PointConfig) -> List[FiberSolution]:
     n = 3 * d - 1
     if len(cfg.points) != n:
         raise ValueError(f"evaluation fiber at degree {d} needs {n} points")
-    pts = cfg.points
-    den = math.lcm(*(c.denominator for p in pts for c in p))
-    ipts = [(int(x * den), int(y * den)) for x, y in pts]
+    if len(set(cfg.points)) != n:
+        raise GeneralPositionViolation("two input points coincide")
+    scale = math.lcm(*(c.denominator for p in cfg.points for c in p))
+    ipts = [(int(x * scale), int(y * scale)) for x, y in cfg.points]
     found: dict = {}
     for td in _ev_tree_data(d):
-        _ev_search_tree(td, pts, ipts, found, n)
+        _ev_search_tree(td, ipts, found, n, scale)
     return [found[k] for k in sorted(found, key=repr)]
 
 
@@ -932,11 +949,9 @@ def _pi_search_tree(td: _TreeData, n: int, ipts, leaf):
     hosts = td.handles
     dirs = td.t.dirs
     occupancy: Dict[int, list] = {h: [] for h in hosts}
+    cuts = dict.fromkeys(hosts, 0)  # ("mark", m) items on each host
     where: Dict[int, int] = {}
     insertion = list(range(2, n)) + [0, 1]
-
-    def cut_marks(h):
-        return [it[1] for it in occupancy[h] if it[0] == "mark"]
 
     def pair_ok_pinned(m, h):
         im = ipts[m]
@@ -969,12 +984,13 @@ def _pi_search_tree(td: _TreeData, n: int, ipts, leaf):
         return True
 
     def quota_ok(h, m):
-        cuts = cut_marks(h)
-        if len(cuts) < 2:
+        if cuts[h] < 2:
             return True
         # a third cut on one edge survives only with both line-constrained
         # marks aboard
-        return len(cuts) == 2 and {0, 1} <= set(cuts + [m])
+        return cuts[h] == 2 and {0, 1} <= {m}.union(
+            it[1] for it in occupancy[h] if it[0] == "mark"
+        )
 
     def rec(k):
         if k == len(insertion):
@@ -991,12 +1007,14 @@ def _pi_search_tree(td: _TreeData, n: int, ipts, leaf):
                 if not line_ok(m, h):
                     continue
             occ = occupancy[h]
+            cuts[h] += 1
             for slot in range(len(occ) + 1):
                 occ.insert(slot, ("mark", m))
                 where[m] = h
                 rec(k + 1)
                 occ.pop(slot)
                 del where[m]
+            cuts[h] -= 1
         if m == 1 and not td.contracted:
             # the two line-constrained marks may share one vertex hanging
             # off a host by a contracted edge
@@ -1006,9 +1024,11 @@ def _pi_search_tree(td: _TreeData, n: int, ipts, leaf):
                 for slot, it in enumerate(occ):
                     if it == ("mark", 0):
                         occ[slot] = ("cluster", (0, 1))
+                        cuts[h1] -= 1
                         where[1] = h1
                         rec(k + 1)
                         occ[slot] = ("mark", 0)
+                        cuts[h1] += 1
                         del where[1]
                         break
 

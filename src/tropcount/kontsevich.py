@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .enumeration import (
@@ -131,34 +131,60 @@ def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
     segment, endpoint contact, or crossing at a vertex of either curve
     raises NonTransverse.
     """
-    hits: Dict[tuple, int] = {}
+    segs1 = image_segments(c1)
     segs2 = image_segments(c2)
-    for p, u, lu in image_segments(c1):
-        for q, w, lw in segs2:
+    # one common denominator scales every start point and length to integers
+    big = lcm(
+        *(x.denominator for p, _, l in segs1 + segs2 for x in (*p, l or 0))
+    )
+
+    def scaled(segs):
+        """Each segment (p, u, l) as (p, u, l, X, Y, L), (X, Y, L) = big * (p, l)."""
+
+        def up(x):
+            return x.numerator * (big // x.denominator)
+
+        return [
+            (p, u, l, up(p[0]), up(p[1]), None if l is None else up(l))
+            for p, u, l in segs
+        ]
+
+    hits: Dict[tuple, int] = {}
+    int2 = scaled(segs2)
+    for p, u, lu, px, py, ilu in scaled(segs1):
+        for q, w, lw, qx, qy, ilw in int2:
             den = cross(u, w)
-            dx = q[0] - p[0]
-            dy = q[1] - p[1]
+            dx = qx - px
+            dy = qy - py
+            sn = dx * u[1] - dy * u[0]
             if den == 0:
-                if dx * u[1] - dy * u[0] == 0:
+                if sn == 0:
                     _collinear_overlap(p, u, lu, q, w, lw)
                 continue
-            t = Fraction(dx * w[1] - dy * w[0], den)
-            s = Fraction(dx * u[1] - dy * u[0], den)
-            if t < 0 or s < 0:
+            # the crossing sits at tn / (a * big) along the first segment
+            # and at sn / (a * big) along the second
+            tn = dx * w[1] - dy * w[0]
+            a = den
+            if a < 0:
+                a, tn, sn = -a, -tn, -sn
+            if tn < 0 or sn < 0:
                 continue
-            if lu is not None and t > lu:
+            if ilu is not None and tn > ilu * a:
                 continue
-            if lw is not None and s > lw:
+            if ilw is not None and sn > ilw * a:
                 continue
             if (
-                t == 0
-                or s == 0
-                or (lu is not None and t == lu)
-                or (lw is not None and s == lw)
+                tn == 0
+                or sn == 0
+                or (ilu is not None and tn == ilu * a)
+                or (ilw is not None and sn == ilw * a)
             ):
                 raise NonTransverse("crossing at a vertex of one of the curves")
-            pt = (p[0] + t * u[0], p[1] + t * u[1])
-            hits[pt] = hits.get(pt, 0) + abs(den)
+            pt = (
+                Fraction(px * a + tn * u[0], a * big),
+                Fraction(py * a + tn * u[1], a * big),
+            )
+            hits[pt] = hits.get(pt, 0) + a
     return sorted(hits.items())
 
 

@@ -218,6 +218,26 @@ def image_position(c: PlaneCurve, v: int):
     return (x, y)
 
 
+def image_positions(c: PlaneCurve) -> dict:
+    """Image of every vertex, in one walk out from the root."""
+    g = c.graph
+    pos = {c.root: c.root_pos}
+    stack = [c.root]
+    while stack:
+        v = stack.pop()
+        x, y = pos[v]
+        for f in g.flags_at(v):
+            p = g.flag_partner[f]
+            if p is None or g.flag_vertex[p] in pos:
+                continue
+            l = g.lengths[g.edge_of_flag(f)]
+            d = c.dirs[f]
+            w = g.flag_vertex[p]
+            pos[w] = (x + l * d[0], y + l * d[1])
+            stack.append(w)
+    return pos
+
+
 def image_segments(c: PlaneCurve):
     """(start point, direction, length or None) per non-contracted edge.
 
@@ -226,7 +246,7 @@ def image_segments(c: PlaneCurve):
     """
     g = c.graph
     marks = set(c.marks)
-    pos = {v: image_position(c, v) for v in range(g.num_vertices)}
+    pos = image_positions(c)
     out = []
     for f in g.end_flags():
         if f in marks or c.dirs[f] == ZERO:

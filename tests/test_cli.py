@@ -93,6 +93,13 @@ def test_count_points_file_wrong_size(capsys, tmp_path):
     assert main(["count", "--d", "1", "--points", path]) == 2
 
 
+def test_count_points_file_coincident_points(capsys, tmp_path):
+    path = write_points(tmp_path / "pts.json", [(0, 0), (0, 0)])
+    code, out = run(capsys, ["count", "--d", "1", "--points", path])
+    assert code == 3
+    assert out == ""
+
+
 def test_count_points_file_missing(capsys, tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["count", "--d", "1", "--points", missing]) == 2

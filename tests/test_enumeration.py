@@ -44,6 +44,7 @@ from tropcount.graph import AbstractType, Graph, trivalent_trees_on_leaves
 from tropcount.linalg import solve
 from tropcount.moduli_maps import (
     M4Point,
+    ev_matrix,
     ft4_coordinate,
     m4_point,
     multiplicity,
@@ -503,6 +504,176 @@ def test_ev_solutions_hit_the_points_exactly():
         assert sol.mult == curve_multiplicity(c) > 0
         for i, p in enumerate(cfg.points):
             assert image_position(c, c.mark_vertex(i)) == p
+
+
+def ev_fiber_is_exact(d, cfg) -> bool:
+    """False if the input is reported degenerate; otherwise every solution
+    solves ev_matrix(type) . coords = points exactly and the total is N_d."""
+    try:
+        sols = fiber(EV, d, cfg)
+    except GeneralPositionViolation:
+        return False
+    rhs = [c for p in cfg.points for c in p]
+    for sol in sols:
+        rows = ev_matrix(sol.type).matrix.row_lists()
+        assert [sum(a * x for a, x in zip(row, sol.coords)) for row in rows] == rhs
+    assert sum(s.mult for s in sols) == 1  # N_1 = N_2 = 1
+    return True
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_ev_solutions_solve_the_evaluation_rows(d):
+    for seed in range(10):
+        assert ev_fiber_is_exact(d, ev_config(d, seed))
+
+
+# a coordinate with denominator 2, 3, 5, 7 or 11
+proper_fraction = st.tuples(
+    st.integers(-60, 60), st.sampled_from([2, 3, 5, 7, 11])
+).filter(lambda t: t[0] % t[1]).map(lambda t: Fraction(*t))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2]), st.data())
+def test_ev_solutions_exact_on_drawn_points(d, data):
+    pts = data.draw(
+        st.lists(
+            st.tuples(proper_fraction, proper_fraction),
+            min_size=3 * d - 1,
+            max_size=3 * d - 1,
+        )
+    )
+    ev_fiber_is_exact(d, PointConfig(tuple(pts)))
+
+
+def fraction_run_plan(plan, dirs, assign, pts, pos, lens):
+    """The Fraction plan solve that _run_plan replaced: the oracle."""
+    written = []
+
+    def line(br):
+        kind, a, f, e = br
+        if kind == "m":
+            return pts[assign[a]], (-dirs[f][0], -dirs[f][1]), ("p", f)
+        return pos[("v", a)], dirs[f], ("e", e)
+
+    for u, b1, b2 in plan:
+        q1, u1, k1 = line(b1)
+        q2, u2, k2 = line(b2)
+        den = u1[0] * u2[1] - u1[1] * u2[0]
+        wx = q2[0] - q1[0]
+        wy = q2[1] - q1[1]
+        s1 = Fraction(wx * u2[1] - wy * u2[0], den)
+        s2 = Fraction(wx * u1[1] - wy * u1[0], den)
+        if s1 == 0 or s2 == 0:
+            raise GeneralPositionViolation("zero edge length")
+        if s1 < 0 or s2 < 0:
+            for key in written:
+                del (pos if key[0] == "v" else lens)[key]
+            return None
+        pos[("v", u)] = (q1[0] + s1 * u1[0], q1[1] + s1 * u1[1])
+        lens[k1] = s1
+        lens[k2] = s2
+        written.extend((k1, k2, ("v", u)))
+    return written
+
+
+def test_run_plan_matches_fraction_oracle(monkeypatch):
+    """Every plan solve of the d = 1, 2 fibers, pruned ones included, gives
+    the oracle's outcome and, read as fractions, its vertices and lengths."""
+    real = enumeration._run_plan
+    shapes = set()
+
+    def as_fractions(pos, lens):
+        fpos = {k: (Fraction(x, dv), Fraction(y, dv)) for k, (x, y, dv) in pos.items()}
+        return fpos, {k: Fraction(num, dv) for k, (num, dv) in lens.items()}
+
+    def checked(plan, dirs, assign, ipts, pos, lens):
+        shapes.update((b1[0], b2[0]) for _, b1, b2 in plan)
+        fpos, flens = as_fractions(pos, lens)
+        try:
+            want = fraction_run_plan(plan, dirs, assign, ipts, fpos, flens)
+        except GeneralPositionViolation:
+            want = "degenerate"
+        try:
+            got = real(plan, dirs, assign, ipts, pos, lens)
+        except GeneralPositionViolation:
+            got = "degenerate"
+        assert got == want
+        assert as_fractions(pos, lens) == (fpos, flens)
+        return None if got == "degenerate" else got
+
+    monkeypatch.setattr(enumeration, "_run_plan", checked)
+    for d in (1, 2):
+        for seed in range(10):
+            fiber(EV, d, ev_config(d, seed))
+    assert shapes == {("m", "m"), ("m", "c"), ("c", "m"), ("c", "c")}
+
+
+direction = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+    lambda v: v != (0, 0)
+)
+
+
+@st.composite
+def drawn_plans(draw, depth=3):
+    """A plan over a random binary tree whose lines are built backwards from
+    drawn vertex positions and lengths (zero and negative ones included),
+    with the dirs, assign and integer points it reads."""
+    dirs, points, assign, plan = [], [], {}, []
+
+    def vertex(at, levels):
+        branches = []
+        while len(branches) < 2:
+            v = draw(direction)
+            if branches and branches[0][1][0] * v[1] - branches[0][1][1] * v[0] == 0:
+                continue
+            # one length in ten is zero or negative
+            s = draw(st.integers(1, 6) if draw(st.integers(0, 9)) else st.integers(-2, 0))
+            anchor = (at[0] - s * v[0], at[1] - s * v[1])
+            f = len(dirs)
+            if levels and draw(st.booleans()):
+                dirs.append(v)  # a solved child vertex sits at the anchor
+                w = vertex(anchor, levels - 1)
+                branches.append((("c", w, f, f), v))
+            else:
+                dirs.append((-v[0], -v[1]))  # a mark line runs back along -dirs[f]
+                assign[f] = len(points)
+                points.append(anchor)
+                branches.append((("m", f, f, None), v))
+        plan.append((len(plan), branches[0][0], branches[1][0]))
+        return len(plan) - 1
+
+    top = draw(st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+    vertex(top, depth)
+    return plan, dirs, assign, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_plans())
+def test_run_plan_matches_fraction_oracle_on_drawn_plans(case):
+    plan, dirs, assign, points = case
+    fpos, flens = {}, {}
+    try:
+        want = fraction_run_plan(plan, dirs, assign, points, fpos, flens)
+    except GeneralPositionViolation:
+        want = "degenerate"
+    pos, lens = {}, {}
+    try:
+        got = enumeration._run_plan(plan, dirs, assign, points, pos, lens)
+    except GeneralPositionViolation:
+        got = "degenerate"
+    assert got == want
+    if want != "degenerate":
+        assert {k: (Fraction(x, dv), Fraction(y, dv)) for k, (x, y, dv) in pos.items()} == fpos
+        assert {k: Fraction(num, dv) for k, (num, dv) in lens.items()} == flens
+
+
+def test_ev_fiber_coincident_points_raise():
+    with pytest.raises(GeneralPositionViolation):
+        fiber(EV, 1, PointConfig(((0, 0), (0, 0))))
+    pts = ev_config(2, 0).points
+    with pytest.raises(GeneralPositionViolation):
+        fiber(EV, 2, PointConfig(pts[:4] + (pts[1],)))
 
 
 def test_fiber_rejects_unknown_map():

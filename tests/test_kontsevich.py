@@ -1,7 +1,10 @@
+import functools
 import itertools
+from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropcount.enumeration import (
     EV,
@@ -15,13 +18,21 @@ from tropcount.kontsevich import (
     NdTable,
     NonTransverse,
     StructuralViolation,
+    _collinear_overlap,
     recursion_nd,
     reducible_census,
     tropical_intersection,
     wdvv_sides,
 )
 from tropcount.moduli_maps import M4Point
-from tropcount.plane import PlaneType, derive_directions
+from tropcount.plane import (
+    PlaneCurve,
+    PlaneType,
+    cross,
+    derive_directions,
+    image_positions,
+    image_segments,
+)
 
 
 def line_at(x, y):
@@ -125,6 +136,120 @@ def test_bezout_on_sampled_curves():
     for a, da, b, db in pairs:
         hits = tropical_intersection(a, b)
         assert sum(m for _, m in hits) == da * db
+
+
+def oracle_intersection(c1, c2):
+    """The Fraction kernel that tropical_intersection replaced: the oracle."""
+    hits = {}
+    segs2 = image_segments(c2)
+    for p, u, lu in image_segments(c1):
+        for q, w, lw in segs2:
+            den = cross(u, w)
+            dx = q[0] - p[0]
+            dy = q[1] - p[1]
+            if den == 0:
+                if dx * u[1] - dy * u[0] == 0:
+                    _collinear_overlap(p, u, lu, q, w, lw)
+                continue
+            t = Fraction(dx * w[1] - dy * w[0], den)
+            s = Fraction(dx * u[1] - dy * u[0], den)
+            if t < 0 or s < 0:
+                continue
+            if lu is not None and t > lu:
+                continue
+            if lw is not None and s > lw:
+                continue
+            if (
+                t == 0
+                or s == 0
+                or (lu is not None and t == lu)
+                or (lw is not None and s == lw)
+            ):
+                raise NonTransverse("crossing at a vertex of one of the curves")
+            pt = (p[0] + t * u[0], p[1] + t * u[1])
+            hits[pt] = hits.get(pt, 0) + abs(den)
+    return sorted(hits.items())
+
+
+def outcome(kernel, c1, c2) -> str:
+    """repr of the hit list, or the NonTransverse message."""
+    try:
+        return repr(kernel(c1, c2))
+    except NonTransverse as exc:
+        return f"NonTransverse: {exc}"
+
+
+@functools.lru_cache(maxsize=None)
+def kernel_curves():
+    lines = [sampled_fiber(EV, 1, seed)[1][0].curve() for seed in (0, 1)]
+    conics = [sampled_fiber(EV, 2, seed)[1][0].curve() for seed in (10, 11)]
+    return tuple(lines + conics)
+
+
+def translated(c, dx, dy):
+    x, y = c.root_pos
+    return PlaneCurve(c.curve, c.dirs, c.root, (x + dx, y + dy))
+
+
+def special_translations(c1, c2):
+    """Moves of c2 that put one of its vertices on a vertex or an edge of
+    c1, or an end of one of its segments on the start, the end or a point
+    behind the start of a parallel segment of c1."""
+    def minus(a, b):
+        return (a[0] - b[0], a[1] - b[1])
+
+    def along(p, u, t):
+        return (p[0] + t * u[0], p[1] + t * u[1])
+
+    verts2 = list(image_positions(c2).values())
+    moves = [minus(a, b) for a in image_positions(c1).values() for b in verts2]
+    segs2 = image_segments(c2)
+    for p, u, l in image_segments(c1):
+        inner = Fraction(7, 2) if l is None else l / 3
+        moves += [minus(along(p, u, inner), b) for b in verts2]
+        targets = [p, along(p, u, -1)] + ([] if l is None else [along(p, u, l)])
+        for q, w, lw in segs2:
+            if cross(u, w) == 0:
+                ends = [q] + ([] if lw is None else [along(q, w, lw)])
+                moves += [minus(a, b) for a in targets for b in ends]
+    return moves
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.data(),
+    st.tuples(
+        st.fractions(min_value=-30, max_value=30, max_denominator=12),
+        st.fractions(min_value=-30, max_value=30, max_denominator=12),
+    ),
+)
+def test_intersection_kernel_matches_fraction_oracle(data, free_move):
+    curves = kernel_curves()
+    c1 = data.draw(st.sampled_from(curves))
+    c2 = data.draw(st.sampled_from(curves))
+    dx, dy = data.draw(
+        st.one_of(st.just(free_move), st.sampled_from(special_translations(c1, c2)))
+    )
+    moved = translated(c2, dx, dy)
+    assert outcome(tropical_intersection, c1, moved) == outcome(
+        oracle_intersection, c1, moved
+    )
+
+
+def test_intersection_kernel_hits_every_branch():
+    seen = set()
+    for c1, c2 in itertools.product(kernel_curves(), repeat=2):
+        for dx, dy in special_translations(c1, c2):
+            moved = translated(c2, dx, dy)
+            got = outcome(tropical_intersection, c1, moved)
+            assert got == outcome(oracle_intersection, c1, moved)
+            seen.add(got if got.startswith("NonTransverse") else "transverse")
+    assert seen == {
+        "transverse",
+        "NonTransverse: curves share a segment",
+        "NonTransverse: collinear pieces touch at a point",
+        "NonTransverse: crossing at a vertex of one of the curves",
+    }
 
 
 def census_checks(census: Census, nd: NdTable):

@@ -12,6 +12,7 @@ from tropcount.plane import (
     cross,
     derive_directions,
     image_position,
+    image_positions,
     image_segments,
     plane_curve_from_json,
     plane_curve_to_json,
@@ -138,6 +139,21 @@ def test_image_position_examples():
     c2 = t.with_lengths({4: 2}, 1, (2, 2))
     assert image_position(c2, 0) == (0, 0)
     assert image_position(c2, 1) == (2, 2)
+
+
+def test_image_positions_walk_matches_image_position():
+    from tropcount.enumeration import EV, sampled_fiber
+
+    for d, seeds in ((1, range(3)), (2, range(3))):
+        for seed in seeds:
+            c = sampled_fiber(EV, d, seed)[1][0].curve()
+            for v in range(c.graph.num_vertices):
+                rerooted = PlaneCurve(c.curve, c.dirs, v, image_position(c, v))
+                for curve in (c, rerooted):
+                    pos = image_positions(curve)
+                    assert sorted(pos) == list(range(c.graph.num_vertices))
+                    for w, p in pos.items():
+                        assert p == image_position(curve, w)
 
 
 def test_image_segments_line_star():
