@@ -298,7 +298,6 @@ def _run_config(ns: argparse.Namespace) -> RunConfig:
             raise _usage("direct enumeration is limited to --d 3")
         cfg.d = ns.d
         cfg.points_file = ns.points
-        cfg.format = "json"
         cfg.out = ns.out
     elif ns.command == "invariance":
         if ns.d < 2:
@@ -313,7 +312,6 @@ def _run_config(ns: argparse.Namespace) -> RunConfig:
         cfg.out = ns.out
     elif ns.command == "render":
         cfg.inputs = (ns.file,)
-        cfg.format = "svg"
         cfg.out = ns.svg
     return cfg
 

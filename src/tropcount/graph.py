@@ -18,8 +18,14 @@ def fraction_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
+def parse_fraction(s) -> Fraction:
+    """A rational read from JSON: a "p/q" string or an integer, never a float."""
+    if type(s) not in (str, int):  # a bool is an int subclass, not an int here
+        raise ValueError(f"expected a 'p/q' string or an integer, got {s!r}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 class Graph:

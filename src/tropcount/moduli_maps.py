@@ -1,10 +1,11 @@
 """Per-cell linear maps on moduli of marked plane curves.
 
 Cells are indexed by combinatorial types; coordinates on a cell are the
-root-vertex position plus one length per bounded edge.  Evaluation rows,
-the four-mark forgetful coordinate, their stacked square map, and the
-multiplicity |det| all live here, together with forgetting marks and
-resolving a 4-valent vertex (wall crossing).
+root-vertex position plus one length per bounded edge.  A cell map is a
+plain list of integer rows: the evaluation rows, the four-mark forgetful
+row, and their stacked square map, whose |det| is the multiplicity.  They
+live here together with forgetting marks and resolving a 4-valent vertex
+(wall crossing).
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import AbstractType, Graph, MarkedAbstractCurve, contract_edge_type
-from .linalg import Matrix, det
+from .linalg import det
 from .plane import PlaneCurve, PlaneType, image_position, vadd, vneg
-
-RAY_LABELS = ("A", "B", "C")
 
 # quartet pairings by mark position: A = {1,2|3,4}, B = {1,3|2,4}, C = {1,4|2,3}
 _PAIRINGS = (("A", (0, 1), (2, 3)), ("B", (0, 2), (1, 3)), ("C", (0, 3), (1, 2)))
@@ -39,67 +38,41 @@ class M4Point:
             raise ValueError("ray D holds exactly the length-0 point")
 
 
-@dataclass(frozen=True)
-class CellCoordinates:
-    """Coordinate order on a cell: root x, root y, then bounded-edge lengths."""
-
-    root: int
-    edges: tuple
-
-    def __len__(self):
-        return 2 + len(self.edges)
-
-    def column_of(self, edge: int) -> int:
-        return 2 + self.edges.index(edge)
-
-
-def cell_coordinates(t, root: int = 0, edge_order=None) -> CellCoordinates:
+def _columns(t, root: int, edge_order) -> dict:
+    """Column of each bounded edge in the cell coordinates: root x, root y,
+    then one length per bounded edge in edge_order (default: id order)."""
     g = t.graph
     edges = tuple(edge_order) if edge_order is not None else g.bounded_edges()
     if sorted(edges) != sorted(g.bounded_edges()):
         raise ValueError("edge order must list exactly the bounded edges")
     if not (0 <= root < g.num_vertices):
         raise ValueError("root out of range")
-    return CellCoordinates(root, edges)
+    return {e: 2 + i for i, e in enumerate(edges)}
 
 
-@dataclass(frozen=True)
-class CellMap:
-    """Linear representative of a morphism on one cell, in chosen coordinates."""
-
-    source: PlaneType
-    coords: CellCoordinates
-    matrix: Matrix
-    target_dim: int
-    m4_ray: str | None = None
-
-
-def _ev_row(t: PlaneType, mark_index: int, coord: int, coords: CellCoordinates):
-    g = t.graph
-    if not (0 <= mark_index < len(t.marks)):
-        raise ValueError(f"no mark with index {mark_index}")
-    if coord not in (0, 1):
-        raise ValueError("coordinate selector must be 0 or 1")
-    row = [0] * len(coords)
-    row[coord] = 1
-    target = g.flag_vertex[t.marks[mark_index]]
-    for f in g.path_flags(coords.root, target):
-        row[coords.column_of(g.edge_of_flag(f))] += t.dirs[f][coord]
-    return row
-
-
-def ev_matrix(t: PlaneType, which=None, root: int = 0, edge_order=None) -> CellMap:
+def ev_matrix(t: PlaneType, which=None, root: int = 0, edge_order=None) -> list:
     """Evaluation rows for selected (mark index, coordinate) pairs.
 
     which defaults to all marks, both coordinates, in mark order.  Root
     columns are an identity block; a length column carries the direction
     component when its edge lies on the root-to-mark path.
     """
-    coords = cell_coordinates(t, root, edge_order)
+    g = t.graph
+    cols = _columns(t, root, edge_order)
     if which is None:
         which = [(i, c) for i in range(len(t.marks)) for c in (0, 1)]
-    rows = [_ev_row(t, i, c, coords) for i, c in which]
-    return CellMap(t, coords, Matrix.from_rows(rows), len(rows), None)
+    rows = []
+    for i, c in which:
+        if not (0 <= i < len(t.marks)):
+            raise ValueError(f"no mark with index {i}")
+        if c not in (0, 1):
+            raise ValueError("coordinate selector must be 0 or 1")
+        row = [0] * (2 + len(cols))
+        row[c] = 1
+        for f in g.path_flags(root, g.flag_vertex[t.marks[i]]):
+            row[cols[g.edge_of_flag(f)]] += t.dirs[f][c]
+        rows.append(row)
+    return rows
 
 
 def _median(g: Graph, a: int, b: int, c: int) -> int:
@@ -135,13 +108,13 @@ def ft4_coordinate(t: PlaneType, root: int = 0, edge_order=None):
     """
     if len(t.marks) < 4:
         raise ValueError("need at least 4 marks")
-    coords = cell_coordinates(t, root, edge_order)
-    row = [0] * len(coords)
+    cols = _columns(t, root, edge_order)
+    row = [0] * (2 + len(cols))
     ray, u, w = _quartet(t)
     if ray != "D":
         g = t.graph
         for f in g.path_flags(u, w):
-            row[coords.column_of(g.edge_of_flag(f))] = 1
+            row[cols[g.edge_of_flag(f)]] = 1
     return ray, row
 
 
@@ -161,7 +134,7 @@ def m4_point(c: PlaneCurve) -> M4Point:
     return M4Point(ray, total)
 
 
-def pi_matrix(t: PlaneType, d: int, root: int = 0, edge_order=None) -> CellMap:
+def pi_matrix(t: PlaneType, d: int, root: int = 0, edge_order=None) -> list:
     """First coordinate of mark 1, second of mark 2, both of the rest,
     then the ft4 row: square of size 2n-1 on 3-valent degree-d types."""
     n = len(t.marks)
@@ -171,23 +144,14 @@ def pi_matrix(t: PlaneType, d: int, root: int = 0, edge_order=None) -> CellMap:
 
     if t.degree() != tuple(sorted(projective_degree(d))):
         raise ValueError("type is not of projective degree d")
-    coords = cell_coordinates(t, root, edge_order)
-    rows = [_ev_row(t, 0, 0, coords), _ev_row(t, 1, 1, coords)]
-    for i in range(2, n):
-        rows.append(_ev_row(t, i, 0, coords))
-        rows.append(_ev_row(t, i, 1, coords))
-    ray, ft_row = ft4_coordinate(t, root, edge_order)
-    rows.append(ft_row)
-    return CellMap(t, coords, Matrix.from_rows(rows), 2 * n - 1, ray)
+    which = [(0, 0), (1, 1)] + [(i, c) for i in range(2, n) for c in (0, 1)]
+    ft_row = ft4_coordinate(t, root, edge_order)[1]
+    return ev_matrix(t, which, root, edge_order) + [ft_row]
 
 
-def multiplicity(cm: CellMap) -> int:
-    if not cm.matrix.is_square():
-        raise ValueError("multiplicity needs a square cell map")
-    v = abs(det(cm.matrix))
-    if v.denominator != 1:
-        raise AssertionError("integer matrix produced a non-integer determinant")
-    return int(v)
+def multiplicity(rows) -> int:
+    """|det| of a square cell map."""
+    return abs(det(rows))
 
 
 def forget_points(c: PlaneCurve, m: int) -> PlaneCurve:

@@ -290,7 +290,9 @@ def plane_curve_to_json(c: PlaneCurve) -> dict:
 def plane_curve_from_json(data: dict) -> PlaneCurve:
     g = graph_from_json(data["graph"])
     curve = MarkedAbstractCurve(g, tuple(data["marks"]))
-    dirs = tuple((int(a), int(b)) for a, b in data["directions"])
+    dirs = tuple((a, b) for a, b in data["directions"])
+    if any(type(x) is not int for v in dirs for x in v):
+        raise ValueError("direction entries must be JSON integers")
     root_pos = (
         parse_fraction(data["root_pos"][0]),
         parse_fraction(data["root_pos"][1]),

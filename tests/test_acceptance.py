@@ -115,7 +115,7 @@ def test_criterion_4_wall_crossing_invariance():
                     e for e in resolved.graph.bounded_edges() if e != new_edge
                 ) + (new_edge,)
                 cm = ev_matrix(resolved, which=rows, root=0, edge_order=order)
-                dets.append(det(cm.matrix))
+                dets.append(det(cm))
             assert len(dets) == 3
             assert sum(dets) == 0
             assert any(x != 0 for x in dets)

@@ -134,6 +134,52 @@ def test_render_curve_missing_key(capsys, tmp_path):
     malformed_input_exit(capsys, tmp_path / "c.json", text, ["render"])
 
 
+# rationals are "p/q" strings or JSON integers; nothing is read through a float
+@pytest.mark.parametrize("x", ['"1/0"', "0.1", "true"])
+def test_count_points_file_bad_rational(capsys, tmp_path, x):
+    text = f'{{"points": [[{x}, "2"], ["3", "4"]]}}'
+    malformed_input_exit(capsys, tmp_path / "p.json", text, COUNT_POINTS)
+
+
+def conic_curve(capsys, tmp_path):
+    """The first curve of a degree-2 fiber report, as JSON data."""
+    report = tmp_path / "conic.json"
+    assert main(["count", "--d", "2", "--seed", "0", "--out", str(report)]) == 0
+    capsys.readouterr()
+    return json.loads(report.read_text())["solutions"][0]["curve"]
+
+
+def zero_denominator_root(curve):
+    curve["root_pos"][0] = "1/0"
+
+
+def float_root(curve):
+    curve["root_pos"][1] = 0.5
+
+
+def zero_denominator_length(curve):
+    lengths = curve["graph"]["lengths"]
+    lengths[next(iter(lengths))] = "1/0"
+
+
+def fractional_direction(curve):
+    # a (1,1) end written as [1.9, 1.2] must not be truncated to (1, 1)
+    ends = [r["id"] for r in curve["graph"]["flags"] if r["partner"] is None]
+    end = next(f for f in ends if curve["directions"][f] == [1, 1])
+    curve["directions"][end] = [1.9, 1.2]
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [zero_denominator_root, float_root, zero_denominator_length, fractional_direction],
+)
+def test_render_curve_bad_number(capsys, tmp_path, spoil):
+    curve = conic_curve(capsys, tmp_path)
+    spoil(curve)
+    text = json.dumps(curve)
+    malformed_input_exit(capsys, tmp_path / "c.json", text, ["render"])
+
+
 def test_count_degenerate_points_exit(capsys, tmp_path):
     # both points on one tropical line: the fiber is not finite
     path = write_points(tmp_path / "bad.json", [(0, 0), (1, 1)])

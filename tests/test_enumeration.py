@@ -41,7 +41,7 @@ from tropcount.enumeration import (
 import tropcount
 from tropcount import enumeration
 from tropcount.graph import AbstractType, Graph, trivalent_trees_on_leaves
-from tropcount.linalg import solve
+from tropcount.linalg import det, solve
 from tropcount.moduli_maps import (
     M4Point,
     ev_matrix,
@@ -515,7 +515,7 @@ def ev_fiber_is_exact(d, cfg) -> bool:
         return False
     rhs = [c for p in cfg.points for c in p]
     for sol in sols:
-        rows = ev_matrix(sol.type).matrix.row_lists()
+        rows = ev_matrix(sol.type)
         assert [sum(a * x for a, x in zip(row, sol.coords)) for row in rows] == rhs
     assert sum(s.mult for s in sols) == 1  # N_1 = N_2 = 1
     return True
@@ -740,7 +740,8 @@ def dense_pi_fiber(d, cfg):
     """Oracle: the dense combined-map leaf the integer kernel replaced.
 
     Every placement is subdivided into its marked type, its ray is read off
-    ft4_coordinate, and pi_matrix is solved over Fractions."""
+    ft4_coordinate, and the rows of pi_matrix are solved densely against
+    the unscaled rational right-hand side."""
     n = 3 * d
     rhs = [cfg.line_x, cfg.line_y] + [c for p in cfg.points[2:] for c in p]
     rhs.append(cfg.m4.length)
@@ -751,8 +752,8 @@ def dense_pi_fiber(d, cfg):
         mt, _ = _subdivide(td.t, placements, n)
         if ft4_coordinate(mt)[0] != cfg.m4.ray:
             return
-        cm = pi_matrix(mt, d)
-        res = solve(cm.matrix, rhs)
+        rows = pi_matrix(mt, d)
+        res = solve(rows, rhs)
         if res.status == "inconsistent":
             return
         if res.status == "underdetermined":
@@ -764,7 +765,7 @@ def dense_pi_fiber(d, cfg):
             raise GeneralPositionViolation("zero edge length")
         key = canonical_plane_form(mt)
         if key not in found:
-            found[key] = FiberSolution(mt, res.solution, multiplicity(cm))
+            found[key] = FiberSolution(mt, res.solution, multiplicity(rows))
 
     for td in _pi_tree_data(d):
         _pi_search_tree(td, n, scaled_points(cfg), leaf)
@@ -778,6 +779,31 @@ def test_pi_fiber_matches_dense_leaf_oracle(seed, ray):
     sols = fiber(PI, 2, cfg)
     assert sols == dense_pi_fiber(2, cfg)
     assert sum(s.mult for s in sols) == 2
+
+
+def assert_integer_cell_map(rows, mult):
+    """Every entry, the determinant and the multiplicity are Python ints."""
+    assert all(type(e) is int for row in rows for e in row)
+    assert type(det(rows)) is int
+    assert type(multiplicity(rows)) is int
+    assert multiplicity(rows) == mult
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ev_cell_maps_are_integer_rows(d, seed):
+    _, sols = sampled_fiber(EV, d, seed)
+    assert sols
+    for sol in sols:
+        assert_integer_cell_map(ev_matrix(sol.type), sol.mult)
+
+
+@pytest.mark.parametrize("ray", ["A", "B", "C"])
+def test_pi_cell_maps_are_integer_rows(ray):
+    sols = fiber(PI, 2, pi_config(2, 0, ray))
+    assert sols
+    for sol in sols:
+        assert_integer_cell_map(pi_matrix(sol.type, 2), sol.mult)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
