@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,6 +229,23 @@ def test_solve_matches_gauss_jordan_oracle(system):
     ref = solve_by_gauss_jordan(rows, rhs)
     assert res.status == ref.status
     assert res.solution == ref.solution
+    if res.status == SolveResult.UNIQUE and len(rows) == len(rows[0]):
+        assert res.det == det(rows) != 0
+    else:
+        assert res.det is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_solve_plain_integer_rows_match_matrix(system):
+    rows, rhs = system
+    scale = lcm(*(Fraction(b).denominator for b in rhs))
+    irhs = [int(b * scale) for b in rhs]
+    res = solve(rows, irhs)
+    ref = solve_by_gauss_jordan(rows, irhs)
+    assert res.status == ref.status
+    assert res.solution == ref.solution
+    assert all(isinstance(v, Fraction) for v in res.solution or ())
     if res.status == SolveResult.UNIQUE and len(rows) == len(rows[0]):
         assert res.det == det(rows) != 0
     else:
