@@ -1,11 +1,14 @@
 """Combinatorial types and exact fibers of the evaluation-style maps.
 
-The two fiber engines share one strategy: enumerate unmarked trivalent
-image trees once per degree (cached), then insert contracted marked ends
-edge-by-edge, pruning each partial placement with exact cone tests on the
-input points before any linear algebra runs.  Everything is rational; a
-degenerate input is reported as GeneralPositionViolation so the caller can
-resample.
+One search serves both maps: enumerate unmarked trivalent image trees once
+per degree (cached), then insert contracted marked ends edge by edge,
+pruning each partial placement with exact cone tests on the input points
+before any linear algebra runs.  Each map has its own leaf for a complete
+placement.  The evaluation leaf solves the cut tree from each free end,
+one vertex at a time, since a cell's determinant is the product of its
+vertex multiplicities; the combined-map leaf decides the placement's
+quartet ray and solves its integer rows.  Everything is exact; a degenerate
+input is reported as GeneralPositionViolation so the caller can resample.
 """
 
 from __future__ import annotations
@@ -382,20 +385,12 @@ def _sector_meets_horizontal(sec, dy) -> bool:
 
 
 @dataclass
-class _Comp:
-    verts: frozenset
-    ends: Tuple[int, ...]
-    boundary: Tuple[Tuple[int, int], ...]  # (cut bounded edge, flag on this side)
-
-
-@dataclass
 class _TreeData:
     t: PlaneType
     contracted: Tuple[int, ...] = ()
     collinear: bool = False
     handles: Tuple[int, ...] = ()
     _sectors: Optional[dict] = field(default=None, repr=False)
-    _cuts: Optional[dict] = field(default=None, repr=False)
     _pi: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -447,42 +442,6 @@ class _TreeData:
             self._sectors = s
         return self._sectors
 
-    def cut_structures(self):
-        """(B, components) for every cut set of bounded edges that leaves
-        each component at least one unbounded end."""
-        if self._cuts is None:
-            g = self.t.graph
-            bounded = g.bounded_edges()
-            out = []
-            for r in range(len(bounded) + 1):
-                for B in itertools.combinations(bounded, r):
-                    groups: List[set] = []
-                    for v in range(g.num_vertices):
-                        if not any(v in verts for verts in groups):
-                            groups.append(g.component(v, cut_edges=B))
-                    ends = [
-                        tuple(f for f in g.end_flags() if g.flag_vertex[f] in verts)
-                        for verts in groups
-                    ]
-                    if not all(ends):
-                        continue
-                    boundary = [
-                        tuple(
-                            (e, f)
-                            for e in B
-                            for f in g.edge_flags(e)
-                            if g.flag_vertex[f] in verts
-                        )
-                        for verts in groups
-                    ]
-                    comps = tuple(
-                        _Comp(frozenset(verts), es, bs)
-                        for verts, es, bs in zip(groups, ends, boundary)
-                    )
-                    out.append((B, comps))
-            self._cuts = out
-        return self._cuts
-
     def pi_tables(self):
         """(paths, dist, bounded edges, end flags) for the combined-map leaf:
         paths[v] lists (bounded edge, flag walked) from vertex 0 to v, and
@@ -522,7 +481,7 @@ def _pi_tree_data(d: int) -> List[_TreeData]:
 
 
 # ---------------------------------------------------------------------------
-# inserting marks into a tree
+# placing marks on a tree
 
 
 def _subdivide(tree: PlaneType, placements: dict, n: int):
@@ -583,41 +542,148 @@ def _subdivide(tree: PlaneType, placements: dict, n: int):
     return t, piece_ids
 
 
+def _pair_ok(secs, dirs, ipts, placed, m, h) -> bool:
+    """Can pinned mark m sit on host h, given the pinned (mark, host) pairs
+    placed so far?  The displacement between two marks must lie in the
+    cone of the path directions between their hosts."""
+    im = ipts[m]
+    for m2, h2 in placed:
+        i2 = ipts[m2]
+        delta = (im[0] - i2[0], im[1] - i2[1])
+        if h2 == h:
+            # both on one edge: displacement must ride the edge direction
+            if cross(delta, dirs[h]) != 0:
+                return False
+        elif not _sector_has(secs[(h2, h)], delta):
+            return False
+    return True
+
+
+def _search_tree(td: _TreeData, n: int, ipts, lines: bool, leaf):
+    """Place the marks on one tree's edges, calling leaf(td, occupancy,
+    where) on every placement that passes the sector, line and quota tests.
+
+    occupancy maps each host to its items, nearest the host's own flag
+    first; where maps each mark to its host.  With lines (the combined
+    map) marks 0 and 1 see only the vertical line through point 0 and the
+    horizontal line through point 1 and are placed last; otherwise every
+    mark is pinned to its point and each host takes at most one.
+    """
+    secs = td.sectors()
+    hosts = td.handles
+    dirs = td.t.dirs
+    occupancy: Dict[int, list] = {h: [] for h in hosts}
+    cuts = dict.fromkeys(hosts, 0)  # ("mark", m) items on each host
+    where: Dict[int, int] = {}
+    insertion = list(range(2, n)) + [0, 1] if lines else list(range(n))
+    cap = 2 if lines else 1  # the evaluation leaf anchors one mark per host
+
+    def line_ok(m, h):
+        # mark 0 sees the vertical line x = ipts[0][0], mark 1 the
+        # horizontal line y = ipts[1][1]
+        meets = _sector_meets_vertical if m == 0 else _sector_meets_horizontal
+        for m2, h2 in where.items():
+            if m2 < 2:
+                continue
+            delta = ipts[m][m] - ipts[m2][m]
+            if h2 == h:
+                if dirs[h][m] == 0 and delta != 0:
+                    return False
+            elif not meets(secs[(h2, h)], delta):
+                return False
+        return True
+
+    def quota_ok(h, m):
+        if cuts[h] < cap:
+            return True
+        # a third cut on one edge survives only with both line-constrained
+        # marks aboard
+        return lines and cuts[h] == 2 and {0, 1} <= {m}.union(
+            it[1] for it in occupancy[h] if it[0] == "mark"
+        )
+
+    def rec(k):
+        if k == len(insertion):
+            leaf(td, occupancy, where)
+            return
+        m = insertion[k]
+        for h in hosts:
+            if not quota_ok(h, m):
+                continue
+            if lines and m < 2:
+                if not line_ok(m, h):
+                    continue
+            elif not _pair_ok(secs, dirs, ipts, where.items(), m, h):
+                continue
+            occ = occupancy[h]
+            cuts[h] += 1
+            for slot in range(len(occ) + 1):
+                occ.insert(slot, ("mark", m))
+                where[m] = h
+                rec(k + 1)
+                occ.pop(slot)
+                del where[m]
+            cuts[h] -= 1
+        if lines and m == 1 and not td.contracted:
+            # the two line-constrained marks may share one vertex hanging
+            # off a host by a contracted edge
+            h1 = where.get(0)
+            if h1 is not None:
+                occ = occupancy[h1]
+                for slot, it in enumerate(occ):
+                    if it == ("mark", 0):
+                        occ[slot] = ("cluster", (0, 1))
+                        cuts[h1] -= 1
+                        where[1] = h1
+                        rec(k + 1)
+                        occ[slot] = ("mark", 0)
+                        cuts[h1] += 1
+                        del where[1]
+                        break
+
+    rec(0)
+
+
+def _integer_points(points, *denominators):
+    """(scale, the points times scale as integer pairs), scale the lcm of
+    all their denominators and the extra ones; coincident points raise."""
+    if len(set(points)) != len(points):
+        raise GeneralPositionViolation("two input points coincide")
+    scale = math.lcm(*(c.denominator for p in points for c in p), *denominators)
+    return scale, [(int(x * scale), int(y * scale)) for x, y in points]
+
+
 # ---------------------------------------------------------------------------
 # evaluation-map fiber
 
 
-def _comp_plan(td: _TreeData, comp: _Comp, kept_end: int):
-    """Postorder solve plan for one component, rooted at its kept end."""
+def _plan(td: _TreeData, assign, kept_end: int):
+    """Postorder solve plan for the component of the free end kept_end,
+    rooted there and stopping at the hosts assign maps to marks; None when
+    the walk reaches a second free end (a string)."""
     g = td.t.graph
-    cut_edges = {e for e, _ in comp.boundary}
-    cut_ends = set(comp.ends) - {kept_end}
     plan = []
 
-    def visit(u, entry_flag):
+    def visit(u, entry_flag) -> bool:
         branches = []
         for f in g.flags_at(u):
             if f == entry_flag:
                 continue
             p = g.flag_partner[f]
-            if p is None:
-                if f not in cut_ends:
-                    raise AssertionError(f"end {f} reached but not cut")
-                branches.append(("m", f, f, None))
+            a = f if p is None else min(f, p)
+            if a in assign:
+                branches.append(("m", a, f, None))
+            elif p is None:
+                return False
             else:
-                e = min(f, p)
-                if e in cut_edges:
-                    branches.append(("m", e, f, None))
-                else:
-                    w = g.flag_vertex[p]
-                    visit(w, p)
-                    branches.append(("c", w, p, e))
-        if len(branches) != 2:
-            raise AssertionError(f"vertex {u} is not trivalent in the plan")
+                w = g.flag_vertex[p]
+                if not visit(w, p):
+                    return False
+                branches.append(("c", w, p, a))
         plan.append((u, branches[0], branches[1]))
+        return True
 
-    visit(g.flag_vertex[kept_end], kept_end)
-    return plan
+    return plan if visit(g.flag_vertex[kept_end], kept_end) else None
 
 
 def _run_plan(plan, dirs, assign, ipts, pos, lens):
@@ -705,89 +771,37 @@ def _emit_ev_solution(td, assign, pos, lens, found, n, scale):
     found[key] = FiberSolution(mt, coords, mult)
 
 
-def _ev_search_tree(td: _TreeData, ipts, found, n, scale):
-    secs = td.sectors()
-    for B, comps in td.cut_structures():
-        for kept in itertools.product(*(c.ends for c in comps)):
-            hosts_of = [
-                tuple(e for e in c.ends if e != kept[i])
-                + tuple(e for e, _ in c.boundary)
-                for i, c in enumerate(comps)
-            ]
-            order = sorted(range(len(comps)), key=lambda i: (len(hosts_of[i]), i))
-            host_seq: List[int] = []
-            completes: Dict[int, List[int]] = {}
-            seen = set()
-            for ci in order:
-                for h in hosts_of[ci]:
-                    if h not in seen:
-                        seen.add(h)
-                        host_seq.append(h)
-                completes.setdefault(len(host_seq) - 1, []).append(ci)
-            if len(host_seq) != n:
-                raise AssertionError(f"{len(host_seq)} host edges for {n} marks")
-            plans: dict = {}  # built when the search first completes a component
-            assign: Dict[int, int] = {}
-            placed: List[Tuple[int, int]] = []
-            pos: dict = {}
-            lens: dict = {}
-            used = [False] * n
+def _ev_leaf(td: _TreeData, where, ipts, found, n, scale):
+    """One placement of all marks, one per host: solve each component from
+    its free end, then build the solution.
 
-            def rec(k):
-                if k == n:
-                    _emit_ev_solution(td, assign, pos, lens, found, n, scale)
-                    return
-                h = host_seq[k]
-                for m in range(n):
-                    if used[m]:
-                        continue
-                    im = ipts[m]
-                    ok = True
-                    for h2, m2 in placed:
-                        i2 = ipts[m2]
-                        if not _sector_has(
-                            secs[(h2, h)], (im[0] - i2[0], im[1] - i2[1])
-                        ):
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    assign[h] = m
-                    placed.append((h, m))
-                    used[m] = True
-                    solved = []
-                    feasible = True
-                    for ci in completes.get(k, ()):
-                        if ci not in plans:
-                            plans[ci] = _comp_plan(td, comps[ci], kept[ci])
-                        written = _run_plan(plans[ci], td.t.dirs, assign, ipts, pos, lens)
-                        if written is None:
-                            feasible = False
-                            break
-                        solved.append(written)
-                    if feasible:
-                        rec(k + 1)
-                    for written in solved:
-                        for key in written:
-                            del (pos if key[0] == "v" else lens)[key]
-                    used[m] = False
-                    placed.pop()
-                    del assign[h]
-
-            rec(0)
+    Cutting the tree at its n = 3d - 1 hosts leaves as many components as
+    free ends, so a component without a string has exactly one.
+    """
+    assign = {h: m for m, h in where.items()}
+    pos: dict = {}
+    lens: dict = {}
+    for f in td.t.graph.end_flags():
+        if f in assign:
+            continue
+        plan = _plan(td, assign, f)
+        if plan is None or _run_plan(plan, td.t.dirs, assign, ipts, pos, lens) is None:
+            return
+    _emit_ev_solution(td, assign, pos, lens, found, n, scale)
 
 
 def _ev_fiber(d: int, cfg: PointConfig) -> List[FiberSolution]:
     n = 3 * d - 1
     if len(cfg.points) != n:
         raise ValueError(f"evaluation fiber at degree {d} needs {n} points")
-    if len(set(cfg.points)) != n:
-        raise GeneralPositionViolation("two input points coincide")
-    scale = math.lcm(*(c.denominator for p in cfg.points for c in p))
-    ipts = [(int(x * scale), int(y * scale)) for x, y in cfg.points]
+    scale, ipts = _integer_points(cfg.points)
     found: dict = {}
+
+    def leaf(td, occupancy, where):
+        _ev_leaf(td, where, ipts, found, n, scale)
+
     for td in _ev_tree_data(d):
-        _ev_search_tree(td, ipts, found, n, scale)
+        _search_tree(td, n, ipts, False, leaf)
     return [found[k] for k in sorted(found, key=repr)]
 
 
@@ -942,109 +956,14 @@ def _pi_leaf(td: _TreeData, occupancy, where, d: int, ray: str, rhs, scale, foun
     found[key] = FiberSolution(mt, tuple(xs[c] / scale for c in order), mult)
 
 
-def _pi_search_tree(td: _TreeData, n: int, ipts, leaf):
-    """Place the marks on one tree's edges, calling leaf(td, occupancy,
-    where) on every placement that passes the sector, line and quota tests."""
-    secs = td.sectors()
-    hosts = td.handles
-    dirs = td.t.dirs
-    occupancy: Dict[int, list] = {h: [] for h in hosts}
-    cuts = dict.fromkeys(hosts, 0)  # ("mark", m) items on each host
-    where: Dict[int, int] = {}
-    insertion = list(range(2, n)) + [0, 1]
-
-    def pair_ok_pinned(m, h):
-        im = ipts[m]
-        for m2, h2 in where.items():
-            if m2 < 2:
-                continue
-            i2 = ipts[m2]
-            delta = (im[0] - i2[0], im[1] - i2[1])
-            if h2 == h:
-                # both on one edge: displacement must ride the edge direction
-                if cross(delta, dirs[h]) != 0:
-                    return False
-            elif not _sector_has(secs[(h2, h)], delta):
-                return False
-        return True
-
-    def line_ok(m, h):
-        # mark 0 sees the vertical line x = ipts[0][0], mark 1 the
-        # horizontal line y = ipts[1][1]
-        meets = _sector_meets_vertical if m == 0 else _sector_meets_horizontal
-        for m2, h2 in where.items():
-            if m2 < 2:
-                continue
-            delta = ipts[m][m] - ipts[m2][m]
-            if h2 == h:
-                if dirs[h][m] == 0 and delta != 0:
-                    return False
-            elif not meets(secs[(h2, h)], delta):
-                return False
-        return True
-
-    def quota_ok(h, m):
-        if cuts[h] < 2:
-            return True
-        # a third cut on one edge survives only with both line-constrained
-        # marks aboard
-        return cuts[h] == 2 and {0, 1} <= {m}.union(
-            it[1] for it in occupancy[h] if it[0] == "mark"
-        )
-
-    def rec(k):
-        if k == len(insertion):
-            leaf(td, occupancy, where)
-            return
-        m = insertion[k]
-        for h in hosts:
-            if not quota_ok(h, m):
-                continue
-            if m >= 2:
-                if not pair_ok_pinned(m, h):
-                    continue
-            else:
-                if not line_ok(m, h):
-                    continue
-            occ = occupancy[h]
-            cuts[h] += 1
-            for slot in range(len(occ) + 1):
-                occ.insert(slot, ("mark", m))
-                where[m] = h
-                rec(k + 1)
-                occ.pop(slot)
-                del where[m]
-            cuts[h] -= 1
-        if m == 1 and not td.contracted:
-            # the two line-constrained marks may share one vertex hanging
-            # off a host by a contracted edge
-            h1 = where.get(0)
-            if h1 is not None:
-                occ = occupancy[h1]
-                for slot, it in enumerate(occ):
-                    if it == ("mark", 0):
-                        occ[slot] = ("cluster", (0, 1))
-                        cuts[h1] -= 1
-                        where[1] = h1
-                        rec(k + 1)
-                        occ[slot] = ("mark", 0)
-                        cuts[h1] += 1
-                        del where[1]
-                        break
-
-    rec(0)
-
-
 def _pi_fiber(d: int, cfg: PointConfig) -> List[FiberSolution]:
     n = 3 * d
     if len(cfg.points) != n:
         raise ValueError(f"combined-map fiber at degree {d} needs {n} points")
     if cfg.m4 is None:
         raise ValueError("combined-map fiber needs an m4 target value")
-    pts = cfg.points
     length = cfg.m4.length
-    scale = math.lcm(*(c.denominator for p in pts for c in p), length.denominator)
-    ipts = [(int(x * scale), int(y * scale)) for x, y in pts]
+    scale, ipts = _integer_points(cfg.points, length.denominator)
     rhs = [ipts[0][0], ipts[1][1]] + [c for p in ipts[2:] for c in p]
     rhs.append(int(length * scale))
     found: dict = {}
@@ -1053,7 +972,7 @@ def _pi_fiber(d: int, cfg: PointConfig) -> List[FiberSolution]:
         _pi_leaf(td, occupancy, where, d, cfg.m4.ray, rhs, scale, found)
 
     for td in _pi_tree_data(d):
-        _pi_search_tree(td, n, ipts, leaf)
+        _search_tree(td, n, ipts, True, leaf)
     return [found[k] for k in sorted(found, key=repr)]
 
 

@@ -322,10 +322,13 @@ def graph_to_json(g: Graph) -> dict:
 
 def graph_from_json(data: dict) -> Graph:
     flags = sorted(data["flags"], key=lambda r: r["id"])
-    if [r["id"] for r in flags] != list(range(len(flags))):
+    ids = [r["id"] for r in flags]
+    if ids != list(range(len(flags))):
         raise ValueError("flag ids must be 0..k-1")
     fv = [r["vertex"] for r in flags]
     fp = [r["partner"] for r in flags]
+    if any(type(x) is not int for x in ids + fv + [p for p in fp if p is not None]):
+        raise ValueError("flag ids, vertices and partners must be JSON integers")
     lengths = None
     if "lengths" in data:
         lengths = {int(e): parse_fraction(s) for e, s in data["lengths"].items()}

@@ -297,4 +297,6 @@ def plane_curve_from_json(data: dict) -> PlaneCurve:
         parse_fraction(data["root_pos"][0]),
         parse_fraction(data["root_pos"][1]),
     )
-    return PlaneCurve(curve, dirs, int(data["root"]), root_pos)
+    if type(data["root"]) is not int:
+        raise ValueError("the root vertex must be a JSON integer")
+    return PlaneCurve(curve, dirs, data["root"], root_pos)

@@ -172,6 +172,21 @@ def test_criterion_6_pi_multiplicity_factorization(censuses):
         assert b_entries >= 3
 
 
+def test_degree_3_reducible_fiber_trade(ev_fibers):
+    # runs after the ev_fibers fixture, so base_trees(3) is already cached
+    with checklist("degree 3 (reducible-fiber trade on rays A, B, C)"):
+        nd = recursion_nd(3)
+        lhs, rhs = wdvv_sides(3, nd)
+        assert lhs == rhs == 40
+        for ray in ("A", "B", "C"):
+            census = reducible_census(3, pi_config(3, seed=0, ray=ray))
+            assert census.total() == (lhs if ray == "A" else rhs)
+            assert census.case_a_total == (nd[3] if ray == "A" else 0)
+            for entry in census.entries:
+                if entry.case == "b":
+                    assert math.prod(entry.factors) == entry.mult
+
+
 def test_criterion_7_tropical_bezout():
     with checklist("criterion 7 (intersection totals and transversality)"):
         lines, conics = curves_for_bezout()

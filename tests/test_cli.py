@@ -169,9 +169,39 @@ def fractional_direction(curve):
     curve["directions"][end] = [1.9, 1.2]
 
 
+def fractional_root_vertex(curve):
+    curve["root"] = 1.9
+
+
+def boolean_root_vertex(curve):
+    curve["root"] = True
+
+
+def float_flag_id(curve):
+    next(r for r in curve["graph"]["flags"] if r["id"] == 0)["id"] = 0.0
+
+
+def boolean_flag_vertex(curve):
+    next(r for r in curve["graph"]["flags"] if r["vertex"] == 1)["vertex"] = True
+
+
+def boolean_flag_partner(curve):
+    next(r for r in curve["graph"]["flags"] if r["partner"] == 1)["partner"] = True
+
+
 @pytest.mark.parametrize(
     "spoil",
-    [zero_denominator_root, float_root, zero_denominator_length, fractional_direction],
+    [
+        zero_denominator_root,
+        float_root,
+        zero_denominator_length,
+        fractional_direction,
+        fractional_root_vertex,
+        boolean_root_vertex,
+        float_flag_id,
+        boolean_flag_vertex,
+        boolean_flag_partner,
+    ],
 )
 def test_render_curve_bad_number(capsys, tmp_path, spoil):
     curve = conic_curve(capsys, tmp_path)
