@@ -1,14 +1,14 @@
 """Combinatorial types and exact fibers of the evaluation-style maps.
 
-One search serves both maps: enumerate unmarked trivalent image trees once
-per degree (cached), then insert contracted marked ends edge by edge,
-pruning each partial placement with exact cone tests on the input points
-before any linear algebra runs.  Each map has its own leaf for a complete
-placement.  The evaluation leaf solves the cut tree from each free end,
-one vertex at a time, since a cell's determinant is the product of its
-vertex multiplicities; the combined-map leaf decides the placement's
-quartet ray and solves its integer rows.  Everything is exact; a degenerate
-input is reported as GeneralPositionViolation so the caller can resample.
+One search and one leaf serve both maps.  Unmarked trivalent image trees
+are enumerated once per degree (cached); the search inserts contracted
+marked ends edge by edge, pruning each partial placement with exact cone
+tests on the input points before any linear algebra runs.  At a complete
+placement the leaf builds the map's integer rows, one per (mark,
+coordinate) pair of the map's row spec, plus the ft4 row of the quartet
+ray for the combined map, and solves them once; it builds the marked type
+only for a solution.  Everything is exact; a degenerate input is reported
+as GeneralPositionViolation so the caller can resample.
 """
 
 from __future__ import annotations
@@ -391,7 +391,7 @@ class _TreeData:
     collinear: bool = False
     handles: Tuple[int, ...] = ()
     _sectors: Optional[dict] = field(default=None, repr=False)
-    _pi: Optional[tuple] = field(default=None, repr=False)
+    _tables: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         g = self.t.graph
@@ -442,11 +442,11 @@ class _TreeData:
             self._sectors = s
         return self._sectors
 
-    def pi_tables(self):
-        """(paths, dist, bounded edges, end flags) for the combined-map leaf:
-        paths[v] lists (bounded edge, flag walked) from vertex 0 to v, and
-        dist[u][v] counts the bounded edges between u and v."""
-        if self._pi is None:
+    def tables(self):
+        """(paths, dist, bounded edges, end flags) for the leaf: paths[v]
+        lists (bounded edge, flag walked) from vertex 0 to v, and dist[u][v]
+        counts the bounded edges between u and v."""
+        if self._tables is None:
             g = self.t.graph
             vs = range(g.num_vertices)
             paths = [
@@ -454,8 +454,8 @@ class _TreeData:
             ]
             edges = [{e for e, _ in p} for p in paths]
             dist = [[len(edges[u] ^ edges[v]) for v in vs] for u in vs]
-            self._pi = (paths, dist, g.bounded_edges(), g.end_flags())
-        return self._pi
+            self._tables = (paths, dist, g.bounded_edges(), g.end_flags())
+        return self._tables
 
 
 _TREE_DATA: Dict[int, List[_TreeData]] = {}
@@ -576,7 +576,7 @@ def _search_tree(td: _TreeData, n: int, ipts, lines: bool, leaf):
     cuts = dict.fromkeys(hosts, 0)  # ("mark", m) items on each host
     where: Dict[int, int] = {}
     insertion = list(range(2, n)) + [0, 1] if lines else list(range(n))
-    cap = 2 if lines else 1  # the evaluation leaf anchors one mark per host
+    cap = 2 if lines else 1  # two general points never lie on one host line
 
     def line_ok(m, h):
         # mark 0 sees the vertical line x = ipts[0][0], mark 1 the
@@ -654,159 +654,7 @@ def _integer_points(points, *denominators):
 
 
 # ---------------------------------------------------------------------------
-# evaluation-map fiber
-
-
-def _plan(td: _TreeData, assign, kept_end: int):
-    """Postorder solve plan for the component of the free end kept_end,
-    rooted there and stopping at the hosts assign maps to marks; None when
-    the walk reaches a second free end (a string)."""
-    g = td.t.graph
-    plan = []
-
-    def visit(u, entry_flag) -> bool:
-        branches = []
-        for f in g.flags_at(u):
-            if f == entry_flag:
-                continue
-            p = g.flag_partner[f]
-            a = f if p is None else min(f, p)
-            if a in assign:
-                branches.append(("m", a, f, None))
-            elif p is None:
-                return False
-            else:
-                w = g.flag_vertex[p]
-                if not visit(w, p):
-                    return False
-                branches.append(("c", w, p, a))
-        plan.append((u, branches[0], branches[1]))
-        return True
-
-    return plan if visit(g.flag_vertex[kept_end], kept_end) else None
-
-
-def _run_plan(plan, dirs, assign, ipts, pos, lens):
-    """Solve one component bottom-up; returns written keys or None.
-
-    Each vertex is the intersection of two lines anchored below it; both
-    intersection parameters are lengths and must be positive.  An exact
-    zero is a cell-boundary hit: the input is degenerate.  Everything is
-    in the integer points ipts: a vertex is stored as (X, Y, D) for
-    (X / D, Y / D) and a length as (N, D) for N / D, with D > 0 the product
-    of |cross| over the vertices below.
-    """
-    written = []
-
-    def line(br):
-        kind, a, f, e = br
-        if kind == "m":
-            x, y = ipts[assign[a]]
-            return x, y, 1, vneg(dirs[f]), ("p", f)
-        x, y, dv = pos[("v", a)]
-        return x, y, dv, dirs[f], ("e", e)
-
-    for u, b1, b2 in plan:
-        x1, y1, d1, u1, k1 = line(b1)
-        x2, y2, d2, u2, k2 = line(b2)
-        a = cross(u1, u2)
-        if a == 0:
-            raise AssertionError(f"parallel lines meet at vertex {u}")
-        wx = x2 * d1 - x1 * d2
-        wy = y2 * d1 - y1 * d2
-        n1 = wx * u2[1] - wy * u2[0]
-        n2 = wx * u1[1] - wy * u1[0]
-        if a < 0:
-            a, n1, n2 = -a, -n1, -n2
-        if n1 == 0 or n2 == 0:
-            raise GeneralPositionViolation(
-                "solution on a cell boundary (zero edge length)"
-            )
-        if n1 < 0 or n2 < 0:
-            for key in written:
-                del (pos if key[0] == "v" else lens)[key]
-            return None
-        # s1 = n1 / dv and s2 = n2 / dv, with q1 = (x1, y1) / d1
-        dv = d1 * d2 * a
-        pos[("v", u)] = (x1 * d2 * a + n1 * u1[0], y1 * d2 * a + n1 * u1[1], dv)
-        lens[k1] = (n1, dv)
-        lens[k2] = (n2, dv)
-        written.extend((k1, k2, ("v", u)))
-    return written
-
-
-def _emit_ev_solution(td, assign, pos, lens, found, n, scale):
-    """Build the marked type and its solution; scale is the factor from
-    the input points to the integer points the plan solved in."""
-    g = td.t.graph
-    placements = {h: [("mark", m)] for h, m in assign.items()}
-    mt, piece_ids = _subdivide(td.t, placements, n)
-    key = canonical_plane_form(mt)
-    if key in found:
-        return
-
-    def length(key):
-        num, dv = lens[key]
-        return Fraction(num, dv * scale)
-
-    lengths = {k[1]: length(k) for k in lens if k[0] == "e"}
-    for h, ids in piece_ids.items():
-        far = g.flag_partner[h]
-        lengths[ids[0]] = length(("p", h))
-        if far is not None:
-            lengths[ids[1]] = length(("p", far))
-    x, y, dv = pos[("v", 0)]
-    root_pos = (Fraction(x, dv * scale), Fraction(y, dv * scale))
-    curve = mt.with_lengths(lengths, 0, root_pos)
-    mult = multiplicity(ev_matrix(mt))
-    # the vertex-product route must agree with the determinant route
-    vertex_mult = curve_multiplicity(curve)
-    if mult != vertex_mult or mult <= 0:
-        raise AssertionError(
-            f"multiplicity {mult} disagrees with vertex product {vertex_mult}"
-        )
-    coords = (root_pos[0], root_pos[1]) + tuple(
-        lengths[e] for e in mt.graph.bounded_edges()
-    )
-    found[key] = FiberSolution(mt, coords, mult)
-
-
-def _ev_leaf(td: _TreeData, where, ipts, found, n, scale):
-    """One placement of all marks, one per host: solve each component from
-    its free end, then build the solution.
-
-    Cutting the tree at its n = 3d - 1 hosts leaves as many components as
-    free ends, so a component without a string has exactly one.
-    """
-    assign = {h: m for m, h in where.items()}
-    pos: dict = {}
-    lens: dict = {}
-    for f in td.t.graph.end_flags():
-        if f in assign:
-            continue
-        plan = _plan(td, assign, f)
-        if plan is None or _run_plan(plan, td.t.dirs, assign, ipts, pos, lens) is None:
-            return
-    _emit_ev_solution(td, assign, pos, lens, found, n, scale)
-
-
-def _ev_fiber(d: int, cfg: PointConfig) -> List[FiberSolution]:
-    n = 3 * d - 1
-    if len(cfg.points) != n:
-        raise ValueError(f"evaluation fiber at degree {d} needs {n} points")
-    scale, ipts = _integer_points(cfg.points)
-    found: dict = {}
-
-    def leaf(td, occupancy, where):
-        _ev_leaf(td, where, ipts, found, n, scale)
-
-    for td in _ev_tree_data(d):
-        _search_tree(td, n, ipts, False, leaf)
-    return [found[k] for k in sorted(found, key=repr)]
-
-
-# ---------------------------------------------------------------------------
-# combined-map fiber
+# the shared leaf
 
 
 def _slot(items, m) -> int:
@@ -826,7 +674,7 @@ def _placement_ray(td: _TreeData, occupancy, where, n: int) -> str:
     clustered pair sits 1 further out, at distance 0 from each other.
     """
     g = td.t.graph
-    dist = td.pi_tables()[1]
+    dist = td.tables()[1]
     w = n + 1
     spots = []
     for m in range(4):
@@ -850,20 +698,20 @@ def _placement_ray(td: _TreeData, occupancy, where, n: int) -> str:
     return "D" if sums.count(low) > 1 else _PAIRINGS[sums.index(low)][0]
 
 
-def _pi_rows(td: _TreeData, occupancy, where, n: int, ray: str):
-    """Integer rows of the combined map on the type a placement builds.
+def _rows(td: _TreeData, occupancy, where, n: int, which, ray: Optional[str]):
+    """Integer rows of a map on the type a placement builds.
 
-    Rows: x of mark 0, y of mark 1, both coordinates of marks 2..n-1, then
-    the ft4 row of the ray's quartet pairing.  Columns: root x, root y, the
-    pieces of each base bounded edge in walk order from its own flag, the
-    bounded pieces of each end, and last the cluster's contracted edge, if
-    any.  Returns the rows and the column of the first piece of each base
-    bounded edge and each end.
+    Rows: one per (mark, coordinate) pair in which, then, given a ray (the
+    combined map), the ft4 row of its quartet pairing.  Columns: root x,
+    root y, the pieces of each base bounded edge in walk order from its own
+    flag, the bounded pieces of each end, and last the cluster's contracted
+    edge, if any.  Returns the rows and the column of the first piece of
+    each base bounded edge and each end.
     """
     g = td.t.graph
     dirs = td.t.dirs
-    paths, dist, bounded, ends = td.pi_tables()
-    size = 2 * n - 1
+    paths, dist, bounded, ends = td.tables()
+    size = len(which) + (ray is not None)
     start = {}
     col = 2
     for e in bounded:
@@ -895,30 +743,33 @@ def _pi_rows(td: _TreeData, occupancy, where, n: int, ray: str):
             walk.append((size - 1, ZERO))
         walks.append(walk)
     rows = []
-    for m, c in [(0, 0), (1, 1)] + [(m, c) for m in range(2, n) for c in (0, 1)]:
+    for m, c in which:
         row = [0] * size
         row[c] = 1
         for col, v in walks[m]:
             row[col] = v[c]
         rows.append(row)
-    # the central path of the pairing i, j | k, l is path(i, k) ∩ path(j, l)
-    (i, j), (k, l) = next(pair for r, *pair in _PAIRINGS if r == ray)
-    cols = [{col for col, _ in walks[q]} for q in range(4)]
-    central = (cols[i] ^ cols[k]) & (cols[j] ^ cols[l])
-    rows.append([int(col in central) for col in range(size)])
+    if ray is not None:
+        # the central path of the pairing i, j | k, l is path(i, k) ∩ path(j, l)
+        (i, j), (k, l) = next(pair for r, *pair in _PAIRINGS if r == ray)
+        cols = [{col for col, _ in walks[q]} for q in range(4)]
+        central = (cols[i] ^ cols[k]) & (cols[j] ^ cols[l])
+        rows.append([int(col in central) for col in range(size)])
     return rows, start
 
 
-def _pi_leaf(td: _TreeData, occupancy, where, d: int, ray: str, rhs, scale, found):
-    """One placement of all marks: decide its ray on the base tree, solve
-    its integer rows, and build the marked type only for a solution.
+def _leaf(td: _TreeData, occupancy, where, d: int, which, ray, rhs, scale, found):
+    """One placement of all marks: solve its integer rows once, and build
+    the marked type only for a solution.
 
-    rhs is the fiber's right-hand side times the integer scale.
+    ray is None for the evaluation map; for the combined map the
+    placement's quartet ray is decided on the base tree before any row is
+    built.  rhs is the fiber's right-hand side times the integer scale.
     """
-    n = 3 * d
-    if _placement_ray(td, occupancy, where, n) != ray:
+    n = len(where)
+    if ray is not None and _placement_ray(td, occupancy, where, n) != ray:
         return
-    rows, start = _pi_rows(td, occupancy, where, n, ray)
+    rows, start = _rows(td, occupancy, where, n, which, ray)
     res = solve(rows, rhs)
     if res.status == "inconsistent":
         return
@@ -939,10 +790,14 @@ def _pi_leaf(td: _TreeData, occupancy, where, d: int, ray: str, rhs, scale, foun
     if key in found:
         return
     # the kernel must agree with the cell map of the type it stands for
-    mt_ray = ft4_coordinate(mt)[0]
-    if mt_ray != ray:
-        raise AssertionError(f"placement ray {ray} but the type's ray is {mt_ray}")
-    mult = multiplicity(pi_matrix(mt, d))
+    if ray is None:
+        cell_map = ev_matrix(mt)
+    else:
+        mt_ray = ft4_coordinate(mt)[0]
+        if mt_ray != ray:
+            raise AssertionError(f"placement ray {ray} but the type's ray is {mt_ray}")
+        cell_map = pi_matrix(mt, d)
+    mult = multiplicity(cell_map)
     if mult != abs(res.det):
         raise AssertionError(
             f"multiplicity {mult} disagrees with the leaf determinant {res.det}"
@@ -953,26 +808,34 @@ def _pi_leaf(td: _TreeData, occupancy, where, d: int, ray: str, rhs, scale, foun
             col_of[e] = start[h] + k
     cluster_col = len(rows) - 1
     order = [0, 1] + [col_of.get(e, cluster_col) for e in mt.graph.bounded_edges()]
-    found[key] = FiberSolution(mt, tuple(xs[c] / scale for c in order), mult)
+    sol = FiberSolution(mt, tuple(xs[c] / scale for c in order), mult)
+    if ray is None:
+        # a cell's determinant is the product of its vertex multiplicities
+        vertex_mult = curve_multiplicity(sol.curve())
+        if vertex_mult != mult:
+            raise AssertionError(
+                f"multiplicity {mult} disagrees with vertex product {vertex_mult}"
+            )
+    found[key] = sol
 
 
-def _pi_fiber(d: int, cfg: PointConfig) -> List[FiberSolution]:
-    n = 3 * d
-    if len(cfg.points) != n:
-        raise ValueError(f"combined-map fiber at degree {d} needs {n} points")
-    if cfg.m4 is None:
-        raise ValueError("combined-map fiber needs an m4 target value")
-    length = cfg.m4.length
-    scale, ipts = _integer_points(cfg.points, length.denominator)
-    rhs = [ipts[0][0], ipts[1][1]] + [c for p in ipts[2:] for c in p]
-    rhs.append(int(length * scale))
+def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
+    """Search every tree with the shared leaf.  which is the map's row
+    spec; m4 is None for the evaluation map and the target of the ft4 row
+    for the combined map."""
+    extra = () if m4 is None else (m4.length.denominator,)
+    scale, ipts = _integer_points(cfg.points, *extra)
+    rhs = [ipts[m][c] for m, c in which]
+    if m4 is not None:
+        rhs.append(int(m4.length * scale))
+    ray = None if m4 is None else m4.ray
     found: dict = {}
 
     def leaf(td, occupancy, where):
-        _pi_leaf(td, occupancy, where, d, cfg.m4.ray, rhs, scale, found)
+        _leaf(td, occupancy, where, d, which, ray, rhs, scale, found)
 
-    for td in _pi_tree_data(d):
-        _search_tree(td, n, ipts, True, leaf)
+    for td in trees:
+        _search_tree(td, len(cfg.points), ipts, m4 is not None, leaf)
     return [found[k] for k in sorted(found, key=repr)]
 
 
@@ -985,9 +848,19 @@ def fiber(map_kind: str, d: int, cfg: PointConfig) -> List[FiberSolution]:
     GeneralPositionViolation when the input shows up degenerate."""
     kind = map_kind.lower()
     if kind == EV:
-        return _ev_fiber(d, cfg)
+        n = 3 * d - 1
+        if len(cfg.points) != n:
+            raise ValueError(f"evaluation fiber at degree {d} needs {n} points")
+        which = [(m, c) for m in range(n) for c in (0, 1)]
+        return _fiber(d, cfg, which, _ev_tree_data(d), None)
     if kind == PI:
-        return _pi_fiber(d, cfg)
+        n = 3 * d
+        if len(cfg.points) != n:
+            raise ValueError(f"combined-map fiber at degree {d} needs {n} points")
+        if cfg.m4 is None:
+            raise ValueError("combined-map fiber needs an m4 target value")
+        which = [(0, 0), (1, 1)] + [(m, c) for m in range(2, n) for c in (0, 1)]
+        return _fiber(d, cfg, which, _pi_tree_data(d), cfg.m4)
     raise ValueError(f"unknown map kind: {map_kind!r}")
 
 

@@ -54,6 +54,22 @@ class NdTable:
         return [(d, self.counts[d]) for d in range(1, len(self.counts))]
 
 
+def _trade_term(ray: str, d: int, d1: int) -> Tuple[int, int]:
+    """(coefficient, binomial) of the split d = d1 + d2 on one side of the
+    trade.  Ray A puts both line-constrained marks on the first curve, ray
+    B or C one on each.
+
+    The coefficient is d1 d2 for the glue point times the degree of the
+    curve each line constraint sits on; the binomial counts the ways to put
+    3 d1 - 1 (ray A) or 3 d1 - 2 of the 3d - 4 point marks beyond the
+    quartet on the first curve.
+    """
+    d2 = d - d1
+    if ray == "A":
+        return d1**3 * d2, comb(3 * d - 4, 3 * d1 - 1)
+    return d1 * d1 * d2 * d2, comb(3 * d - 4, 3 * d1 - 2)
+
+
 def recursion_nd(d_max: int) -> NdTable:
     """Table of curve counts for degrees 1..d_max via the quadratic recursion."""
     if d_max < 1:
@@ -63,11 +79,9 @@ def recursion_nd(d_max: int) -> NdTable:
     for d in range(2, d_max + 1):
         total = 0
         for d1 in range(1, d):
-            d2 = d - d1
-            total += (
-                d1 * d1 * d2 * d2 * comb(3 * d - 4, 3 * d1 - 2)
-                - d1**3 * d2 * comb(3 * d - 4, 3 * d1 - 1)
-            ) * n[d1] * n[d2]
+            coeff_a, choose_a = _trade_term("A", d, d1)
+            coeff_b, choose_b = _trade_term("B", d, d1)
+            total += (coeff_b * choose_b - coeff_a * choose_a) * n[d1] * n[d - d1]
         n[d] = total
     return NdTable(tuple(n))
 
@@ -84,10 +98,11 @@ def wdvv_sides(d: int, nd: NdTable) -> Tuple[int, int]:
     lhs_a = nd[d]
     rhs_b = 0
     for d1 in range(1, d):
-        d2 = d - d1
-        nn = nd[d1] * nd[d2]
-        lhs_a += d1**3 * d2 * comb(3 * d - 4, 3 * d1 - 1) * nn
-        rhs_b += d1 * d1 * d2 * d2 * comb(3 * d - 4, 3 * d1 - 2) * nn
+        nn = nd[d1] * nd[d - d1]
+        coeff_a, choose_a = _trade_term("A", d, d1)
+        coeff_b, choose_b = _trade_term("B", d, d1)
+        lhs_a += coeff_a * choose_a * nn
+        rhs_b += coeff_b * choose_b * nn
     return lhs_a, rhs_b
 
 
@@ -370,20 +385,14 @@ def reducible_census(d: int, cfg: PointConfig) -> Census:
             per_set[key] = per_set.get(key, 0) + e.mult
     b_totals: Dict[Tuple[int, int], int] = {}
     for (d1, d2, marks), tot in per_set.items():
-        if ray == "A":
-            want = d1**3 * d2 * nd[d1] * nd[d2]
-        else:
-            want = d1 * d1 * d2 * d2 * nd[d1] * nd[d2]
+        want = _trade_term(ray, d, d1)[0] * nd[d1] * nd[d2]
         if tot != want:
             raise StructuralViolation(
                 f"split {(d1, d2)} with marks {marks} totals {tot}, expected {want}"
             )
         b_totals[(d1, d2)] = b_totals.get((d1, d2), 0) + tot
     for (d1, d2), tot in sorted(b_totals.items()):
-        choose = (
-            comb(3 * d - 4, 3 * d1 - 1) if ray == "A" else comb(3 * d - 4, 3 * d1 - 2)
-        )
-        coeff = d1**3 * d2 if ray == "A" else d1 * d1 * d2 * d2
+        coeff, choose = _trade_term(ray, d, d1)
         if tot != coeff * choose * nd[d1] * nd[d2]:
             raise StructuralViolation(
                 f"split {(d1, d2)} grand total {tot} off the recursion term"

@@ -14,12 +14,9 @@ from tropcount.enumeration import (
     FiberSolution,
     GeneralPositionViolation,
     PointConfig,
-    _emit_ev_solution,
     _ev_tree_data,
     _pi_tree_data,
     _placement_ray,
-    _plan,
-    _run_plan,
     _search_tree,
     _sector,
     _sector_has,
@@ -550,7 +547,12 @@ def test_ev_solutions_exact_on_drawn_points(d, data):
 
 
 def fraction_run_plan(plan, dirs, assign, pts, pos, lens):
-    """The Fraction plan solve that _run_plan replaced: the oracle."""
+    """Solve one component of a cut tree bottom-up, in fractions; returns
+    the written keys, or None when a length is negative.
+
+    Each vertex is the intersection of two lines anchored below it, one per
+    branch: a mark's point or a solved child vertex.  Both intersection
+    parameters are lengths; an exact zero raises."""
     written = []
 
     def line(br):
@@ -580,103 +582,27 @@ def fraction_run_plan(plan, dirs, assign, pts, pos, lens):
     return written
 
 
-def test_run_plan_matches_fraction_oracle(monkeypatch):
-    """Every plan solve of the d = 1, 2 fibers, pruned ones included, gives
-    the oracle's outcome and, read as fractions, its vertices and lengths."""
-    real = enumeration._run_plan
-    shapes = set()
-
-    def as_fractions(pos, lens):
-        fpos = {k: (Fraction(x, dv), Fraction(y, dv)) for k, (x, y, dv) in pos.items()}
-        return fpos, {k: Fraction(num, dv) for k, (num, dv) in lens.items()}
-
-    def checked(plan, dirs, assign, ipts, pos, lens):
-        shapes.update((b1[0], b2[0]) for _, b1, b2 in plan)
-        fpos, flens = as_fractions(pos, lens)
-        try:
-            want = fraction_run_plan(plan, dirs, assign, ipts, fpos, flens)
-        except GeneralPositionViolation:
-            want = "degenerate"
-        try:
-            got = real(plan, dirs, assign, ipts, pos, lens)
-        except GeneralPositionViolation:
-            got = "degenerate"
-        assert got == want
-        assert as_fractions(pos, lens) == (fpos, flens)
-        return None if got == "degenerate" else got
-
-    monkeypatch.setattr(enumeration, "_run_plan", checked)
-    for d in (1, 2):
-        for seed in range(10):
-            fiber(EV, d, ev_config(d, seed))
-    assert shapes == {("m", "m"), ("m", "c"), ("c", "m"), ("c", "c")}
-
-
-direction = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
-    lambda v: v != (0, 0)
-)
-
-
-@st.composite
-def drawn_plans(draw, depth=3):
-    """A plan over a random binary tree whose lines are built backwards from
-    drawn vertex positions and lengths (zero and negative ones included),
-    with the dirs, assign and integer points it reads."""
-    dirs, points, assign, plan = [], [], {}, []
-
-    def vertex(at, levels):
-        branches = []
-        while len(branches) < 2:
-            v = draw(direction)
-            if branches and branches[0][1][0] * v[1] - branches[0][1][1] * v[0] == 0:
-                continue
-            # one length in ten is zero or negative
-            s = draw(st.integers(1, 6) if draw(st.integers(0, 9)) else st.integers(-2, 0))
-            anchor = (at[0] - s * v[0], at[1] - s * v[1])
-            f = len(dirs)
-            if levels and draw(st.booleans()):
-                dirs.append(v)  # a solved child vertex sits at the anchor
-                w = vertex(anchor, levels - 1)
-                branches.append((("c", w, f, f), v))
-            else:
-                dirs.append((-v[0], -v[1]))  # a mark line runs back along -dirs[f]
-                assign[f] = len(points)
-                points.append(anchor)
-                branches.append((("m", f, f, None), v))
-        plan.append((len(plan), branches[0][0], branches[1][0]))
-        return len(plan) - 1
-
-    top = draw(st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
-    vertex(top, depth)
-    return plan, dirs, assign, points
-
-
-@settings(max_examples=300, deadline=None)
-@given(drawn_plans())
-def test_run_plan_matches_fraction_oracle_on_drawn_plans(case):
-    plan, dirs, assign, points = case
-    fpos, flens = {}, {}
-    try:
-        want = fraction_run_plan(plan, dirs, assign, points, fpos, flens)
-    except GeneralPositionViolation:
-        want = "degenerate"
-    pos, lens = {}, {}
-    try:
-        got = enumeration._run_plan(plan, dirs, assign, points, pos, lens)
-    except GeneralPositionViolation:
-        got = "degenerate"
-    assert got == want
-    if want != "degenerate":
-        assert {k: (Fraction(x, dv), Fraction(y, dv)) for k, (x, y, dv) in pos.items()} == fpos
-        assert {k: Fraction(num, dv) for k, (num, dv) in lens.items()} == flens
-
-
 def test_ev_fiber_coincident_points_raise():
     with pytest.raises(GeneralPositionViolation):
         fiber(EV, 1, PointConfig(((0, 0), (0, 0))))
     pts = ev_config(2, 0).points
     with pytest.raises(GeneralPositionViolation):
         fiber(EV, 2, PointConfig(pts[:4] + (pts[1],)))
+
+
+def test_ev_fiber_prunes_a_negative_length_before_a_zero_one():
+    # some placement here solves to a zero length and a negative one; it is
+    # pruned, where solving its lengths in end-flag order met the zero first
+    # and raised
+    F = Fraction
+    pts = (
+        (F(22, 5), F(37, 7)),
+        (F(43, 5), F(-36, 11)),
+        (F(29, 3), F(33, 7)),
+        (F(22, 5), F(-47, 5)),
+        (F(51, 7), F(49, 11)),
+    )
+    assert ev_fiber_is_exact(2, PointConfig(pts))
 
 
 def cut_structures(td):
@@ -731,6 +657,28 @@ def component_plan(td, ends, cut, kept_end):
     return plan
 
 
+def emit_ev_solution(td, assign, pos, lens, found, n):
+    """Build the marked type of a one-mark-per-host placement and its
+    solution from the vertices and lengths the plans solved."""
+    g = td.t.graph
+    placements = {h: [("mark", m)] for h, m in assign.items()}
+    mt, piece_ids = _subdivide(td.t, placements, n)
+    key = canonical_plane_form(mt)
+    if key in found:
+        return
+    lengths = {k[1]: v for k, v in lens.items() if k[0] == "e"}
+    for h, ids in piece_ids.items():
+        far = g.flag_partner[h]
+        lengths[ids[0]] = lens[("p", h)]
+        if far is not None:
+            lengths[ids[1]] = lens[("p", far)]
+    root_pos = pos[("v", 0)]
+    mult = curve_multiplicity(mt.with_lengths(lengths, 0, root_pos))
+    assert mult == multiplicity(ev_matrix(mt)) > 0
+    coords = root_pos + tuple(lengths[e] for e in mt.graph.bounded_edges())
+    found[key] = FiberSolution(mt, coords, mult)
+
+
 def cut_structure_ev_fiber(d, cfg):
     """Oracle: the evaluation search the shared placement search replaced.
 
@@ -741,8 +689,7 @@ def cut_structure_ev_fiber(d, cfg):
     n = 3 * d - 1
     if len(set(cfg.points)) != n:
         raise GeneralPositionViolation("two input points coincide")
-    scale = math.lcm(*(c.denominator for p in cfg.points for c in p))
-    ipts = [(int(x * scale), int(y * scale)) for x, y in cfg.points]
+    ipts = scaled_points(cfg)
     found = {}
     for td in _ev_tree_data(d):
         secs = td.sectors()
@@ -762,7 +709,7 @@ def cut_structure_ev_fiber(d, cfg):
 
                 def rec(k):
                     if k == n:
-                        _emit_ev_solution(td, assign, pos, lens, found, n, scale)
+                        emit_ev_solution(td, assign, pos, lens, found, n)
                         return
                     h = host_seq[k]
                     for m in range(n):
@@ -778,7 +725,9 @@ def cut_structure_ev_fiber(d, cfg):
                         solved = []
                         for ci in completes.get(k, ()):
                             plan = component_plan(td, *comps[ci], kept[ci])
-                            written = _run_plan(plan, td.t.dirs, assign, ipts, pos, lens)
+                            written = fraction_run_plan(
+                                plan, td.t.dirs, assign, cfg.points, pos, lens
+                            )
                             if written is None:
                                 break
                             solved.append(written)
@@ -826,30 +775,6 @@ def test_ev_fiber_matches_cut_structure_oracle_on_drawn_points(d, data):
         assert ev_fiber_is_exact(d, cfg)
     else:
         assert got == want
-
-
-def test_plan_stops_at_a_second_free_end():
-    # a line through two points with both marks on one end: the other two
-    # ends stay free in one component, a string
-    td = _ev_tree_data(1)[0]
-    g = td.t.graph
-    e1, e2, e3 = g.end_flags()
-    assert _plan(td, {e1: 0, e2: 1}, e3) is not None
-    assert _plan(td, {e1: 0}, e2) is None
-    assert _plan(td, {e1: 0}, e3) is None
-    # at d = 2 the walk finds the second free end across the bounded edges
-    for td in _ev_tree_data(2):
-        g = td.t.graph
-        ends = g.end_flags()
-        far = max(
-            itertools.combinations(ends, 2),
-            key=lambda pair: len(g.path_flags(*(g.flag_vertex[f] for f in pair))),
-        )
-        assign = {f: m for m, f in enumerate(f for f in ends if f not in far)}
-        assert _plan(td, assign, far[0]) is None
-        assign[far[1]] = len(assign)
-        plan = _plan(td, assign, far[0])
-        assert sorted(u for u, _, _ in plan) == list(range(g.num_vertices))
 
 
 @pytest.mark.parametrize("ray", ["A", "B", "C"])
@@ -1069,11 +994,26 @@ def test_decompose_mark_side_bookkeeping():
     assert n1 >= 1 and n2 >= 1
 
 
-def test_multiplicity_cross_check_survives_optimize_flag():
+@pytest.mark.parametrize(
+    "patch",
+    [
+        "e.curve_multiplicity = lambda c: 0",
+        # the leaf determinant off by one
+        "solve = e.solve\n"
+        "def off_by_one(rows, rhs):\n"
+        "    res = solve(rows, rhs)\n"
+        "    if res.det is not None:\n"
+        "        res.det += 1\n"
+        "    return res\n"
+        "e.solve = off_by_one",
+    ],
+    ids=["vertex-product", "leaf-determinant"],
+)
+def test_multiplicity_cross_check_survives_optimize_flag(patch):
     # under python -O an assert would vanish; the engines raise instead
     script = (
         "from tropcount import enumeration as e\n"
-        "e.curve_multiplicity = lambda c: 0\n"
+        f"{patch}\n"
         "try:\n"
         "    e.fiber(e.EV, 1, e.ev_config(1, 0))\n"
         "except AssertionError:\n"
