@@ -1,9 +1,10 @@
 """Command-line surface: recursion tables, fiber reports, experiments, SVG.
 
 Exit codes: 0 success, 2 usage or input-file problems, 3 no general-position
-sample within the retry cap, 4 invariance violation, 5 non-transverse
-intersection input, 6 census bookkeeping violation.  Output is byte-stable
-for a fixed (command, flags, seed) triple.
+sample within the retry cap or a degenerate --points file, 4 invariance
+violation, 5 non-transverse intersection input, 6 census bookkeeping
+violation.  Output is byte-stable for a fixed (command, flags, seed) triple.
+Each subparser names its handler (`run`), which reads the parsed arguments.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .enumeration import (
     EV,
@@ -44,21 +44,6 @@ EXIT_NON_TRANSVERSE = 5
 EXIT_CENSUS = 6
 
 
-@dataclass
-class RunConfig:
-    """Parsed invocation: everything a command needs, seed resolved."""
-
-    command: str
-    d: int = 0
-    seed: int = 0
-    trials: int = 0
-    out: Optional[str] = None
-    format: str = "text"
-    inputs: tuple = ()
-    points_file: Optional[str] = None
-    dmax: int = 0
-
-
 class _BadInput(Exception):
     """An input file whose content does not describe what was asked for."""
 
@@ -80,7 +65,10 @@ def _usage(msg: str) -> SystemExit:
     return SystemExit(EXIT_USAGE)
 
 
-def _default_seed() -> int:
+def _seed(ns: argparse.Namespace) -> int:
+    """--seed, else TROPICAL_SEED, else 0; read only by commands that sample."""
+    if ns.seed is not None:
+        return ns.seed
     env = os.environ.get("TROPICAL_SEED")
     if env is None:
         return 0
@@ -90,24 +78,26 @@ def _default_seed() -> int:
         raise _usage(f"TROPICAL_SEED must be an integer, got {env!r}")
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out is None:
+def _emit(out, text: str) -> None:
+    """Write text, newline-terminated, to the file out, or to stdout if None."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        with open(cfg.out, "w") as fh:
+        with open(out, "w") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
 
 
-def cmd_nd(cfg: RunConfig) -> int:
-    nd = recursion_nd(cfg.dmax)
-    if cfg.format == "json":
-        _emit(cfg, json.dumps({str(d): n for d, n in nd.items()}, sort_keys=True))
+def cmd_nd(ns: argparse.Namespace) -> int:
+    if ns.dmax < 1:
+        raise _usage("--dmax must be at least 1")
+    nd = recursion_nd(ns.dmax)
+    if ns.json:
+        text = json.dumps({str(d): n for d, n in nd.items()}, sort_keys=True)
     else:
-        _emit(cfg, "\n".join(f"{d}: {n}" for d, n in nd.items()))
+        text = "\n".join(f"{d}: {n}" for d, n in nd.items())
+    _emit(ns.out, text)
     return EXIT_OK
 
 
@@ -125,32 +115,38 @@ def _solution_json(s) -> dict:
     }
 
 
-def cmd_count(cfg: RunConfig) -> int:
-    if cfg.points_file is not None:
-        pc = _read_json(cfg.points_file, PointConfig.from_json)
-        if len(pc.points) != 3 * cfg.d - 1:
-            sys.stderr.write(
-                f"error: degree {cfg.d} needs {3 * cfg.d - 1} points, "
-                f"file has {len(pc.points)}\n"
-            )
-            return EXIT_USAGE
-        sols = fiber(EV, cfg.d, pc)
+def cmd_count(ns: argparse.Namespace) -> int:
+    if ns.d < 1:
+        raise _usage("--d must be at least 1")
+    if ns.points is None:
+        if ns.d > 3:
+            raise _usage("direct enumeration is limited to --d 3")
+        pc, sols = sampled_fiber(EV, ns.d, _seed(ns))
     else:
-        pc, sols = sampled_fiber(EV, cfg.d, cfg.seed)
+        pc = _read_json(ns.points, PointConfig.from_json)
+        if len(pc.points) != 3 * ns.d - 1:
+            raise _BadInput(
+                f"degree {ns.d} needs {3 * ns.d - 1} points, file has {len(pc.points)}"
+            )
+        sols = fiber(EV, ns.d, pc)
     report = {
         "map": "ev",
-        "d": cfg.d,
+        "d": ns.d,
         "points": [[fraction_str(x), fraction_str(y)] for x, y in pc.points],
         "solutions": [_solution_json(s) for s in sols],
         "total": sum(s.mult for s in sols),
     }
-    _emit(cfg, json.dumps(report, sort_keys=True, indent=2))
+    _emit(ns.out, json.dumps(report, sort_keys=True, indent=2))
     return EXIT_OK
 
 
-def cmd_invariance(cfg: RunConfig) -> int:
-    report = invariance_check(cfg.d, cfg.trials, cfg.seed)
-    _emit(cfg, f"degree = {report.degree}, invariant: yes")
+def cmd_invariance(ns: argparse.Namespace) -> int:
+    if ns.d < 2:
+        raise _usage("--d must be at least 2")
+    if ns.trials < 1:
+        raise _usage("--trials must be at least 1")
+    report = invariance_check(ns.d, ns.trials, _seed(ns))
+    _emit(ns.out, f"degree = {report.degree}, invariant: yes")
     return EXIT_OK
 
 
@@ -163,20 +159,15 @@ def _curve_from_json(data):
     return plane_curve_from_json(data)
 
 
-def _load_curve(path: str):
-    return _read_json(path, _curve_from_json)
-
-
-def cmd_intersect(cfg: RunConfig) -> int:
-    c1 = _load_curve(cfg.inputs[0])
-    c2 = _load_curve(cfg.inputs[1])
+def cmd_intersect(ns: argparse.Namespace) -> int:
+    c1, c2 = [_read_json(path, _curve_from_json) for path in ns.files]
     hits = tropical_intersection(c1, c2)
     total = sum(m for _, m in hits)
     lines = [
         f"{fraction_str(p[0])}, {fraction_str(p[1])}: {m}" for p, m in hits
     ]
     lines.append(f"total = {total}")
-    _emit(cfg, "\n".join(lines))
+    _emit(ns.out, "\n".join(lines))
     return EXIT_OK
 
 
@@ -238,9 +229,8 @@ def _svg_render(c) -> str:
     )
 
 
-def cmd_render(cfg: RunConfig) -> int:
-    c = _load_curve(cfg.inputs[0])
-    _emit(cfg, _svg_render(c))
+def cmd_render(ns: argparse.Namespace) -> int:
+    _emit(ns.svg, _svg_render(_read_json(ns.file, _curve_from_json)))
     return EXIT_OK
 
 
@@ -255,6 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     nd.add_argument("--dmax", type=int, required=True)
     nd.add_argument("--json", action="store_true")
     nd.add_argument("--out")
+    nd.set_defaults(run=cmd_nd)
 
     count = sub.add_parser("count", help="evaluation fiber through sampled points")
     count.add_argument("--d", type=int, required=True)
@@ -262,74 +253,32 @@ def _build_parser() -> argparse.ArgumentParser:
     count.add_argument("--points", metavar="FILE",
                        help="JSON point configuration instead of sampling")
     count.add_argument("--out")
+    count.set_defaults(run=cmd_count)
 
     inv = sub.add_parser("invariance", help="fiber degree across rays and lengths")
     inv.add_argument("--d", type=int, required=True)
     inv.add_argument("--trials", type=int, default=3)
     inv.add_argument("--seed", type=int, default=None)
     inv.add_argument("--out")
+    inv.set_defaults(run=cmd_invariance)
 
     itx = sub.add_parser("intersect", help="stable intersection of two curve files")
     itx.add_argument("files", nargs=2, metavar="FILE")
     itx.add_argument("--out")
+    itx.set_defaults(run=cmd_intersect)
 
     ren = sub.add_parser("render", help="draw a curve file as SVG")
     ren.add_argument("file", metavar="FILE")
     ren.add_argument("--svg", metavar="OUT", help="output path (default stdout)")
+    ren.set_defaults(run=cmd_render)
 
     return p
 
 
-def _run_config(ns: argparse.Namespace) -> RunConfig:
-    seed = getattr(ns, "seed", None)
-    if seed is None:
-        seed = _default_seed()
-    cfg = RunConfig(command=ns.command, seed=seed)
-    if ns.command == "nd":
-        if ns.dmax < 1:
-            raise _usage("--dmax must be at least 1")
-        cfg.dmax = ns.dmax
-        cfg.format = "json" if ns.json else "text"
-        cfg.out = ns.out
-    elif ns.command == "count":
-        if ns.d < 1:
-            raise _usage("--d must be at least 1")
-        if ns.d > 3 and ns.points is None:
-            raise _usage("direct enumeration is limited to --d 3")
-        cfg.d = ns.d
-        cfg.points_file = ns.points
-        cfg.out = ns.out
-    elif ns.command == "invariance":
-        if ns.d < 2:
-            raise _usage("--d must be at least 2")
-        if ns.trials < 1:
-            raise _usage("--trials must be at least 1")
-        cfg.d = ns.d
-        cfg.trials = ns.trials
-        cfg.out = ns.out
-    elif ns.command == "intersect":
-        cfg.inputs = tuple(ns.files)
-        cfg.out = ns.out
-    elif ns.command == "render":
-        cfg.inputs = (ns.file,)
-        cfg.out = ns.svg
-    return cfg
-
-
-_DISPATCH = {
-    "nd": cmd_nd,
-    "count": cmd_count,
-    "invariance": cmd_invariance,
-    "intersect": cmd_intersect,
-    "render": cmd_render,
-}
-
-
 def main(argv=None) -> int:
     ns = _build_parser().parse_args(argv)
-    cfg = _run_config(ns)
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return ns.run(ns)
     except GeneralPositionViolation as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DEGENERATE

@@ -908,6 +908,8 @@ def invariance_check(d: int, trials: int, seed: int = 0) -> InvarianceReport:
     each, for `trials` random configurations; they must all agree."""
     if d < 2:
         raise ValueError("invariance needs degree at least 2")
+    if trials < 1:
+        raise ValueError("invariance needs at least one trial")
     checks = []
     for t in range(trials):
         for ray in ("A", "B", "C"):

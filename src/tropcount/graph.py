@@ -388,8 +388,9 @@ def enumerate_abstract_types(n: int):
     yield from out
 
 
-def _contract_edge_graph(g: Graph, e: int) -> Graph:
-    """Contract bounded edge e, merging its endpoints."""
+def contract_edge_type(t: AbstractType, e: int) -> AbstractType:
+    """Contract bounded edge e, merging its endpoints; marks follow their flags."""
+    g = t.graph
     f1, f2 = e, g.flag_partner[e]
     v_keep = min(g.flag_vertex[f1], g.flag_vertex[f2])
     v_drop = max(g.flag_vertex[f1], g.flag_vertex[f2])
@@ -408,15 +409,7 @@ def _contract_edge_graph(g: Graph, e: int) -> Graph:
         fv.append(v)
         p = g.flag_partner[f]
         fp.append(None if p is None else remap[p])
-    return Graph(fv, fp)
-
-
-def contract_edge_type(t: AbstractType, e: int) -> AbstractType:
-    g = t.graph
-    f1, f2 = e, g.flag_partner[e]
-    keep = [f for f in range(g.num_flags()) if f not in (f1, f2)]
-    remap = {f: i for i, f in enumerate(keep)}
-    return AbstractType(_contract_edge_graph(g, e), tuple(remap[m] for m in t.marks))
+    return AbstractType(Graph(fv, fp), tuple(remap[m] for m in t.marks))
 
 
 def _contraction_closure(t: AbstractType):

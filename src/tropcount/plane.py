@@ -289,6 +289,8 @@ def plane_curve_to_json(c: PlaneCurve) -> dict:
 
 def plane_curve_from_json(data: dict) -> PlaneCurve:
     g = graph_from_json(data["graph"])
+    if any(type(m) is not int for m in data["marks"]):
+        raise ValueError("marks must be JSON integers")
     curve = MarkedAbstractCurve(g, tuple(data["marks"]))
     dirs = tuple((a, b) for a, b in data["directions"])
     if any(type(x) is not int for v in dirs for x in v):

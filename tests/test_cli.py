@@ -79,6 +79,30 @@ def test_count_env_seed_default(capsys, monkeypatch):
     assert via_env == via_flag
 
 
+def test_env_seed_read_only_when_sampling(capsys, monkeypatch, tmp_path):
+    a = tmp_path / "a.json"
+    b = tmp_path / "b.json"
+    assert main(["count", "--d", "1", "--seed", "0", "--out", str(a)]) == 0
+    assert main(["count", "--d", "1", "--seed", "1", "--out", str(b)]) == 0
+    points = write_points(tmp_path / "pts.json", [(0, 0), (5, 3)])
+    unseeded = [
+        ["nd", "--dmax", "2"],
+        ["intersect", str(a), str(b)],
+        ["render", str(a)],
+        ["count", "--d", "1", "--points", points],
+    ]
+    capsys.readouterr()
+    plain = [run(capsys, argv) for argv in unseeded]
+    assert all(code == 0 for code, _ in plain)
+    monkeypatch.setenv("TROPICAL_SEED", "abc")
+    assert [run(capsys, argv) for argv in unseeded] == plain
+    for argv in (["count", "--d", "1"], ["invariance", "--d", "2", "--trials", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "TROPICAL_SEED must be an integer" in capsys.readouterr().err
+
+
 def test_count_points_file(capsys, tmp_path):
     path = write_points(tmp_path / "pts.json", [(0, 0), (5, 3)])
     code, out = run(capsys, ["count", "--d", "1", "--points", path])
@@ -208,6 +232,35 @@ def test_render_curve_bad_number(capsys, tmp_path, spoil):
     spoil(curve)
     text = json.dumps(curve)
     malformed_input_exit(capsys, tmp_path / "c.json", text, ["render"])
+
+
+def one_mark_line(mark):
+    """A tropical line with one vertex; flag 1 is its contracted end."""
+    return {
+        "graph": {
+            "flags": [{"id": f, "vertex": 0, "partner": None} for f in range(4)],
+            "lengths": {},
+        },
+        "marks": [mark],
+        "directions": [[-1, 0], [0, 0], [0, -1], [1, 1]],
+        "root": 0,
+        "root_pos": ["1/2", "-3"],
+    }
+
+
+def test_render_one_mark_line(capsys, tmp_path):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(one_mark_line(1)))
+    code, out = run(capsys, ["render", str(path)])
+    assert code == 0
+    assert out.count('class="ray"') == 3
+    assert out.count('class="mark"') == 1
+
+
+def test_render_boolean_mark(capsys, tmp_path):
+    # true is not flag 1
+    text = json.dumps(one_mark_line(True))
+    malformed_input_exit(capsys, tmp_path / "line.json", text, ["render"])
 
 
 def test_count_degenerate_points_exit(capsys, tmp_path):

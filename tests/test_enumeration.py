@@ -838,6 +838,8 @@ def test_invariance_check_conic():
     assert len(lengths) >= 2
     with pytest.raises(ValueError):
         invariance_check(1, trials=1)
+    with pytest.raises(ValueError):
+        invariance_check(2, trials=0)
 
 
 def scaled_points(cfg):

@@ -53,3 +53,10 @@ def test_no_float_outside_svg_render():
             assert allowed  # SVG coordinates are printed through float()
         stray = [sub for sub in floats_in(tree) if id(sub) not in allowed]
         assert not stray, f"{module} line {stray[0].lineno} uses a float"
+
+
+def test_no_assert_statements():
+    # invariants raise, so they survive python -O
+    for module, tree in parsed():
+        stray = [node for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not stray, f"{module} line {stray[0].lineno} uses assert"
