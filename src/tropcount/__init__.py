@@ -18,8 +18,6 @@ from .enumeration import (
     base_trees,
     curve_multiplicity,
     decompose_reducible,
-    degree,
-    enumerate_plane_types,
     fiber,
     find_string,
     invariance_check,

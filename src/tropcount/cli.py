@@ -132,7 +132,7 @@ def cmd_count(ns: argparse.Namespace) -> int:
     report = {
         "map": "ev",
         "d": ns.d,
-        "points": [[fraction_str(x), fraction_str(y)] for x, y in pc.points],
+        "points": pc.to_json()["points"],
         "solutions": [_solution_json(s) for s in sols],
         "total": sum(s.mult for s in sols),
     }

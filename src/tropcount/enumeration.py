@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .graph import (
     AbstractType,
@@ -84,14 +84,6 @@ class PointConfig:
             (Fraction(x), Fraction(y)) for x, y in self.points
         )
         object.__setattr__(self, "points", pts)
-
-    @property
-    def line_x(self) -> Fraction:
-        return self.points[0][0]
-
-    @property
-    def line_y(self) -> Fraction:
-        return self.points[1][1]
 
     def to_json(self) -> dict:
         data = {
@@ -203,46 +195,20 @@ def pi_config(
 _BASE_TREES: Dict[int, Tuple[PlaneType, ...]] = {}
 
 
-def _marked_type_stream(d: int, n: int) -> Iterator[PlaneType]:
-    # Labeled-tree enumeration visits every leaf permutation, so one fixed
-    # assignment of labels to marks and direction classes is complete.
-    seen = set()
-    for g, leaves in trivalent_trees_on_leaves(3 * d + n):
-        marks = tuple(leaves[:n])
-        end_dirs = {
-            f: _DIRECTION_CLASSES[j // d] for j, f in enumerate(leaves[n:])
-        }
-        dirs = derive_directions(g, marks, end_dirs)
-        t = PlaneType(AbstractType(g, marks), dirs)
-        key = canonical_plane_form(t)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield t
-
-
 def base_trees(d: int) -> Tuple[PlaneType, ...]:
-    """Unmarked trivalent image trees of projective degree d, one per class."""
-    if d not in _BASE_TREES:
-        _BASE_TREES[d] = tuple(_marked_type_stream(d, 0))
-    return _BASE_TREES[d]
+    """Unmarked trivalent image trees of projective degree d, one per class.
 
-
-def enumerate_plane_types(d: int, n: int) -> Iterator[PlaneType]:
-    """Every trivalent n-marked plane type of degree d, exactly once per class.
-
-    Complete but exhaustive over labeled trees on 3d+n leaves; meant for
-    small inputs and cross-checks.  The fiber engines below insert marks
-    incrementally instead of consuming this stream.
+    The ends are the grower's leaves, classed by direction, so the trees
+    come in the order the labeled walk first reaches each class.
     """
-    if d < 1:
-        raise ValueError("degree must be at least 1")
-    if n < 0:
-        raise ValueError("mark count must be nonnegative")
-    if n == 0:
-        yield from base_trees(d)
-    else:
-        yield from _marked_type_stream(d, n)
+    if d not in _BASE_TREES:
+        classes = [c for c in _DIRECTION_CLASSES for _ in range(d)]
+        trees = []
+        for g, leaves in trivalent_trees_on_leaves(classes):
+            dirs = derive_directions(g, (), dict(zip(leaves, classes)))
+            trees.append(PlaneType(AbstractType(g, ()), dirs))
+        _BASE_TREES[d] = tuple(trees)
+    return _BASE_TREES[d]
 
 
 # ---------------------------------------------------------------------------
@@ -862,10 +828,6 @@ def fiber(map_kind: str, d: int, cfg: PointConfig) -> List[FiberSolution]:
         which = [(0, 0), (1, 1)] + [(m, c) for m in range(2, n) for c in (0, 1)]
         return _fiber(d, cfg, which, _pi_tree_data(d), cfg.m4)
     raise ValueError(f"unknown map kind: {map_kind!r}")
-
-
-def degree(map_kind: str, d: int, cfg: PointConfig) -> int:
-    return sum(s.mult for s in fiber(map_kind, d, cfg))
 
 
 def sampled_fiber(

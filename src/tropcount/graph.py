@@ -9,7 +9,7 @@ unbounded edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -170,9 +170,6 @@ class Graph:
                     break
         return tuple(out)
 
-    def length(self, e: int) -> Fraction:
-        return self.lengths[e]
-
     def without_lengths(self) -> "Graph":
         return Graph(self.flag_vertex, self.flag_partner, None)
 
@@ -225,15 +222,6 @@ class AbstractType:
     def codim(self) -> int:
         g = self.graph
         return sum(g.valence(v) - 3 for v in range(g.num_vertices))
-
-
-def cell_dimension_abstract(t, n: int) -> int:
-    """Moduli cell dimension for an n-marked abstract type: n - 3 - codim."""
-    if n < 3:
-        raise ValueError("moduli space is empty for n < 3")
-    if len(t.marks) != n:
-        raise ValueError("mark count mismatch")
-    return n - 3 - t.codim()
 
 
 def _leaf_label(t, class_of, f):
@@ -335,18 +323,38 @@ def graph_from_json(data: dict) -> Graph:
     return Graph(fv, fp, lengths)
 
 
-def trivalent_trees_on_leaves(leaf_count: int):
-    """All trivalent trees on labeled leaves, each labeled tree exactly once.
+def trivalent_trees_on_leaves(classes):
+    """Trivalent trees on leaves of the given classes, one per iso class.
 
-    Yields (graph, leaves) where leaves[i] is the end flag carrying label i.
-    Classic growth: hang leaf k on every edge of every tree on k-1 leaves.
+    Leaf i has class classes[i]; two trees are the same when some
+    isomorphism maps every leaf to a leaf of its class.  Yields (graph,
+    leaves) where leaves[i] is the end flag of leaf i.  Classic growth:
+    hang leaf k on every edge of every tree on leaves 0..k-1, depth first,
+    and grow no partial tree isomorphic to one already grown at its size.
+    An isomorphism carries the growths of one partial tree onto those of
+    the other, so each tree kept is the first of its class that the
+    unpruned walk reaches, in the walk's order.  With all classes distinct
+    this is the labeled walk: each labeled tree once.
     """
-    if leaf_count < 3:
+    n = len(classes)
+    if n < 3:
         raise ValueError("need at least 3 leaves")
+    kinds = list(dict.fromkeys(classes))
+    kind = [kinds.index(c) for c in classes]
+    grown = [set() for _ in range(n + 1)]
 
-    def grow(fv, fp, leaf_flags, next_leaf):
-        if next_leaf == leaf_count:
-            yield Graph(fv, fp), tuple(leaf_flags)
+    def grow(fv, fp, leaf_flags):
+        k = len(leaf_flags)
+        g = Graph(fv, fp)
+        groups = [[] for _ in kinds]
+        for i, f in enumerate(leaf_flags):
+            groups[kind[i]].append(f)
+        key = canonical_form(AbstractType(g, ()), groups)
+        if key in grown[k]:
+            return
+        grown[k].add(key)
+        if k == n:
+            yield g, tuple(leaf_flags)
             return
         nf = len(fv)
         edges = [f for f, p in enumerate(fp) if p is None or f < p]
@@ -367,61 +375,6 @@ def trivalent_trees_on_leaves(leaf_count: int):
                 # the subdivided edge was itself a leaf; its end moved outward
                 lf2[lf2.index(e)] = fwd_flag
             lf2.append(leaf_flag)
-            yield from grow(fv2, fp2, lf2, next_leaf + 1)
+            yield from grow(fv2, fp2, lf2)
 
-    yield from grow([0, 0, 0], [None, None, None], [0, 1, 2], 3)
-
-
-def enumerate_abstract_types(n: int):
-    """All abstract n-marked types (any codim) in M_n, one per iso class."""
-    if n < 3:
-        return
-    seen = set()
-    out = []
-    for g, ends in trivalent_trees_on_leaves(n):
-        t = AbstractType(g, ends)
-        for contracted in _contraction_closure(t):
-            key = canonical_form(contracted)
-            if key not in seen:
-                seen.add(key)
-                out.append(contracted)
-    yield from out
-
-
-def contract_edge_type(t: AbstractType, e: int) -> AbstractType:
-    """Contract bounded edge e, merging its endpoints; marks follow their flags."""
-    g = t.graph
-    f1, f2 = e, g.flag_partner[e]
-    v_keep = min(g.flag_vertex[f1], g.flag_vertex[f2])
-    v_drop = max(g.flag_vertex[f1], g.flag_vertex[f2])
-    if v_keep == v_drop:
-        raise ValueError("contracting a loop")
-    keep = [f for f in range(g.num_flags()) if f not in (f1, f2)]
-    remap = {f: i for i, f in enumerate(keep)}
-    fv = []
-    fp = []
-    for f in keep:
-        v = g.flag_vertex[f]
-        if v == v_drop:
-            v = v_keep
-        if v > v_drop:
-            v -= 1
-        fv.append(v)
-        p = g.flag_partner[f]
-        fp.append(None if p is None else remap[p])
-    return AbstractType(Graph(fv, fp), tuple(remap[m] for m in t.marks))
-
-
-def _contraction_closure(t: AbstractType):
-    """t plus everything obtainable by contracting bounded edges."""
-    stack = [t]
-    seen = {canonical_form(t)}
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for e in cur.graph.bounded_edges():
-            nxt = contract_edge_type(cur, e)
-            key = canonical_form(nxt)
-            if key not in seen:
-                seen.add(key)
-                stack.append(nxt)
+    yield from grow([0, 0, 0], [None, None, None], [0, 1, 2])

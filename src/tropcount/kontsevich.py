@@ -233,9 +233,6 @@ class Census:
     def total(self) -> int:
         return sum(e.mult for e in self.entries)
 
-    def b_total_map(self) -> Dict[Tuple[int, int], int]:
-        return dict(self.b_totals)
-
 
 def _nonzero_dir_at(c: PlaneCurve, v: int):
     for f in c.graph.flags_at(v):
@@ -326,11 +323,11 @@ def _census_case_b(s: FiberSolution, c: PlaneCurve, ray: str, d: int):
         "b",
         s.mult,
         s,
-        d1,
-        d2,
-        on_first,
-        glue1,
-        (ev1, ev2, line1, line2, glue_det),
+        d1=d1,
+        d2=d2,
+        marks_on_first=on_first,
+        glue_point=glue1,
+        factors=(ev1, ev2, line1, line2, glue_det),
     )
 
 

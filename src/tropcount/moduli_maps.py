@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import AbstractType, Graph, MarkedAbstractCurve, contract_edge_type
+from .graph import AbstractType, Graph, MarkedAbstractCurve
 from .linalg import det
 from .plane import PlaneCurve, PlaneType, image_position, vadd, vneg
 
@@ -256,13 +256,6 @@ def forget_points(c: PlaneCurve, m: int) -> PlaneCurve:
     return PlaneCurve(
         MarkedAbstractCurve(graph, new_marks), new_dirs, vremap[root_old], root_pos
     )
-
-
-def contract_plane_edge(t: PlaneType, e: int) -> PlaneType:
-    """Boundary type of the cell where bounded edge e shrinks to a point."""
-    gone = t.graph.edge_flags(e)
-    dirs = tuple(d for f, d in enumerate(t.dirs) if f not in gone)
-    return PlaneType(contract_edge_type(t.abstract, e), dirs)
 
 
 def resolve_four_valent(t: PlaneType, v: int, pairing) -> tuple:

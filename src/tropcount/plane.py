@@ -23,8 +23,6 @@ from .graph import (
     parse_fraction,
 )
 
-Direction = tuple  # (int, int)
-
 ZERO = (0, 0)
 
 
@@ -257,11 +255,6 @@ def image_segments(c: PlaneCurve):
             continue
         out.append((pos[g.flag_vertex[e]], c.dirs[e], g.lengths[e]))
     return out
-
-
-def cell_dimension_plane(t: PlaneType) -> int:
-    """|Δ| - 1 + n - codim; always 2 + #bounded edges on the nose."""
-    return len(t.unmarked_ends()) - 1 + len(t.marks) - t.codim()
 
 
 def direction_classes(t: PlaneType):

@@ -26,8 +26,6 @@ from tropcount.enumeration import (
     base_trees,
     curve_multiplicity,
     decompose_reducible,
-    degree,
-    enumerate_plane_types,
     ev_config,
     fiber,
     find_string,
@@ -70,7 +68,7 @@ def brute_force_plane_types(d, n):
     deg = projective_degree(d)
     assignments = sorted(set(itertools.permutations(deg)))
     seen = {}
-    for g, leaves in trivalent_trees_on_leaves(total):
+    for g, leaves in trivalent_trees_on_leaves(range(total)):
         for mark_sel in itertools.permutations(range(total), n):
             chosen = set(mark_sel)
             marks = tuple(leaves[i] for i in mark_sel)
@@ -164,7 +162,7 @@ def marked_line(*ray_of_mark):
 
 
 def test_line_has_one_type():
-    types = list(enumerate_plane_types(1, 0))
+    types = list(base_trees(1))
     assert len(types) == 1
     (t,) = types
     assert t.degree() == projective_degree(1)
@@ -173,31 +171,44 @@ def test_line_has_one_type():
 
 
 def test_enumeration_matches_brute_force_line_marked():
+    # marks are singleton classes of the grower, ends are classed by direction
+    deg = list(projective_degree(1))
     for n in (1, 2):
         oracle = brute_force_plane_types(1, n)
-        ours = {canonical_plane_form(t): t for t in enumerate_plane_types(1, n)}
-        assert set(ours) == set(oracle)
+        classes = [("mark", i) for i in range(n)] + deg
+        ours = set()
+        for g, leaves in trivalent_trees_on_leaves(classes):
+            marks = leaves[:n]
+            dirs = derive_directions(g, marks, dict(zip(leaves[n:], deg)))
+            ours.add(canonical_plane_form(PlaneType(AbstractType(g, marks), dirs)))
+        assert ours == set(oracle)
 
 
 def test_enumeration_matches_brute_force_conic():
     oracle = brute_force_plane_types(2, 0)
-    ours = {canonical_plane_form(t) for t in enumerate_plane_types(2, 0)}
-    assert ours == set(oracle)
+    ours = [canonical_plane_form(t) for t in base_trees(2)]
+    assert len(ours) == len(set(ours))
+    assert set(ours) == set(oracle)
 
 
 def test_enumerated_types_are_wellformed():
-    for t in enumerate_plane_types(2, 1):
+    for t in base_trees(2):
         assert t.codim() == 0
         assert t.degree() == projective_degree(2)
-        assert len(t.marks) == 1
-        assert t.dirs[t.marks[0]] == (0, 0)
+        assert t.marks == ()
+        assert all(t.dirs[f] != (0, 0) for f in t.graph.end_flags())
 
 
 def test_base_trees_cached_and_consistent():
-    assert base_trees(1) == base_trees(1)
-    assert {canonical_plane_form(t) for t in base_trees(2)} == {
-        canonical_plane_form(t) for t in enumerate_plane_types(2, 0)
-    }
+    assert base_trees(1) is base_trees(1)
+    assert base_trees(2) is base_trees(2)
+
+
+def test_degree_3_base_trees_are_distinct_classes():
+    trees = base_trees(3)
+    assert len(trees) == 1233
+    assert len({canonical_plane_form(t) for t in trees}) == 1233
+    assert all(t.degree() == projective_degree(3) for t in trees)
 
 
 # --- strings and vertex multiplicities --------------------------------------
@@ -461,8 +472,8 @@ def test_point_config_json_roundtrip():
 
 def test_line_coordinates_of_config():
     cfg = PointConfig(((Fraction(1, 2), 3), (4, Fraction(-2, 7))))
-    assert cfg.line_x == Fraction(1, 2)
-    assert cfg.line_y == Fraction(-2, 7)
+    assert cfg.points[0][0] == Fraction(1, 2)
+    assert cfg.points[1][1] == Fraction(-2, 7)
 
 
 # --- evaluation fibers -------------------------------------------------------
@@ -477,7 +488,7 @@ def test_ev_fiber_line_through_two_points():
     c = sol.curve()
     for i, p in enumerate(cfg.points):
         assert image_position(c, c.mark_vertex(i)) == p
-    assert degree(EV, 1, cfg) == 1
+    assert sum(s.mult for s in fiber(EV, 1, cfg)) == 1
 
 
 def test_ev_fiber_degenerate_input_raises():
@@ -796,8 +807,8 @@ def test_fiber_rejects_unknown_map():
 def check_pi_solution(sol: FiberSolution, cfg: PointConfig, d: int):
     c = sol.curve()
     assert len([e for e in c.graph.bounded_edges() if c.dirs[e] == (0, 0)]) == 1
-    assert image_position(c, c.mark_vertex(0))[0] == cfg.line_x
-    assert image_position(c, c.mark_vertex(1))[1] == cfg.line_y
+    assert image_position(c, c.mark_vertex(0))[0] == cfg.points[0][0]
+    assert image_position(c, c.mark_vertex(1))[1] == cfg.points[1][1]
     for i in range(2, 3 * d):
         assert image_position(c, c.mark_vertex(i)) == cfg.points[i]
     assert m4_point(c) == cfg.m4
@@ -825,7 +836,8 @@ def test_pi_degree_stable_under_free_mark_swap():
     pts = list(cfg.points)
     pts[4], pts[5] = pts[5], pts[4]
     swapped = PointConfig(tuple(pts), cfg.m4)
-    assert degree(PI, 2, cfg) == degree(PI, 2, swapped) == 2
+    totals = [sum(s.mult for s in fiber(PI, 2, c)) for c in (cfg, swapped)]
+    assert totals == [2, 2]
 
 
 def test_invariance_check_conic():
@@ -854,7 +866,7 @@ def dense_pi_fiber(d, cfg):
     ft4_coordinate, and the rows of pi_matrix are solved densely against
     the unscaled rational right-hand side."""
     n = 3 * d
-    rhs = [cfg.line_x, cfg.line_y] + [c for p in cfg.points[2:] for c in p]
+    rhs = [cfg.points[0][0], cfg.points[1][1]] + [c for p in cfg.points[2:] for c in p]
     rhs.append(cfg.m4.length)
     found = {}
 

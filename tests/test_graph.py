@@ -8,9 +8,6 @@ from tropcount.graph import (
     Graph,
     MarkedAbstractCurve,
     canonical_form,
-    cell_dimension_abstract,
-    contract_edge_type,
-    enumerate_abstract_types,
     fraction_str,
     graph_from_json,
     graph_to_json,
@@ -89,7 +86,7 @@ def test_lengths_must_cover_bounded_edges():
     with pytest.raises(ValueError):
         Graph(fv, fp, {2: 0})
     g = Graph(fv, fp, {2: Fraction(5, 3)})
-    assert g.length(2) == Fraction(5, 3)
+    assert g.lengths[2] == Fraction(5, 3)
 
 
 def test_path_flags_oriented_away_from_start():
@@ -129,64 +126,45 @@ def test_codim_examples():
     assert AbstractType(five, tuple(range(5))).codim() == 2
 
 
-def test_cell_dimension_abstract():
-    assert cell_dimension_abstract(AbstractType(star3(), (0, 1, 2)), 3) == 0
-    g = two_vertex_path()
-    caterpillar = AbstractType(g, (0, 1, 4, 5))
-    assert cell_dimension_abstract(caterpillar, 4) == 1
-    assert cell_dimension_abstract(AbstractType(star4(), (0, 1, 2, 3)), 4) == 0
-    with pytest.raises(ValueError):
-        cell_dimension_abstract(AbstractType(star3(), (0, 1, 2)), 2)
-    with pytest.raises(ValueError):
-        cell_dimension_abstract(caterpillar, 5)
-
-
 def test_labeled_trivalent_tree_counts():
     # (2n-5)!! labeled trivalent trees on n leaves
     for n, expect in [(3, 1), (4, 3), (5, 15), (6, 105)]:
-        assert sum(1 for _ in trivalent_trees_on_leaves(n)) == expect
+        assert sum(1 for _ in trivalent_trees_on_leaves(range(n))) == expect
     with pytest.raises(ValueError):
-        next(trivalent_trees_on_leaves(2))
+        next(trivalent_trees_on_leaves(range(2)))
 
 
 def test_trivalent_trees_are_trivalent_trees():
-    for g, leaves in trivalent_trees_on_leaves(5):
+    for g, leaves in trivalent_trees_on_leaves(range(5)):
         assert g.genus() == 0
         assert len(leaves) == 5
         assert all(g.valence(v) == 3 for v in range(g.num_vertices))
         assert set(leaves) == set(g.end_flags())
 
 
-def test_enumerate_abstract_types_four_marks():
-    types = list(enumerate_abstract_types(4))
-    assert len(types) == 4
-    trivalent = [t for t in types if t.codim() == 0]
-    assert len(trivalent) == 3
-    keys = {canonical_form(t) for t in types}
-    assert len(keys) == 4
+def first_tree_per_class(classes):
+    """Oracle: the labeled walk, keeping the first tree of each class."""
+    kinds = sorted(set(classes))
+    kept, seen = [], set()
+    for g, leaves in trivalent_trees_on_leaves(range(len(classes))):
+        groups = [[f for f, c in zip(leaves, classes) if c == k] for k in kinds]
+        key = canonical_form(AbstractType(g, ()), groups)
+        if key not in seen:
+            seen.add(key)
+            kept.append((g, leaves))
+    return kept
 
 
-def test_enumerate_abstract_types_five_marks():
-    # 15 trivalent + 10 one-bond splits + the 5-valent star
-    types = list(enumerate_abstract_types(5))
-    by_codim = {}
-    for t in types:
-        by_codim.setdefault(t.codim(), []).append(t)
-    assert sorted(by_codim) == [0, 1, 2]
-    assert len(by_codim[0]) == 15
-    assert len(by_codim[1]) == 10
-    assert len(by_codim[2]) == 1
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=3, max_size=7))
+def test_grower_keeps_first_tree_of_each_class(classes):
+    assert list(trivalent_trees_on_leaves(classes)) == first_tree_per_class(classes)
 
 
-def test_contract_edge_gives_expected_star():
-    g = two_vertex_path()
-    t = AbstractType(g, (0, 1, 4, 5))
-    e = g.bounded_edges()[0]
-    c = contract_edge_type(t, e)
-    assert c.graph.num_vertices == 1
-    assert c.codim() == 1
-    star = AbstractType(star4(), (0, 1, 2, 3))
-    assert canonical_form(c) == canonical_form(star)
+def test_grower_counts_unlabeled_trees():
+    # one class: 1, 1, 1, 2, 2 unlabeled trivalent trees on 3..7 leaves
+    for n, expect in [(3, 1), (4, 1), (5, 1), (6, 2), (7, 2)]:
+        assert sum(1 for _ in trivalent_trees_on_leaves([0] * n)) == expect
 
 
 @settings(max_examples=50, deadline=None)

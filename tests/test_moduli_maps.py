@@ -6,7 +6,6 @@ from tropcount.graph import AbstractType, Graph
 from tropcount.linalg import det
 from tropcount.moduli_maps import (
     M4Point,
-    contract_plane_edge,
     ev_matrix,
     forget_points,
     four_valent_resolutions,
@@ -18,7 +17,6 @@ from tropcount.moduli_maps import (
 )
 from tropcount.plane import (
     PlaneType,
-    canonical_plane_form,
     derive_directions,
     image_position,
     vadd,
@@ -290,7 +288,7 @@ def test_forget_points_merges_lengths():
     kept = forget_points(c, 1)
     assert len(kept.graph.bounded_edges()) == 1
     merged = kept.graph.bounded_edges()[0]
-    assert kept.graph.length(merged) == Fraction(7, 2)
+    assert kept.graph.lengths[merged] == Fraction(7, 2)
     assert image_position(kept, kept.mark_vertex(0)) == image_position(
         c, c.mark_vertex(0)
     )
@@ -303,15 +301,6 @@ def test_forget_points_rejects_total_collapse():
         forget_points(c, 1)
     with pytest.raises(ValueError):
         forget_points(c, 5)
-
-
-def test_contract_plane_edge_drops_codim():
-    t = conic_caterpillar()
-    e = t.graph.bounded_edges()[4]
-    c = contract_plane_edge(t, e)
-    assert c.codim() == 1
-    assert c.degree() == t.degree()
-    assert len(c.graph.bounded_edges()) == len(t.graph.bounded_edges()) - 1
 
 
 def marked_star(germ_dirs, unbounded_first=True):
@@ -386,9 +375,18 @@ def test_resolution_determinants_sum_to_zero():
 
 def test_resolution_contracts_back():
     star, _ = next(iter(star_cases()))
+    g = star.graph
+    nf, new_v = g.num_flags(), g.num_vertices
     for resolved, new_edge in four_valent_resolutions(star, 0):
-        back = contract_plane_edge(resolved, new_edge)
-        assert canonical_plane_form(back) == canonical_plane_form(star)
+        r = resolved.graph
+        assert new_edge == nf and r.flag_partner[nf] == nf + 1
+        assert (r.flag_vertex[nf], r.flag_vertex[nf + 1]) == (0, new_v)
+        # contracting the new edge merges its ends back into vertex 0
+        merged = tuple(0 if v == new_v else v for v in r.flag_vertex[:nf])
+        assert merged == g.flag_vertex
+        assert r.flag_partner[:nf] == g.flag_partner
+        assert resolved.dirs[:nf] == star.dirs
+        assert resolved.marks == star.marks
 
 
 def test_resolve_four_valent_validation():

@@ -7,7 +7,6 @@ from tropcount.plane import (
     PlaneCurve,
     PlaneType,
     canonical_plane_form,
-    cell_dimension_plane,
     check_balancing,
     cross,
     derive_directions,
@@ -209,28 +208,6 @@ def degree2_chain(n_marks=0):
     )
     dirs = derive_directions(g, marks, end_dirs)
     return PlaneType(AbstractType(g, marks), dirs)
-
-
-def test_cell_dimension_plane_examples():
-    assert cell_dimension_plane(line_type()) == 2
-    conic = degree2_chain(n_marks=4)
-    assert conic.degree() == projective_degree(2)
-    assert cell_dimension_plane(conic) == 9
-    # n = 3d marks: dimension 2n - 1
-    bonds = [(0, 1), (1, 2), (2, 3)]
-    g, leaves = make_tree(bonds, [0, 0, 1, 2, 3, 3])
-    marks = (leaves[0], leaves[2], leaves[3])
-    dirs = derive_directions(
-        g, marks, {leaves[1]: W, leaves[4]: S, leaves[5]: NE}
-    )
-    t = PlaneType(AbstractType(g, marks), dirs)
-    assert cell_dimension_plane(t) == 2 * 3 - 1
-
-
-def test_cell_dimension_is_two_plus_bounded():
-    for t in [line_type(), line_type(marks=("a", "b")), degree2_chain(),
-              degree2_chain(n_marks=4)]:
-        assert cell_dimension_plane(t) == 2 + len(t.graph.bounded_edges())
 
 
 def test_canonical_plane_form_separates_end_distributions():

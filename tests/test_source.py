@@ -1,7 +1,9 @@
 """The core stays stdlib-only and float-free: checked on the source itself."""
 
 import ast
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import tropcount
@@ -60,3 +62,47 @@ def test_no_assert_statements():
     for module, tree in parsed():
         stray = [node for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not stray, f"{module} line {stray[0].lineno} uses assert"
+
+
+# Definitions the package itself never uses, each kept for its reason.
+UNCALLED = {
+    "m4_point": "a curve's point of M_4, the reference combined-map fibers are checked on",
+    "four_valent_resolutions": "the three resolutions whose determinants the suite sums to zero",
+    "wdvv_sides": "both sides of the recursion, which the census totals must reproduce",
+}
+
+
+def definitions(tree):
+    """Every module-level and class-level name a module defines."""
+    for node in tree.body:
+        yield from defined_names(node)
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                yield from defined_names(sub)
+
+
+def defined_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        yield node.name
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        for target in targets:
+            yield from (sub.id for sub in ast.walk(target) if isinstance(sub, ast.Name))
+
+
+def test_every_definition_has_a_caller():
+    # a name is used when its word appears in the package, docstrings
+    # included, beyond its own definitions; a re-export in __init__ is not
+    texts = [path.read_text() for path in SOURCES if path.stem != "__init__"]
+    words = Counter(word for text in texts for word in re.findall(r"\w+", text))
+    defined = Counter(
+        name for module, tree in parsed() if module != "__init__"
+        for name in definitions(tree)
+    )
+    uncalled = sorted(
+        name for name, sites in defined.items()
+        if words[name] <= sites and not name.startswith("__") and name not in UNCALLED
+    )
+    assert not uncalled, f"defined but never used in tropcount: {uncalled}"
+    called = [name for name in UNCALLED if words[name] > defined[name]]
+    assert not called, f"now used, drop from UNCALLED: {called}"
