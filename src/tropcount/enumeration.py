@@ -1,14 +1,17 @@
 """Combinatorial types and exact fibers of the evaluation-style maps.
 
 One search and one leaf serve both maps.  Unmarked trivalent image trees
-are enumerated once per degree (cached); the search inserts contracted
-marked ends edge by edge, pruning each partial placement with exact cone
-tests on the input points before any linear algebra runs.  At a complete
-placement the leaf builds the map's integer rows, one per (mark,
-coordinate) pair of the map's row spec, plus the ft4 row of the quartet
-ray for the combined map, and solves them once; it builds the marked type
-only for a solution.  Everything is exact; a degenerate input is reported
-as GeneralPositionViolation so the caller can resample.
+are enumerated once per degree (cached).  A map's row spec lists the
+(mark, coordinate) pairs it pins: a mark with both coordinates pinned is a
+point, a mark with one a line.  The search inserts contracted marked ends
+edge by edge, pruning each partial placement with one exact cone test per
+pair of marks, in the coordinates both pin, before any linear algebra
+runs.  At a complete placement the leaf builds the map's integer rows, one
+per pair of the row spec, plus the ft4 row for the combined map, whose
+quartet ray the row builder checks as it goes; it solves them once and
+builds the marked type only for a solution.  Everything is exact; a
+degenerate input is reported as GeneralPositionViolation so the caller can
+resample.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .moduli_maps import (
     ft4_coordinate,
     multiplicity,
     pi_matrix,
+    pi_which,
 )
 from .plane import (
     PlaneCurve,
@@ -70,10 +74,12 @@ Point = Tuple[Fraction, Fraction]
 class PointConfig:
     """Input data for a fiber computation.
 
-    For the evaluation map all points constrain fully.  For the combined
-    map the first point contributes only its x-coordinate (a vertical
-    line), the second only its y-coordinate, and m4 fixes the image of the
-    four-mark forgetful coordinate.
+    Each point constrains the coordinates its map's row spec pins.  For
+    the evaluation map that is both coordinates of every point.  For the
+    combined map (pi_which) the first point contributes only its
+    x-coordinate (a vertical line), the second only its y-coordinate, and
+    m4 fixes the image of the four-mark forgetful coordinate on ray A, B
+    or C.
     """
 
     points: Tuple[Point, ...]
@@ -218,7 +224,7 @@ def base_trees(d: int) -> Tuple[PlaneType, ...]:
 def find_string(c):
     """A leaf-to-leaf path avoiding the closed marked ends, or None.
 
-    Removing the closures of the marked ends cuts the curve at every mark
+    Removing the closures of the marked ends splits the curve at every mark
     vertex; a surviving component with two unbounded ends yields the path.
     Returned as a flag tuple (end flag, bounded flags oriented along the
     walk, end flag).
@@ -409,18 +415,15 @@ class _TreeData:
         return self._sectors
 
     def tables(self):
-        """(paths, dist, bounded edges, end flags) for the leaf: paths[v]
-        lists (bounded edge, flag walked) from vertex 0 to v, and dist[u][v]
-        counts the bounded edges between u and v."""
+        """(paths, bounded edges, end flags) for the leaf: paths[v] lists
+        (bounded edge, flag walked) from vertex 0 to v."""
         if self._tables is None:
             g = self.t.graph
-            vs = range(g.num_vertices)
             paths = [
-                tuple((g.edge_of_flag(f), f) for f in g.path_flags(0, v)) for v in vs
+                tuple((g.edge_of_flag(f), f) for f in g.path_flags(0, v))
+                for v in range(g.num_vertices)
             ]
-            edges = [{e for e, _ in p} for p in paths]
-            dist = [[len(edges[u] ^ edges[v]) for v in vs] for u in vs]
-            self._tables = (paths, dist, g.bounded_edges(), g.end_flags())
+            self._tables = (paths, g.bounded_edges(), g.end_flags())
         return self._tables
 
 
@@ -508,104 +511,103 @@ def _subdivide(tree: PlaneType, placements: dict, n: int):
     return t, piece_ids
 
 
-def _pair_ok(secs, dirs, ipts, placed, m, h) -> bool:
-    """Can pinned mark m sit on host h, given the pinned (mark, host) pairs
-    placed so far?  The displacement between two marks must lie in the
-    cone of the path directions between their hosts."""
-    im = ipts[m]
+def _pair_table(ipts, which):
+    """(pins, pairs) of a row spec: pins[m] lists the coordinates mark m
+    pins, and pairs[m][m2] is None when marks m and m2 pin no common
+    coordinate, else (cone test, displacement from m2 to m in the common
+    coordinates, the common coordinate or None when they share both)."""
+    pins: List[List[int]] = [[] for _ in ipts]
+    for m, c in which:
+        pins[m].append(c)
+    pairs = []
+    for im, cs in zip(ipts, pins):
+        row = []
+        for i2, cs2 in zip(ipts, pins):
+            shared = [c for c in cs if c in cs2]
+            if len(shared) == 2:
+                row.append((_sector_has, (im[0] - i2[0], im[1] - i2[1]), None))
+            elif shared:
+                (c,) = shared
+                meets = _sector_meets_horizontal if c else _sector_meets_vertical
+                row.append((meets, im[c] - i2[c], c))
+            else:
+                row.append(None)
+        pairs.append(row)
+    return pins, pairs
+
+
+def _pair_ok(secs, dirs, pairs, placed, m, h) -> bool:
+    """Can mark m sit on host h, given the (mark, host) pairs placed so
+    far?  In the coordinates two marks both pin, their displacement must
+    lie in the cone of the path directions between their hosts, or ride
+    the host's direction when they share one."""
+    row = pairs[m]
     for m2, h2 in placed:
-        i2 = ipts[m2]
-        delta = (im[0] - i2[0], im[1] - i2[1])
-        if h2 == h:
-            # both on one edge: displacement must ride the edge direction
+        pair = row[m2]
+        if pair is None:
+            continue
+        meets, delta, c = pair
+        if h2 != h:
+            if not meets(secs[(h2, h)], delta):
+                return False
+        elif c is None:
+            # both on one edge: the displacement must ride its direction
             if cross(delta, dirs[h]) != 0:
                 return False
-        elif not _sector_has(secs[(h2, h)], delta):
+        elif dirs[h][c] == 0 and delta != 0:
             return False
     return True
 
 
-def _search_tree(td: _TreeData, n: int, ipts, lines: bool, leaf):
+def _search_tree(td: _TreeData, ipts, which, leaf):
     """Place the marks on one tree's edges, calling leaf(td, occupancy,
-    where) on every placement that passes the sector, line and quota tests.
+    where) on every placement that passes the pair test.
 
-    occupancy maps each host to its items, nearest the host's own flag
-    first; where maps each mark to its host.  With lines (the combined
-    map) marks 0 and 1 see only the vertical line through point 0 and the
-    horizontal line through point 1 and are placed last; otherwise every
-    mark is pinned to its point and each host takes at most one.
+    Each mark's constraint is read from the row spec which: a mark with
+    both coordinates in it is pinned to its point, a mark with one sees
+    only the line through its point that fixes that coordinate.  Point
+    marks are placed first, then line marks, each in mark order.  A line
+    mark may also share one vertex, hanging off a host by a contracted
+    edge, with a placed line mark on the other axis.  occupancy maps each
+    host to its items, nearest the host's own flag first; where maps each
+    mark to its host.
     """
     secs = td.sectors()
     hosts = td.handles
     dirs = td.t.dirs
+    pins, pairs = _pair_table(ipts, which)
+    order = sorted(range(len(pins)), key=lambda m: len(pins[m]) == 1)
     occupancy: Dict[int, list] = {h: [] for h in hosts}
-    cuts = dict.fromkeys(hosts, 0)  # ("mark", m) items on each host
     where: Dict[int, int] = {}
-    insertion = list(range(2, n)) + [0, 1] if lines else list(range(n))
-    cap = 2 if lines else 1  # two general points never lie on one host line
-
-    def line_ok(m, h):
-        # mark 0 sees the vertical line x = ipts[0][0], mark 1 the
-        # horizontal line y = ipts[1][1]
-        meets = _sector_meets_vertical if m == 0 else _sector_meets_horizontal
-        for m2, h2 in where.items():
-            if m2 < 2:
-                continue
-            delta = ipts[m][m] - ipts[m2][m]
-            if h2 == h:
-                if dirs[h][m] == 0 and delta != 0:
-                    return False
-            elif not meets(secs[(h2, h)], delta):
-                return False
-        return True
-
-    def quota_ok(h, m):
-        if cuts[h] < cap:
-            return True
-        # a third cut on one edge survives only with both line-constrained
-        # marks aboard
-        return lines and cuts[h] == 2 and {0, 1} <= {m}.union(
-            it[1] for it in occupancy[h] if it[0] == "mark"
-        )
 
     def rec(k):
-        if k == len(insertion):
+        if k == len(order):
             leaf(td, occupancy, where)
             return
-        m = insertion[k]
+        m = order[k]
         for h in hosts:
-            if not quota_ok(h, m):
-                continue
-            if lines and m < 2:
-                if not line_ok(m, h):
-                    continue
-            elif not _pair_ok(secs, dirs, ipts, where.items(), m, h):
+            if not _pair_ok(secs, dirs, pairs, where.items(), m, h):
                 continue
             occ = occupancy[h]
-            cuts[h] += 1
             for slot in range(len(occ) + 1):
                 occ.insert(slot, ("mark", m))
                 where[m] = h
                 rec(k + 1)
                 occ.pop(slot)
                 del where[m]
-            cuts[h] -= 1
-        if lines and m == 1 and not td.contracted:
-            # the two line-constrained marks may share one vertex hanging
-            # off a host by a contracted edge
-            h1 = where.get(0)
-            if h1 is not None:
-                occ = occupancy[h1]
-                for slot, it in enumerate(occ):
-                    if it == ("mark", 0):
-                        occ[slot] = ("cluster", (0, 1))
-                        cuts[h1] -= 1
-                        where[1] = h1
-                        rec(k + 1)
-                        occ[slot] = ("mark", 0)
-                        cuts[h1] += 1
-                        del where[1]
-                        break
+        # the cluster hangs by a contracted edge; a second one in the tree
+        # would leave two columns on the one ft4 row, and determinant zero
+        if len(pins[m]) == 1 and not td.contracted:
+            for m2, h2 in list(where.items()):
+                if len(pins[m2]) != 1 or pins[m2] == pins[m]:
+                    continue
+                occ = occupancy[h2]
+                slot = occ.index(("mark", m2))
+                occ[slot] = ("cluster", (m2, m))
+                where[m] = h2
+                rec(k + 1)
+                occ[slot] = ("mark", m2)
+                del where[m]
 
     rec(0)
 
@@ -631,41 +633,9 @@ def _slot(items, m) -> int:
     raise AssertionError(f"mark {m} is not on its host")
 
 
-def _placement_ray(td: _TreeData, occupancy, where, n: int) -> str:
-    """Quartet ray (A, B, C or D) of marks 0-3 in the type a placement
-    builds, by the four-point condition on an exact tree metric.
-
-    Every base edge has length w = n + 1, more than any host's item count;
-    the item at slot s of a host sits s + 1 from the host's own flag, and a
-    clustered pair sits 1 further out, at distance 0 from each other.
-    """
-    g = td.t.graph
-    dist = td.tables()[1]
-    w = n + 1
-    spots = []
-    for m in range(4):
-        h = where[m]
-        s = _slot(occupancy[h], m)
-        anchors = [(g.flag_vertex[h], s + 1)]
-        far = g.flag_partner[h]
-        if far is not None:
-            anchors.append((g.flag_vertex[far], w - s - 1))
-        spots.append((h, s, occupancy[h][s][0] == "cluster", anchors))
-
-    def delta(x, y):
-        hx, sx, cx, ax = spots[x]
-        hy, sy, cy, ay = spots[y]
-        if hx == hy:
-            return 0 if sx == sy else abs(sx - sy) + cx + cy
-        return cx + cy + min(ox + w * dist[p][q] + oy for p, ox in ax for q, oy in ay)
-
-    sums = [delta(i, j) + delta(k, l) for _, (i, j), (k, l) in _PAIRINGS]
-    low = min(sums)
-    return "D" if sums.count(low) > 1 else _PAIRINGS[sums.index(low)][0]
-
-
-def _rows(td: _TreeData, occupancy, where, n: int, which, ray: Optional[str]):
-    """Integer rows of a map on the type a placement builds.
+def _rows(td: _TreeData, occupancy, where, which, ray: Optional[str]):
+    """Integer rows of a map on the type a placement builds, or None when
+    the placement's quartet does not pair as the target ray.
 
     Rows: one per (mark, coordinate) pair in which, then, given a ray (the
     combined map), the ft4 row of its quartet pairing.  Columns: root x,
@@ -673,10 +643,14 @@ def _rows(td: _TreeData, occupancy, where, n: int, which, ray: Optional[str]):
     flag, the bounded pieces of each end, and last the cluster's contracted
     edge, if any.  Returns the rows and the column of the first piece of
     each base bounded edge and each end.
+
+    The ray is decided as soon as marks 0-3 are walked: the pairing
+    i, j | k, l holds when path(i, j) and path(k, l) share no edge and the
+    central path, path(i, k) ∩ path(j, l), is not empty.
     """
     g = td.t.graph
     dirs = td.t.dirs
-    paths, dist, bounded, ends = td.tables()
+    paths, bounded, ends = td.tables()
     size = len(which) + (ray is not None)
     start = {}
     col = 2
@@ -686,28 +660,37 @@ def _rows(td: _TreeData, occupancy, where, n: int, which, ray: Optional[str]):
     for h in ends:
         start[h] = col
         col += len(occupancy[h])
-    clustered = any(it[0] == "cluster" for it in occupancy[where[0]])
-    if col + clustered != size:
-        raise AssertionError(f"{col + clustered} columns for {size} rows")
+    if ray is not None:
+        (i, j), (k, l) = next(pair for r, *pair in _PAIRINGS if r == ray)
     # (column, direction) along the path from the root to each mark
     walks = []
-    for m in range(n):
+    for m in range(len(where)):
         h = where[m]
         items = occupancy[h]
         s = _slot(items, m)
         far = g.flag_partner[h]
-        if far is None or dist[0][g.flag_vertex[h]] < dist[0][g.flag_vertex[far]]:
+        if far is None or len(paths[g.flag_vertex[h]]) < len(paths[g.flag_vertex[far]]):
             via, f, pieces = g.flag_vertex[h], h, range(s + 1)
         else:
             via, f, pieces = g.flag_vertex[far], far, range(s + 1, len(items) + 1)
         walk = []
         for e, ef in paths[via]:
             c0 = start[e]
-            walk.extend((c0 + k, dirs[ef]) for k in range(len(occupancy.get(e, ())) + 1))
-        walk.extend((start[h] + k, dirs[f]) for k in pieces)
+            walk.extend((c0 + p, dirs[ef]) for p in range(len(occupancy.get(e, ())) + 1))
+        walk.extend((start[h] + p, dirs[f]) for p in pieces)
         if items[s][0] == "cluster":
             walk.append((size - 1, ZERO))
         walks.append(walk)
+        if m == 3 and ray is not None:
+            cols = [{col for col, _ in w} for w in walks]
+            if (cols[i] ^ cols[j]) & (cols[k] ^ cols[l]):
+                return None
+            central = (cols[i] ^ cols[k]) & (cols[j] ^ cols[l])
+            if not central:
+                return None
+    clustered = any(it[0] == "cluster" for items in occupancy.values() for it in items)
+    if col + clustered != size:
+        raise AssertionError(f"{col + clustered} columns for {size} rows")
     rows = []
     for m, c in which:
         row = [0] * size
@@ -716,10 +699,6 @@ def _rows(td: _TreeData, occupancy, where, n: int, which, ray: Optional[str]):
             row[col] = v[c]
         rows.append(row)
     if ray is not None:
-        # the central path of the pairing i, j | k, l is path(i, k) ∩ path(j, l)
-        (i, j), (k, l) = next(pair for r, *pair in _PAIRINGS if r == ray)
-        cols = [{col for col, _ in walks[q]} for q in range(4)]
-        central = (cols[i] ^ cols[k]) & (cols[j] ^ cols[l])
         rows.append([int(col in central) for col in range(size)])
     return rows, start
 
@@ -728,14 +707,14 @@ def _leaf(td: _TreeData, occupancy, where, d: int, which, ray, rhs, scale, found
     """One placement of all marks: solve its integer rows once, and build
     the marked type only for a solution.
 
-    ray is None for the evaluation map; for the combined map the
-    placement's quartet ray is decided on the base tree before any row is
-    built.  rhs is the fiber's right-hand side times the integer scale.
+    ray is None for the evaluation map; for the combined map _rows drops a
+    placement whose quartet pairs otherwise.  rhs is the fiber's right-hand
+    side times the integer scale.
     """
-    n = len(where)
-    if ray is not None and _placement_ray(td, occupancy, where, n) != ray:
+    built = _rows(td, occupancy, where, which, ray)
+    if built is None:
         return
-    rows, start = _rows(td, occupancy, where, n, which, ray)
+    rows, start = built
     res = solve(rows, rhs)
     if res.status == "inconsistent":
         return
@@ -751,7 +730,7 @@ def _leaf(td: _TreeData, occupancy, where, d: int, which, ray, rhs, scale, found
             "solution on a cell boundary (zero edge length)"
         )
     placements = {h: list(items) for h, items in occupancy.items() if items}
-    mt, piece_ids = _subdivide(td.t, placements, n)
+    mt, piece_ids = _subdivide(td.t, placements, len(where))
     key = canonical_plane_form(mt)
     if key in found:
         return
@@ -801,7 +780,7 @@ def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
         _leaf(td, occupancy, where, d, which, ray, rhs, scale, found)
 
     for td in trees:
-        _search_tree(td, len(cfg.points), ipts, m4 is not None, leaf)
+        _search_tree(td, ipts, which, leaf)
     return [found[k] for k in sorted(found, key=repr)]
 
 
@@ -820,13 +799,16 @@ def fiber(map_kind: str, d: int, cfg: PointConfig) -> List[FiberSolution]:
         which = [(m, c) for m in range(n) for c in (0, 1)]
         return _fiber(d, cfg, which, _ev_tree_data(d), None)
     if kind == PI:
+        if d < 2:
+            raise ValueError("combined-map fiber needs degree at least 2 for a quartet")
         n = 3 * d
         if len(cfg.points) != n:
             raise ValueError(f"combined-map fiber at degree {d} needs {n} points")
         if cfg.m4 is None:
             raise ValueError("combined-map fiber needs an m4 target value")
-        which = [(0, 0), (1, 1)] + [(m, c) for m in range(2, n) for c in (0, 1)]
-        return _fiber(d, cfg, which, _pi_tree_data(d), cfg.m4)
+        if cfg.m4.ray not in {r for r, _, _ in _PAIRINGS}:
+            raise ValueError("combined-map fiber needs a target on ray A, B or C")
+        return _fiber(d, cfg, pi_which(n), _pi_tree_data(d), cfg.m4)
     raise ValueError(f"unknown map kind: {map_kind!r}")
 
 
@@ -834,7 +816,7 @@ def sampled_fiber(
     map_kind: str, d: int, seed: int, ray: str = "A", scale: int = 1
 ):
     """Sample a configuration and compute its fiber, resampling on
-    degeneracy up to the attempt cap.  Returns (cfg, solutions)."""
+    degeneracy up to _ATTEMPT_CAP times.  Returns (cfg, solutions)."""
     kind = map_kind.lower()
     last = None
     for attempt in range(_ATTEMPT_CAP):
@@ -890,7 +872,7 @@ def invariance_check(d: int, trials: int, seed: int = 0) -> InvarianceReport:
 # splitting reducible curves
 
 
-def decompose_reducible(c: PlaneCurve, edge: Optional[int] = None):
+def decompose_reducible(c: PlaneCurve):
     """Split a curve at its contracted bounded edge into two curves.
 
     Each side keeps its own marks (original order) and gains one new
@@ -901,17 +883,11 @@ def decompose_reducible(c: PlaneCurve, edge: Optional[int] = None):
     contracted = [
         e for e in g.bounded_edges() if c.dirs[e] == ZERO
     ]
-    if edge is None:
-        if len(contracted) != 1:
-            raise ValueError(
-                f"expected exactly one contracted bounded edge, found {len(contracted)}"
-            )
-        edge = contracted[0]
-    else:
-        if g.flag_partner[edge] is None:
-            raise ValueError("split edge must be bounded")
-        if c.dirs[edge] != ZERO:
-            raise ValueError("split edge must be contracted")
+    if len(contracted) != 1:
+        raise ValueError(
+            f"expected exactly one contracted bounded edge, found {len(contracted)}"
+        )
+    (edge,) = contracted
 
     e1, e2 = g.edge_flags(edge)
     curves = []

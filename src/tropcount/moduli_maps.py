@@ -134,9 +134,16 @@ def m4_point(c: PlaneCurve) -> M4Point:
     return M4Point(ray, total)
 
 
+def pi_which(n: int) -> list:
+    """The combined map's row spec on n marks, as (mark, coordinate) pairs:
+    the first coordinate of the first mark, the second of the second, and
+    both of the rest."""
+    return [(0, 0), (1, 1)] + [(i, c) for i in range(2, n) for c in (0, 1)]
+
+
 def pi_matrix(t: PlaneType, d: int, root: int = 0, edge_order=None) -> list:
-    """First coordinate of mark 1, second of mark 2, both of the rest,
-    then the ft4 row: square of size 2n-1 on 3-valent degree-d types."""
+    """The rows of pi_which, then the ft4 row: square of size 2n-1 on
+    3-valent degree-d types."""
     n = len(t.marks)
     if n != 3 * d:
         raise ValueError(f"need n = 3d marks, got n={n}, d={d}")
@@ -144,9 +151,8 @@ def pi_matrix(t: PlaneType, d: int, root: int = 0, edge_order=None) -> list:
 
     if t.degree() != tuple(sorted(projective_degree(d))):
         raise ValueError("type is not of projective degree d")
-    which = [(0, 0), (1, 1)] + [(i, c) for i in range(2, n) for c in (0, 1)]
     ft_row = ft4_coordinate(t, root, edge_order)[1]
-    return ev_matrix(t, which, root, edge_order) + [ft_row]
+    return ev_matrix(t, pi_which(n), root, edge_order) + [ft_row]
 
 
 def multiplicity(rows) -> int:

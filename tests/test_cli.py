@@ -264,9 +264,16 @@ def test_render_boolean_mark(capsys, tmp_path):
 
 
 def test_count_degenerate_points_exit(capsys, tmp_path):
-    # both points on one tropical line: the fiber is not finite
-    path = write_points(tmp_path / "bad.json", [(0, 0), (1, 1)])
-    assert main(["count", "--d", "1", "--points", path]) == 3
+    # all points on one line: a direction of the ends, or the line y = x
+    for d, pts in [
+        (1, [(0, 0), (1, 1)]),
+        (1, [(0, 0), (0, 1)]),
+        (1, [(0, 0), (3, 0)]),
+        (2, [(i, 0) for i in range(5)]),
+        (2, [(i, i) for i in range(5)]),
+    ]:
+        path = write_points(tmp_path / "bad.json", pts)
+        assert main(["count", "--d", str(d), "--points", path]) == 3
 
 
 def test_count_large_degree_needs_points(capsys):

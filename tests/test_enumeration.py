@@ -16,7 +16,7 @@ from tropcount.enumeration import (
     PointConfig,
     _ev_tree_data,
     _pi_tree_data,
-    _placement_ray,
+    _rows,
     _search_tree,
     _sector,
     _sector_has,
@@ -41,12 +41,12 @@ from tropcount import enumeration
 from tropcount.graph import AbstractType, Graph, trivalent_trees_on_leaves
 from tropcount.linalg import det, solve
 from tropcount.moduli_maps import (
-    M4Point,
     ev_matrix,
     ft4_coordinate,
     m4_point,
     multiplicity,
     pi_matrix,
+    pi_which,
 )
 from tropcount.plane import (
     PlaneCurve,
@@ -492,9 +492,16 @@ def test_ev_fiber_line_through_two_points():
 
 
 def test_ev_fiber_degenerate_input_raises():
-    # second point exactly on the ray through the first
-    with pytest.raises(GeneralPositionViolation):
-        fiber(EV, 1, PointConfig(((0, 0), (1, 1))))
+    # all points on one line: a direction of the ends, or the line y = x
+    for d, pts in [
+        (1, ((0, 0), (1, 1))),
+        (1, ((0, 0), (0, 1))),
+        (1, ((0, 0), (3, 0))),
+        (2, tuple((i, 0) for i in range(5))),
+        (2, tuple((i, i) for i in range(5))),
+    ]:
+        with pytest.raises(GeneralPositionViolation):
+            fiber(EV, d, PointConfig(pts))
 
 
 def test_ev_degree_one_for_lines_and_conics():
@@ -796,6 +803,15 @@ def test_pi_fiber_coincident_points_raise(ray):
         fiber(PI, 2, PointConfig(pts[:3] + (pts[2],) + pts[4:], cfg.m4))
 
 
+def test_pi_fiber_point_on_the_vertical_line_raises():
+    # point 2 on the vertical line through point 0
+    cfg = pi_config(2, 0, "B")
+    pts = cfg.points
+    shared = (pts[0][0], pts[2][1])
+    with pytest.raises(GeneralPositionViolation):
+        fiber(PI, 2, PointConfig(pts[:2] + (shared,) + pts[3:], cfg.m4))
+
+
 def test_fiber_rejects_unknown_map():
     with pytest.raises(ValueError):
         fiber("nope", 1, ev_config(1, 0))
@@ -891,7 +907,7 @@ def dense_pi_fiber(d, cfg):
             found[key] = FiberSolution(mt, res.solution, multiplicity(rows))
 
     for td in _pi_tree_data(d):
-        _search_tree(td, n, scaled_points(cfg), True, leaf)
+        _search_tree(td, scaled_points(cfg), pi_which(n), leaf)
     return [found[k] for k in sorted(found, key=repr)]
 
 
@@ -932,19 +948,22 @@ def test_pi_cell_maps_are_integer_rows(ray):
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("ray", ["A", "B", "C"])
 def test_placement_ray_matches_ft4_coordinate_on_every_leaf(seed, ray):
+    # _rows keeps a placement exactly when its marked type lies on the ray
     cfg = pi_config(2, seed, ray)
-    rays = []
+    which = pi_which(6)
+    leaves = []
 
     def leaf(td, occupancy, where):
         placements = {h: list(items) for h, items in occupancy.items() if items}
         mt, _ = _subdivide(td.t, placements, 6)
-        rays.append((_placement_ray(td, occupancy, where, 6), ft4_coordinate(mt)[0]))
+        kept = _rows(td, occupancy, where, which, ray) is not None
+        leaves.append((kept, ft4_coordinate(mt)[0]))
 
     for td in _pi_tree_data(2):
-        _search_tree(td, 6, scaled_points(cfg), True, leaf)
-    assert len(rays) > 100
-    assert all(ours == theirs for ours, theirs in rays)
-    assert {theirs for _, theirs in rays} == {"A", "B", "C"}
+        _search_tree(td, scaled_points(cfg), which, leaf)
+    assert len(leaves) > 100
+    assert all(kept == (theirs == ray) for kept, theirs in leaves)
+    assert {theirs for _, theirs in leaves} == {"A", "B", "C"}
 
 
 # --- splitting reducible curves ---------------------------------------------
@@ -989,8 +1008,6 @@ def test_decompose_reducible_rejects_irreducible():
     c = sols[0].curve()
     with pytest.raises(ValueError):
         decompose_reducible(c)
-    with pytest.raises(ValueError):
-        decompose_reducible(c, edge=c.graph.bounded_edges()[0])
 
 
 def test_decompose_mark_side_bookkeeping():

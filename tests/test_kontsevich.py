@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from tropcount.enumeration import (
     EV,
+    PI,
     PointConfig,
+    fiber,
     pi_config,
     sampled_fiber,
 )
@@ -17,7 +19,6 @@ from tropcount.kontsevich import (
     Census,
     NdTable,
     NonTransverse,
-    StructuralViolation,
     _collinear_overlap,
     recursion_nd,
     reducible_census,
@@ -29,7 +30,6 @@ from tropcount.plane import (
     PlaneCurve,
     PlaneType,
     cross,
-    derive_directions,
     image_positions,
     image_segments,
 )
@@ -314,3 +314,13 @@ def test_census_requires_far_out_ray():
         reducible_census(2, PointConfig(cfg.points, None))
     with pytest.raises(ValueError):
         reducible_census(2, PointConfig(cfg.points, M4Point("D", 0)))
+
+
+def test_pi_fiber_requires_a_quartet_on_ray_a_b_or_c():
+    # ray D is the single length-0 point, not a far-out target
+    cfg = pi_config(2, seed=0, ray="A")
+    with pytest.raises(ValueError):
+        fiber(PI, 2, PointConfig(cfg.points, M4Point("D", 0)))
+    # a degree-1 curve has three marks, too few for a quartet
+    with pytest.raises(ValueError):
+        fiber(PI, 1, PointConfig(cfg.points[:3], cfg.m4))

@@ -106,3 +106,27 @@ def test_every_definition_has_a_caller():
     assert not uncalled, f"defined but never used in tropcount: {uncalled}"
     called = [name for name in UNCALLED if words[name] > defined[name]]
     assert not called, f"now used, drop from UNCALLED: {called}"
+
+
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
+
+def test_every_test_import_is_read():
+    # an imported name no line of its test file reads is stale
+    unread = {}
+    for path in TESTS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        }
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if imported - read:
+            unread[path.name] = sorted(imported - read)
+    assert not unread, f"imported and never read: {unread}"
