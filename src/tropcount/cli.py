@@ -30,7 +30,7 @@ from .graph import fraction_str
 from .kontsevich import NonTransverse, StructuralViolation, recursion_nd, tropical_intersection
 from .plane import (
     canonical_plane_form,
-    image_position,
+    image_positions,
     image_segments,
     plane_curve_from_json,
     plane_curve_to_json,
@@ -173,9 +173,8 @@ def cmd_intersect(ns: argparse.Namespace) -> int:
 
 def _svg_render(c) -> str:
     segs = image_segments(c)
-    marks = [
-        image_position(c, c.mark_vertex(i)) for i in range(len(c.marks))
-    ]
+    pos = image_positions(c)
+    marks = [pos[c.mark_vertex(i)] for i in range(len(c.marks))]
     xs: List[Fraction] = []
     ys: List[Fraction] = []
     for p, v, ln in segs:

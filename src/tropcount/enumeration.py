@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Tuple
 from .graph import (
     AbstractType,
     Graph,
-    MarkedAbstractCurve,
     fraction_str,
     parse_fraction,
     trivalent_trees_on_leaves,
@@ -40,6 +39,7 @@ from .moduli_maps import (
     multiplicity,
     pi_matrix,
     pi_which,
+    restrict,
 )
 from .plane import (
     PlaneCurve,
@@ -48,14 +48,13 @@ from .plane import (
     canonical_plane_form,
     cross,
     derive_directions,
-    image_position,
+    projective_degree,
     vneg,
 )
 
 EV = "ev"
 PI = "pi"
 
-_DIRECTION_CLASSES = ((-1, 0), (0, -1), (1, 1))
 _ATTEMPT_CAP = 20
 
 
@@ -118,7 +117,7 @@ class FiberSolution:
     """One curve in a fiber: its type, exact cell coordinates, multiplicity.
 
     coords = (root x, root y, bounded-edge lengths in ascending edge order),
-    the same column order the cell matrices use with default arguments.
+    the column order of the cell matrices.
     """
 
     type: PlaneType
@@ -208,7 +207,7 @@ def base_trees(d: int) -> Tuple[PlaneType, ...]:
     come in the order the labeled walk first reaches each class.
     """
     if d not in _BASE_TREES:
-        classes = [c for c in _DIRECTION_CLASSES for _ in range(d)]
+        classes = projective_degree(d)
         trees = []
         for g, leaves in trivalent_trees_on_leaves(classes):
             dirs = derive_directions(g, (), dict(zip(leaves, classes)))
@@ -889,53 +888,15 @@ def decompose_reducible(c: PlaneCurve):
         )
     (edge,) = contracted
 
-    e1, e2 = g.edge_flags(edge)
-    curves = []
-    side_min_mark = []
-    for start_flag, dropped in ((e1, e2), (e2, e1)):
-        v0 = g.flag_vertex[start_flag]
-        verts = g.component(v0, cut_edges=(edge,))
-        vmap = {v: i for i, v in enumerate(sorted(verts))}
-        kept = [
-            f
-            for f in range(g.num_flags())
-            if g.flag_vertex[f] in verts and f != dropped
-        ]
-        fmap = {f: i for i, f in enumerate(kept)}
-        fv = [vmap[g.flag_vertex[f]] for f in kept]
-        fp = []
-        for f in kept:
-            p = g.flag_partner[f]
-            fp.append(fmap[p] if p in fmap else None)
-        dd = [c.dirs[f] for f in kept]
-
-        lengths = {}
-        for e in g.bounded_edges():
-            if e == edge:
-                continue
-            f1, f2 = g.edge_flags(e)
-            if g.flag_vertex[f1] in verts:
-                lengths[min(fmap[f1], fmap[f2])] = g.lengths[e]
-        if not lengths:
+    sides = []
+    for flag in g.edge_flags(edge):
+        verts = g.component(g.flag_vertex[flag], cut_edges=(edge,))
+        ends = [f for f in g.end_flags() if g.flag_vertex[f] in verts]
+        marks = [m for m in c.marks if g.flag_vertex[m] in verts]
+        side = restrict(c, ends + [flag], marks + [flag])
+        if not side.graph.bounded_edges():
             raise ValueError("each side of the split needs a bounded edge")
-
-        old_marks = [m for m in c.marks if g.flag_vertex[m] in verts]
-        marks = tuple(fmap[m] for m in old_marks) + (fmap[start_flag],)
-        if c.root in verts:
-            root_v, root_pos = vmap[c.root], c.root_pos
-        else:
-            root_v = vmap[v0]
-            root_pos = image_position(c, v0)
-        side = PlaneCurve(
-            MarkedAbstractCurve(Graph(fv, fp, lengths), marks),
-            tuple(dd),
-            root_v,
-            root_pos,
-        )
-        curves.append(side)
-        side_min_mark.append(
-            min((c.marks.index(m) for m in old_marks), default=len(c.marks))
-        )
-    if side_min_mark[1] < side_min_mark[0]:
-        curves.reverse()
-    return curves[0], curves[1]
+        first = c.marks.index(marks[0]) if marks else len(c.marks)
+        sides.append((first, side))
+    (_, c1), (_, c2) = sorted(sides, key=lambda side: side[0])
+    return c1, c2

@@ -1,11 +1,13 @@
 """Per-cell linear maps on moduli of marked plane curves.
 
 Cells are indexed by combinatorial types; coordinates on a cell are the
-root-vertex position plus one length per bounded edge.  A cell map is a
-plain list of integer rows: the evaluation rows, the four-mark forgetful
-row, and their stacked square map, whose |det| is the multiplicity.  They
-live here together with forgetting marks and resolving a 4-valent vertex
-(wall crossing).
+position of vertex 0 plus one length per bounded edge, in bounded_edges()
+order.  A cell map is a plain list of integer rows: the evaluation rows,
+the four-mark forgetful row, and their stacked square map, whose |det| is
+the multiplicity.  They live here together with restriction, the part of a
+curve spanned by a set of its ends, which both forgets marks and splits a
+reducible curve at its contracted edge, and with resolving a 4-valent
+vertex (wall crossing).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .graph import AbstractType, Graph, MarkedAbstractCurve
 from .linalg import det
-from .plane import PlaneCurve, PlaneType, image_position, vadd, vneg
+from .plane import PlaneCurve, PlaneType, image_position, projective_degree, vadd, vneg
 
 # quartet pairings by mark position: A = {1,2|3,4}, B = {1,3|2,4}, C = {1,4|2,3}
 _PAIRINGS = (("A", (0, 1), (2, 3)), ("B", (0, 2), (1, 3)), ("C", (0, 3), (1, 2)))
@@ -38,27 +40,17 @@ class M4Point:
             raise ValueError("ray D holds exactly the length-0 point")
 
 
-def _columns(t, root: int, edge_order) -> dict:
-    """Column of each bounded edge in the cell coordinates: root x, root y,
-    then one length per bounded edge in edge_order (default: id order)."""
-    g = t.graph
-    edges = tuple(edge_order) if edge_order is not None else g.bounded_edges()
-    if sorted(edges) != sorted(g.bounded_edges()):
-        raise ValueError("edge order must list exactly the bounded edges")
-    if not (0 <= root < g.num_vertices):
-        raise ValueError("root out of range")
-    return {e: 2 + i for i, e in enumerate(edges)}
-
-
-def ev_matrix(t: PlaneType, which=None, root: int = 0, edge_order=None) -> list:
+def ev_matrix(t: PlaneType, which=None) -> list:
     """Evaluation rows for selected (mark index, coordinate) pairs.
 
-    which defaults to all marks, both coordinates, in mark order.  Root
-    columns are an identity block; a length column carries the direction
-    component when its edge lies on the root-to-mark path.
+    which defaults to all marks, both coordinates, in mark order.  The
+    columns are root x, root y (vertex 0), then one length per bounded edge
+    in bounded_edges() order.  Root columns are an identity block; a length
+    column carries the direction component when its edge lies on the
+    root-to-mark path.
     """
     g = t.graph
-    cols = _columns(t, root, edge_order)
+    cols = {e: 2 + i for i, e in enumerate(g.bounded_edges())}
     if which is None:
         which = [(i, c) for i in range(len(t.marks)) for c in (0, 1)]
     rows = []
@@ -69,7 +61,7 @@ def ev_matrix(t: PlaneType, which=None, root: int = 0, edge_order=None) -> list:
             raise ValueError("coordinate selector must be 0 or 1")
         row = [0] * (2 + len(cols))
         row[c] = 1
-        for f in g.path_flags(root, g.flag_vertex[t.marks[i]]):
+        for f in g.path_flags(0, g.flag_vertex[t.marks[i]]):
             row[cols[g.edge_of_flag(f)]] += t.dirs[f][c]
         rows.append(row)
     return rows
@@ -99,22 +91,22 @@ def _quartet(t):
     return "D", None, None
 
 
-def ft4_coordinate(t: PlaneType, root: int = 0, edge_order=None):
+def ft4_coordinate(t: PlaneType):
     """(ray, row) of the forget-to-four-marks coordinate on this cell.
 
     The row has a 1 at each bounded edge of the central path between the
-    quartet's two branch vertices; ray D (one-vertex quartet) gives the
-    zero row.
+    quartet's two branch vertices, in ev_matrix's columns; ray D
+    (one-vertex quartet) gives the zero row.
     """
     if len(t.marks) < 4:
         raise ValueError("need at least 4 marks")
-    cols = _columns(t, root, edge_order)
-    row = [0] * (2 + len(cols))
+    g = t.graph
+    edges = g.bounded_edges()
+    row = [0] * (2 + len(edges))
     ray, u, w = _quartet(t)
     if ray != "D":
-        g = t.graph
         for f in g.path_flags(u, w):
-            row[cols[g.edge_of_flag(f)]] = 1
+            row[2 + edges.index(g.edge_of_flag(f))] = 1
     return ray, row
 
 
@@ -141,18 +133,15 @@ def pi_which(n: int) -> list:
     return [(0, 0), (1, 1)] + [(i, c) for i in range(2, n) for c in (0, 1)]
 
 
-def pi_matrix(t: PlaneType, d: int, root: int = 0, edge_order=None) -> list:
+def pi_matrix(t: PlaneType, d: int) -> list:
     """The rows of pi_which, then the ft4 row: square of size 2n-1 on
     3-valent degree-d types."""
     n = len(t.marks)
     if n != 3 * d:
         raise ValueError(f"need n = 3d marks, got n={n}, d={d}")
-    from .plane import projective_degree
-
     if t.degree() != tuple(sorted(projective_degree(d))):
         raise ValueError("type is not of projective degree d")
-    ft_row = ft4_coordinate(t, root, edge_order)[1]
-    return ev_matrix(t, pi_which(n), root, edge_order) + [ft_row]
+    return ev_matrix(t, pi_which(n)) + [ft4_coordinate(t)[1]]
 
 
 def multiplicity(rows) -> int:
@@ -160,116 +149,108 @@ def multiplicity(rows) -> int:
     return abs(det(rows))
 
 
-def forget_points(c: PlaneCurve, m: int) -> PlaneCurve:
-    """Keep the first m marks; prune and straighten the rest away.
+def restrict(c: PlaneCurve, ends, marks=()) -> PlaneCurve:
+    """The part of curve c spanned by the flags in ends.
 
-    Two-valent vertices left by a removed mark are straightened (their two
-    edges merge, lengths adding); branches that carried only removed marks
-    are pruned.  Image positions of everything that survives are unchanged.
+    Each flag in ends becomes an unbounded end, every vertex left 2-valent
+    is straightened (its two edges merge, lengths adding), and marks, a
+    subset of ends, are the new marks in order.  Image positions of
+    everything that survives are unchanged.  The root stays where it is if
+    its vertex survives, else it moves to the first surviving vertex.
+    Surviving flags and vertices keep their relative order, so restricting
+    to all of c's ends and marks gives c back.
     """
+    ends = tuple(ends)
+    if len(ends) < 3:
+        raise ValueError(f"a curve needs at least 3 ends, got {len(ends)}")
+    is_end = set(ends)
+    if not is_end.issuperset(marks):
+        raise ValueError("marks must be among the ends")
+    g = c.graph
+    fv, fp = g.flag_vertex, g.flag_partner
+    # one walk from the first end's vertex, crossing no flag in ends; up[v]
+    # is the flag at v that leads back towards the start
+    start = fv[ends[0]]
+    up = {start: None}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        for f in g.flags_at(v):
+            p = fp[f]
+            if p is None or f in is_end or p in is_end or fv[p] in up:
+                continue
+            up[fv[p]] = p
+            stack.append(fv[p])
+    # the span: every vertex on the way up from an end's vertex
+    span = {start}
+    for f in ends:
+        v = fv[f]
+        if v not in up:
+            raise ValueError("the ends do not span one connected part")
+        while v not in span:
+            span.add(v)
+            v = fv[fp[up[v]]]
+    # a live flag is an end, or leads to another span vertex
+    live = {}
+    for v in span:
+        live[v] = [
+            f for f in g.flags_at(v)
+            if f in is_end or fp[f] is not None and fv[fp[f]] in span
+        ]
+    keep = sorted(v for v in span if len(live[v]) >= 3)
+    vid = {v: i for i, v in enumerate(keep)}
+    # follow each live flag of a survivor through 2-valent vertices to the
+    # end it reaches, or to the last flag before the next survivor
+    reach = {}
+    for v in keep:
+        for f in live[v]:
+            q, length = f, None
+            while q not in is_end:
+                l = g.lengths[g.edge_of_flag(q)]
+                length = l if length is None else length + l
+                p = fp[q]
+                if fv[p] in vid:
+                    break
+                a, b = live[fv[p]]
+                q = b if a == p else a
+            reach[f] = (q, length)
+    flags = sorted(reach)
+    fid = {f: i for i, f in enumerate(flags)}
+    new_partner, dirs, lengths, end_id = [], [], {}, {}
+    for i, f in enumerate(flags):
+        q, length = reach[f]
+        if q in is_end:
+            end_id[q] = i
+            new_partner.append(None)
+            dirs.append(c.dirs[q])
+        else:
+            j = fid[fp[q]]
+            new_partner.append(j)
+            dirs.append(c.dirs[f])
+            lengths[min(i, j)] = length
+    graph = Graph([vid[fv[f]] for f in flags], new_partner, lengths)
+    curve = MarkedAbstractCurve(graph, tuple(end_id[m] for m in marks))
+    if c.root in vid:
+        return PlaneCurve(curve, tuple(dirs), vid[c.root], c.root_pos)
+    return PlaneCurve(curve, tuple(dirs), 0, image_position(c, keep[0]))
+
+
+def forget_points(c: PlaneCurve, m: int) -> PlaneCurve:
+    """Keep the first m marks; prune and straighten the rest away."""
     if not (0 <= m <= len(c.marks)):
         raise ValueError("mark count out of range")
-    if m == len(c.marks):
-        return c
-    g = c.graph
-    nf = g.num_flags()
-    alive = [True] * nf
-    partner = list(g.flag_partner)
-    vert = list(g.flag_vertex)
-    dirs = list(c.dirs)
-    elen = {}
-    for e in g.bounded_edges():
-        elen[frozenset((e, g.flag_partner[e]))] = g.lengths[e]
-    for f in c.marks[m:]:
-        alive[f] = False
-
-    def live_flags(v):
-        return [f for f in range(nf) if alive[f] and vert[f] == v]
-
-    vertex_alive = [True] * g.num_vertices
-    changed = True
-    while changed:
-        changed = False
-        for v in range(g.num_vertices):
-            if not vertex_alive[v]:
-                continue
-            fs = live_flags(v)
-            if len(fs) == 1:
-                (f,) = fs
-                p = partner[f]
-                if p is None:
-                    raise ValueError("curve degenerates to a single end")
-                alive[f] = alive[p] = False
-                del elen[frozenset((f, p))]
-                vertex_alive[v] = False
-                changed = True
-            elif len(fs) == 2:
-                f1, f2 = fs
-                p1, p2 = partner[f1], partner[f2]
-                if p1 is None and p2 is None:
-                    raise ValueError("curve degenerates to a single line")
-                if p1 is None:
-                    # merge the end f1 through the bounded edge (f2, p2)
-                    vert[f1] = vert[p2]
-                    alive[f2] = alive[p2] = False
-                    del elen[frozenset((f2, p2))]
-                elif p2 is None:
-                    vert[f2] = vert[p1]
-                    alive[f1] = alive[p1] = False
-                    del elen[frozenset((f1, p1))]
-                else:
-                    l = elen.pop(frozenset((f1, p1))) + elen.pop(frozenset((f2, p2)))
-                    elen[frozenset((p1, p2))] = l
-                    partner[p1], partner[p2] = p2, p1
-                    alive[f1] = alive[f2] = False
-                vertex_alive[v] = False
-                changed = True
-
-    keep = [f for f in range(nf) if alive[f]]
-    remap = {f: i for i, f in enumerate(keep)}
-    vkeep = sorted({vert[f] for f in keep})
-    vremap = {v: i for i, v in enumerate(vkeep)}
-    fv = [vremap[vert[f]] for f in keep]
-    fp = [None if partner[f] is None else remap[partner[f]] for f in keep]
-    lengths = {}
-    for pair, l in elen.items():
-        a, b = pair
-        lengths[min(remap[a], remap[b])] = l
-    new_dirs = tuple(dirs[f] for f in keep)
-    new_marks = tuple(remap[f] for f in c.marks[:m])
-    graph = Graph(fv, fp, lengths)
-
-    if c.root in vremap:
-        root_old = c.root
-    else:
-        # nearest surviving vertex, breadth-first from the old root
-        seen = {c.root}
-        queue = [c.root]
-        root_old = None
-        while queue:
-            v = queue.pop(0)
-            if v in vremap:
-                root_old = v
-                break
-            for f in g.flags_at(v):
-                p = g.flag_partner[f]
-                if p is not None and g.flag_vertex[p] not in seen:
-                    seen.add(g.flag_vertex[p])
-                    queue.append(g.flag_vertex[p])
-        if root_old is None:
-            raise AssertionError("no surviving vertex reachable from root")
-    root_pos = image_position(c, root_old)
-    return PlaneCurve(
-        MarkedAbstractCurve(graph, new_marks), new_dirs, vremap[root_old], root_pos
-    )
+    dropped = set(c.marks[m:])
+    ends = [f for f in c.graph.end_flags() if f not in dropped]
+    return restrict(c, ends, c.marks[:m])
 
 
 def resolve_four_valent(t: PlaneType, v: int, pairing) -> tuple:
     """Split 4-valent vertex v, keeping the flags of `pairing` at v.
 
     All existing flag and edge ids are preserved; the new bounded edge gets
-    the two fresh flags, its id being the first of them (largest edge id,
-    so shared coordinate orders can list it last).  Returns (type, new edge).
+    the two fresh flags, its id being the first of them: the largest edge
+    id, so its length is the last column of the cell maps.  Returns (type,
+    new edge).
     """
     g = t.graph
     at_v = g.flags_at(v)

@@ -203,19 +203,6 @@ def derive_directions(graph: Graph, marks, end_dirs: dict):
     return tuple(dirs)
 
 
-def image_position(c: PlaneCurve, v: int):
-    """Image of vertex v: root position plus length-weighted path directions."""
-    g = c.graph
-    x, y = c.root_pos
-    for f in g.path_flags(c.root, v):
-        e = g.edge_of_flag(f)
-        l = g.lengths[e]
-        d = c.dirs[f]
-        x += l * d[0]
-        y += l * d[1]
-    return (x, y)
-
-
 def image_positions(c: PlaneCurve) -> dict:
     """Image of every vertex, in one walk out from the root."""
     g = c.graph
@@ -234,6 +221,11 @@ def image_positions(c: PlaneCurve) -> dict:
             pos[w] = (x + l * d[0], y + l * d[1])
             stack.append(w)
     return pos
+
+
+def image_position(c: PlaneCurve, v: int):
+    """Image of vertex v: root position plus length-weighted path directions."""
+    return image_positions(c)[v]
 
 
 def image_segments(c: PlaneCurve):
@@ -288,10 +280,10 @@ def plane_curve_from_json(data: dict) -> PlaneCurve:
     dirs = tuple((a, b) for a, b in data["directions"])
     if any(type(x) is not int for v in dirs for x in v):
         raise ValueError("direction entries must be JSON integers")
-    root_pos = (
-        parse_fraction(data["root_pos"][0]),
-        parse_fraction(data["root_pos"][1]),
-    )
+    root_pos = data["root_pos"]
+    if type(root_pos) is not list or len(root_pos) != 2:
+        raise ValueError("root_pos must be a list of two rationals")
+    root_pos = (parse_fraction(root_pos[0]), parse_fraction(root_pos[1]))
     if type(data["root"]) is not int:
         raise ValueError("the root vertex must be a JSON integer")
     return PlaneCurve(curve, dirs, data["root"], root_pos)

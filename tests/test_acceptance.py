@@ -111,10 +111,9 @@ def test_criterion_4_wall_crossing_invariance():
         for star, rows in star_cases():
             dets = []
             for resolved, new_edge in four_valent_resolutions(star, 0):
-                order = tuple(
-                    e for e in resolved.graph.bounded_edges() if e != new_edge
-                ) + (new_edge,)
-                cm = ev_matrix(resolved, which=rows, root=0, edge_order=order)
+                # the new edge's length is the last column in every resolution
+                assert resolved.graph.bounded_edges()[-1] == new_edge
+                cm = ev_matrix(resolved, which=rows)
                 dets.append(det(cm))
             assert len(dets) == 3
             assert sum(dets) == 0

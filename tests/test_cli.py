@@ -181,6 +181,22 @@ def float_root(curve):
     curve["root_pos"][1] = 0.5
 
 
+# root_pos is a list of exactly two rationals: not a string, nor one or three
+def root_pos_string(curve):
+    curve["root_pos"] = "12"
+
+
+def root_pos_three_entries(curve):
+    curve["root_pos"].append("5")
+
+
+def root_pos_one_entry(curve):
+    del curve["root_pos"][1]
+
+
+ROOT_POS_SPOILS = [root_pos_string, root_pos_three_entries, root_pos_one_entry]
+
+
 def zero_denominator_length(curve):
     lengths = curve["graph"]["lengths"]
     lengths[next(iter(lengths))] = "1/0"
@@ -225,6 +241,7 @@ def boolean_flag_partner(curve):
         float_flag_id,
         boolean_flag_vertex,
         boolean_flag_partner,
+        *ROOT_POS_SPOILS,
     ],
 )
 def test_render_curve_bad_number(capsys, tmp_path, spoil):
@@ -232,6 +249,16 @@ def test_render_curve_bad_number(capsys, tmp_path, spoil):
     spoil(curve)
     text = json.dumps(curve)
     malformed_input_exit(capsys, tmp_path / "c.json", text, ["render"])
+
+
+@pytest.mark.parametrize("spoil", ROOT_POS_SPOILS)
+def test_intersect_curve_bad_root_pos(capsys, tmp_path, spoil):
+    curve = conic_curve(capsys, tmp_path)
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(curve))
+    spoil(curve)
+    text = json.dumps(curve)
+    malformed_input_exit(capsys, tmp_path / "c.json", text, ["intersect", str(good)])
 
 
 def one_mark_line(mark):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from tropcount.graph import AbstractType, Graph
+from tropcount.enumeration import EV, PI, curve_multiplicity, sampled_fiber
+from tropcount.graph import AbstractType, Graph, MarkedAbstractCurve
 from tropcount.linalg import det
 from tropcount.moduli_maps import (
     M4Point,
@@ -14,9 +15,12 @@ from tropcount.moduli_maps import (
     multiplicity,
     pi_matrix,
     resolve_four_valent,
+    restrict,
 )
 from tropcount.plane import (
+    PlaneCurve,
     PlaneType,
+    canonical_plane_form,
     derive_directions,
     image_position,
     vadd,
@@ -79,23 +83,6 @@ def test_ev_matrix_two_bond_example():
     assert multiplicity(rows) == 1
 
 
-def test_ev_matrix_root_and_edge_order_invariance():
-    t = two_bond_type()
-    base = multiplicity(ev_matrix(t))
-    for root in range(t.graph.num_vertices):
-        assert multiplicity(ev_matrix(t, root=root)) == base
-    flipped = ev_matrix(t, edge_order=tuple(reversed(t.graph.bounded_edges())))
-    assert multiplicity(flipped) == base
-    assert abs(det(flipped)) == abs(det(ev_matrix(t)))
-
-
-def test_ev_matrix_mark_at_root():
-    t = two_bond_type()
-    # x1 sits at vertex 1; rooting there makes its rows the identity block
-    rows = ev_matrix(t, which=[(0, 0), (0, 1)], root=1)
-    assert rows == [[1, 0, 0, 0], [0, 1, 0, 0]]
-
-
 def test_ev_matrix_single_marked_line():
     t = plane_type([], [0, 0, 0, 0], [3], {0: W, 1: S, 2: NE})
     rows = ev_matrix(t)
@@ -111,10 +98,6 @@ def test_multiplicity_rejects_non_square():
 
 def test_cell_coordinates_validation():
     t = two_bond_type()
-    with pytest.raises(ValueError):
-        ev_matrix(t, root=5)
-    with pytest.raises(ValueError):
-        ev_matrix(t, edge_order=(5,))
     with pytest.raises(ValueError):
         ev_matrix(t, which=[(2, 0)])
     with pytest.raises(ValueError):
@@ -303,6 +286,156 @@ def test_forget_points_rejects_total_collapse():
         forget_points(c, 5)
 
 
+def test_restrict_validation():
+    t = two_bond_type()
+    c = t.with_lengths(lengths_for(t, [2, 3]), 0, (0, 0))
+    ends = c.graph.end_flags()
+    with pytest.raises(ValueError, match="at least 3 ends"):
+        restrict(c, ends[:2])
+    unmarked = [f for f in ends if f not in c.marks]
+    with pytest.raises(ValueError, match="among the ends"):
+        restrict(c, unmarked, c.marks[:1])
+    # both flags of a bounded edge: the ends lie on two sides of a cut
+    e = c.graph.bounded_edges()[0]
+    with pytest.raises(ValueError, match="connected"):
+        restrict(c, list(ends) + list(c.graph.edge_flags(e)))
+
+
+def forget_points_by_pruning(c, m):
+    """Forgetting marks by pruning to a fixpoint: the reference restrict
+    must agree with."""
+    if not (0 <= m <= len(c.marks)):
+        raise ValueError("mark count out of range")
+    if m == len(c.marks):
+        return c
+    g = c.graph
+    nf = g.num_flags()
+    alive = [True] * nf
+    partner = list(g.flag_partner)
+    vert = list(g.flag_vertex)
+    elen = {}
+    for e in g.bounded_edges():
+        elen[frozenset((e, g.flag_partner[e]))] = g.lengths[e]
+    for f in c.marks[m:]:
+        alive[f] = False
+
+    def live_flags(v):
+        return [f for f in range(nf) if alive[f] and vert[f] == v]
+
+    vertex_alive = [True] * g.num_vertices
+    changed = True
+    while changed:
+        changed = False
+        for v in range(g.num_vertices):
+            if not vertex_alive[v]:
+                continue
+            fs = live_flags(v)
+            if len(fs) == 1:
+                (f,) = fs
+                p = partner[f]
+                if p is None:
+                    raise ValueError("curve degenerates to a single end")
+                alive[f] = alive[p] = False
+                del elen[frozenset((f, p))]
+                vertex_alive[v] = False
+                changed = True
+            elif len(fs) == 2:
+                f1, f2 = fs
+                p1, p2 = partner[f1], partner[f2]
+                if p1 is None and p2 is None:
+                    raise ValueError("curve degenerates to a single line")
+                if p1 is None:
+                    # merge the end f1 through the bounded edge (f2, p2)
+                    vert[f1] = vert[p2]
+                    alive[f2] = alive[p2] = False
+                    del elen[frozenset((f2, p2))]
+                elif p2 is None:
+                    vert[f2] = vert[p1]
+                    alive[f1] = alive[p1] = False
+                    del elen[frozenset((f1, p1))]
+                else:
+                    l = elen.pop(frozenset((f1, p1))) + elen.pop(frozenset((f2, p2)))
+                    elen[frozenset((p1, p2))] = l
+                    partner[p1], partner[p2] = p2, p1
+                    alive[f1] = alive[f2] = False
+                vertex_alive[v] = False
+                changed = True
+
+    keep = [f for f in range(nf) if alive[f]]
+    remap = {f: i for i, f in enumerate(keep)}
+    vkeep = sorted({vert[f] for f in keep})
+    vremap = {v: i for i, v in enumerate(vkeep)}
+    fv = [vremap[vert[f]] for f in keep]
+    fp = [None if partner[f] is None else remap[partner[f]] for f in keep]
+    lengths = {}
+    for pair, l in elen.items():
+        a, b = pair
+        lengths[min(remap[a], remap[b])] = l
+    new_dirs = tuple(c.dirs[f] for f in keep)
+    new_marks = tuple(remap[f] for f in c.marks[:m])
+    graph = Graph(fv, fp, lengths)
+
+    if c.root in vremap:
+        root_old = c.root
+    else:
+        # nearest surviving vertex, breadth-first from the old root
+        seen = {c.root}
+        queue = [c.root]
+        root_old = None
+        while queue:
+            v = queue.pop(0)
+            if v in vremap:
+                root_old = v
+                break
+            for f in g.flags_at(v):
+                p = g.flag_partner[f]
+                if p is not None and g.flag_vertex[p] not in seen:
+                    seen.add(g.flag_vertex[p])
+                    queue.append(g.flag_vertex[p])
+    root_pos = image_position(c, root_old)
+    return PlaneCurve(
+        MarkedAbstractCurve(graph, new_marks), new_dirs, vremap[root_old], root_pos
+    )
+
+
+def forgetting_record(c):
+    """What forgetting keeps, whatever the flag and vertex numbering."""
+    return (
+        canonical_plane_form(c.combinatorial_type()),
+        sorted(c.graph.lengths.values()),
+        [image_position(c, c.mark_vertex(i)) for i in range(len(c.marks))],
+        curve_multiplicity(c),
+    )
+
+
+def fiber_curves():
+    """Solution curves of evaluation fibers at d = 1, 2 and of combined-map
+    fibers at d = 2 on rays A, B and C."""
+    for d in (1, 2):
+        for seed in range(5):
+            yield from (s.curve() for s in sampled_fiber(EV, d, seed)[1])
+    for seed in (0, 1):
+        for ray in ("A", "B", "C"):
+            yield from (s.curve() for s in sampled_fiber(PI, 2, seed, ray)[1])
+
+
+def test_forget_points_matches_pruning_oracle():
+    curves = 0
+    for c in fiber_curves():
+        for m in range(len(c.marks) + 1):
+            try:
+                want = forgetting_record(forget_points_by_pruning(c, m))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    forget_points(c, m)
+                continue
+            assert forgetting_record(forget_points(c, m)) == want
+        # restricting to every end, marks kept, changes nothing
+        assert restrict(c, c.graph.end_flags(), c.marks) == c
+        curves += 1
+    assert curves == 5 + 5 + 6 * 2  # N_1 = N_2 = 1; the combined map has degree 2
+
+
 def marked_star(germ_dirs, unbounded_first=True):
     """4-valent vertex; bounded germs run to a marked straight-through leaf.
 
@@ -359,10 +492,9 @@ def test_resolution_determinants_sum_to_zero():
         dets = []
         for resolved, new_edge in four_valent_resolutions(star, 0):
             assert resolved.codim() == 0
-            order = tuple(
-                e for e in resolved.graph.bounded_edges() if e != new_edge
-            ) + (new_edge,)
-            cm = ev_matrix(resolved, which=rows, root=0, edge_order=order)
+            # the new edge's length is the last column in every resolution
+            assert resolved.graph.bounded_edges()[-1] == new_edge
+            cm = ev_matrix(resolved, which=rows)
             assert all(len(row) == len(cm) for row in cm)
             dets.append(det(cm))
         assert sum(dets) == 0

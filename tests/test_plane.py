@@ -140,6 +140,17 @@ def test_image_position_examples():
     assert image_position(c2, 1) == (2, 2)
 
 
+def image_by_path(c, v):
+    """Root position plus the length-weighted directions along the path."""
+    g = c.graph
+    x, y = c.root_pos
+    for f in g.path_flags(c.root, v):
+        l = g.lengths[g.edge_of_flag(f)]
+        x += l * c.dirs[f][0]
+        y += l * c.dirs[f][1]
+    return (x, y)
+
+
 def test_image_positions_walk_matches_image_position():
     from tropcount.enumeration import EV, sampled_fiber
 
@@ -152,7 +163,7 @@ def test_image_positions_walk_matches_image_position():
                     pos = image_positions(curve)
                     assert sorted(pos) == list(range(c.graph.num_vertices))
                     for w, p in pos.items():
-                        assert p == image_position(curve, w)
+                        assert p == image_position(curve, w) == image_by_path(curve, w)
 
 
 def test_image_segments_line_star():

@@ -34,6 +34,19 @@ def test_imports_are_stdlib_or_tropcount():
                 assert name.split(".")[0] in allowed, f"{module} imports {name}"
 
 
+def test_imports_are_at_module_level():
+    # every dependency of a module shows at its top
+    for module, tree in parsed():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stray = [
+                node for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            ]
+            assert not stray, f"{module}.{fn.name} imports at line {stray[0].lineno}"
+
+
 def floats_in(node):
     """Float literals and uses of the name `float` under node."""
     for sub in ast.walk(node):
