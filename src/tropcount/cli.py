@@ -274,8 +274,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once per process: nothing in it depends on the call
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    ns = _build_parser().parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     try:
         return ns.run(ns)
     except GeneralPositionViolation as exc:

@@ -139,6 +139,19 @@ def _collinear_overlap(p, u, lu, q, w, lw) -> None:
         raise NonTransverse("collinear pieces touch at a point")
 
 
+def _on_scale(c: PlaneCurve, big: int) -> list:
+    """Each segment (p, u, l) of c as (p, u, l, X, Y, L), (X, Y, L) = big * (p, l).
+
+    big is a multiple of the curve's own denominator, so its cached integer
+    segments only need rescaling.
+    """
+    k = big // c.image.denominator
+    return [
+        (p, u, l, k * x, k * y, None if n is None else k * n)
+        for (p, u, l), (x, y, n) in zip(image_segments(c), c.image.scaled)
+    ]
+
+
 def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
     """Transverse crossings of two curves as [(point, multiplicity)].
 
@@ -146,27 +159,11 @@ def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
     segment, endpoint contact, or crossing at a vertex of either curve
     raises NonTransverse.
     """
-    segs1 = image_segments(c1)
-    segs2 = image_segments(c2)
-    # one common denominator scales every start point and length to integers
-    big = lcm(
-        *(x.denominator for p, _, l in segs1 + segs2 for x in (*p, l or 0))
-    )
-
-    def scaled(segs):
-        """Each segment (p, u, l) as (p, u, l, X, Y, L), (X, Y, L) = big * (p, l)."""
-
-        def up(x):
-            return x.numerator * (big // x.denominator)
-
-        return [
-            (p, u, l, up(p[0]), up(p[1]), None if l is None else up(l))
-            for p, u, l in segs
-        ]
-
+    # one common denominator scales both curves' start points and lengths
+    big = lcm(c1.image.denominator, c2.image.denominator)
     hits: Dict[tuple, int] = {}
-    int2 = scaled(segs2)
-    for p, u, lu, px, py, ilu in scaled(segs1):
+    int2 = _on_scale(c2, big)
+    for p, u, lu, px, py, ilu in _on_scale(c1, big):
         for q, w, lw, qx, qy, ilw in int2:
             den = cross(u, w)
             dx = qx - px

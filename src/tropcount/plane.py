@@ -5,12 +5,20 @@ per flag (opposite on the two flags of a bounded edge, zero on marked ends)
 satisfying the balancing condition at every vertex, anchored to the plane
 by a root vertex position.  On trees the internal directions are forced by
 the end directions, so they are derived rather than free data.
+
+A curve's image (vertex positions, segments, and the segments as integers
+over one common denominator) is walked once out of the root, on first use,
+and cached on the curve read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from types import MappingProxyType
+from typing import Mapping
 
 from .graph import (
     AbstractType,
@@ -158,6 +166,69 @@ class PlaneCurve:
         """Vertex of the i-th mark (0-based index into the mark order)."""
         return self.graph.flag_vertex[self.marks[i]]
 
+    @cached_property
+    def image(self) -> "CurveImage":
+        """The curve's image, walked on first use; not a dataclass field."""
+        return _walk_image(self)
+
+    def __reduce__(self):
+        # copies and pickles carry the four fields; the image is walked anew
+        return PlaneCurve, (self.curve, self.dirs, self.root, self.root_pos)
+
+
+@dataclass(frozen=True)
+class CurveImage:
+    """Image of a plane curve, read-only.
+
+    positions maps each vertex to its image point; segments are as
+    `image_segments` gives them; scaled holds, per segment, the integers
+    (X, Y, L) = denominator * (start point, length), where denominator is
+    the least common one of all segment starts and lengths.
+    """
+
+    positions: Mapping
+    segments: tuple
+    denominator: int
+    scaled: tuple
+
+
+def _walk_image(c: PlaneCurve) -> CurveImage:
+    g = c.graph
+    pos = {c.root: c.root_pos}
+    stack = [c.root]
+    while stack:
+        v = stack.pop()
+        x, y = pos[v]
+        for f in g.flags_at(v):
+            p = g.flag_partner[f]
+            if p is None or g.flag_vertex[p] in pos:
+                continue
+            l = g.lengths[g.edge_of_flag(f)]
+            d = c.dirs[f]
+            w = g.flag_vertex[p]
+            pos[w] = (x + l * d[0], y + l * d[1])
+            stack.append(w)
+
+    segs = []
+    for f in g.end_flags():  # marked ends are contracted
+        if c.dirs[f] == ZERO:
+            continue
+        segs.append((pos[g.flag_vertex[f]], c.dirs[f], None))
+    for e in g.bounded_edges():
+        if c.dirs[e] == ZERO:
+            continue
+        segs.append((pos[g.flag_vertex[e]], c.dirs[e], g.lengths[e]))
+
+    den = lcm(*(x.denominator for p, _, l in segs for x in (*p, l or 0)))
+
+    def up(x):
+        return x.numerator * (den // x.denominator)
+
+    scaled = tuple(
+        (up(p[0]), up(p[1]), None if l is None else up(l)) for p, _, l in segs
+    )
+    return CurveImage(MappingProxyType(pos), tuple(segs), den, scaled)
+
 
 def derive_directions(graph: Graph, marks, end_dirs: dict):
     """Directions for every flag of a tree from its end directions.
@@ -203,50 +274,23 @@ def derive_directions(graph: Graph, marks, end_dirs: dict):
     return tuple(dirs)
 
 
-def image_positions(c: PlaneCurve) -> dict:
-    """Image of every vertex, in one walk out from the root."""
-    g = c.graph
-    pos = {c.root: c.root_pos}
-    stack = [c.root]
-    while stack:
-        v = stack.pop()
-        x, y = pos[v]
-        for f in g.flags_at(v):
-            p = g.flag_partner[f]
-            if p is None or g.flag_vertex[p] in pos:
-                continue
-            l = g.lengths[g.edge_of_flag(f)]
-            d = c.dirs[f]
-            w = g.flag_vertex[p]
-            pos[w] = (x + l * d[0], y + l * d[1])
-            stack.append(w)
-    return pos
+def image_positions(c: PlaneCurve) -> Mapping:
+    """Image of every vertex, from the curve's cached walk."""
+    return c.image.positions
 
 
 def image_position(c: PlaneCurve, v: int):
     """Image of vertex v: root position plus length-weighted path directions."""
-    return image_positions(c)[v]
+    return c.image.positions[v]
 
 
-def image_segments(c: PlaneCurve):
+def image_segments(c: PlaneCurve) -> tuple:
     """(start point, direction, length or None) per non-contracted edge.
 
     Contracted edges and marked ends emit nothing; unbounded ends have
     length None.
     """
-    g = c.graph
-    marks = set(c.marks)
-    pos = image_positions(c)
-    out = []
-    for f in g.end_flags():
-        if f in marks or c.dirs[f] == ZERO:
-            continue
-        out.append((pos[g.flag_vertex[f]], c.dirs[f], None))
-    for e in g.bounded_edges():
-        if c.dirs[e] == ZERO:
-            continue
-        out.append((pos[g.flag_vertex[e]], c.dirs[e], g.lengths[e]))
-    return out
+    return c.image.segments
 
 
 def direction_classes(t: PlaneType):

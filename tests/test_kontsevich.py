@@ -26,13 +26,9 @@ from tropcount.kontsevich import (
     wdvv_sides,
 )
 from tropcount.moduli_maps import M4Point
-from tropcount.plane import (
-    PlaneCurve,
-    PlaneType,
-    cross,
-    image_positions,
-    image_segments,
-)
+from tropcount.plane import PlaneCurve, PlaneType, cross
+
+from test_plane import image_by_walk
 
 
 def line_at(x, y):
@@ -139,10 +135,12 @@ def test_bezout_on_sampled_curves():
 
 
 def oracle_intersection(c1, c2):
-    """The Fraction kernel that tropical_intersection replaced: the oracle."""
+    """The Fraction kernel that tropical_intersection replaced: the oracle.
+
+    It walks both curves itself, so a wrong or stale image cache shows."""
     hits = {}
-    segs2 = image_segments(c2)
-    for p, u, lu in image_segments(c1):
+    segs2 = image_by_walk(c2)[1]
+    for p, u, lu in image_by_walk(c1)[1]:
         for q, w, lw in segs2:
             den = cross(u, w)
             dx = q[0] - p[0]
@@ -179,6 +177,22 @@ def outcome(kernel, c1, c2) -> str:
         return f"NonTransverse: {exc}"
 
 
+def uncached(c):
+    """A copy of c whose image is not computed yet."""
+    return PlaneCurve(c.curve, c.dirs, c.root, c.root_pos)
+
+
+def test_bezout_pairs_match_oracle_cold_and_cached():
+    lines, conics = curves_for_bezout()
+    for a, b in itertools.product(lines + conics, repeat=2):
+        a, b = uncached(a), uncached(b)
+        want = outcome(oracle_intersection, a, b)
+        assert "image" not in vars(a) and "image" not in vars(b)
+        assert outcome(tropical_intersection, a, b) == want
+        assert "image" in vars(a) and "image" in vars(b)
+        assert outcome(tropical_intersection, a, b) == want
+
+
 @functools.lru_cache(maxsize=None)
 def kernel_curves():
     lines = [sampled_fiber(EV, 1, seed)[1][0].curve() for seed in (0, 1)]
@@ -201,10 +215,11 @@ def special_translations(c1, c2):
     def along(p, u, t):
         return (p[0] + t * u[0], p[1] + t * u[1])
 
-    verts2 = list(image_positions(c2).values())
-    moves = [minus(a, b) for a in image_positions(c1).values() for b in verts2]
-    segs2 = image_segments(c2)
-    for p, u, l in image_segments(c1):
+    pos1, segs1 = image_by_walk(c1)
+    pos2, segs2 = image_by_walk(c2)
+    verts2 = list(pos2.values())
+    moves = [minus(a, b) for a in pos1.values() for b in verts2]
+    for p, u, l in segs1:
         inner = Fraction(7, 2) if l is None else l / 3
         moves += [minus(along(p, u, inner), b) for b in verts2]
         targets = [p, along(p, u, -1)] + ([] if l is None else [along(p, u, l)])

@@ -1,7 +1,11 @@
+import copy
+import pickle
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from tropcount.enumeration import EV, sampled_fiber
 from tropcount.graph import AbstractType, Graph
 from tropcount.plane import (
     PlaneCurve,
@@ -151,19 +155,85 @@ def image_by_path(c, v):
     return (x, y)
 
 
-def test_image_positions_walk_matches_image_position():
-    from tropcount.enumeration import EV, sampled_fiber
+def image_by_walk(c):
+    """(positions, segments) of c from path sums alone, never from its cache.
 
-    for d, seeds in ((1, range(3)), (2, range(3))):
-        for seed in seeds:
+    Segments come in the order image_segments gives them: non-contracted
+    ends in end_flags() order, then non-contracted bounded edges.
+    """
+    g = c.graph
+    pos = {v: image_by_path(c, v) for v in range(g.num_vertices)}
+    ends = [(pos[g.flag_vertex[f]], c.dirs[f], None) for f in g.end_flags()]
+    edges = [
+        (pos[g.flag_vertex[e]], c.dirs[e], g.lengths[e]) for e in g.bounded_edges()
+    ]
+    return pos, [seg for seg in ends + edges if seg[1] != (0, 0)]
+
+
+def sampled_curves():
+    """Line and conic fiber curves, each also rerooted at every vertex."""
+    for d in (1, 2):
+        for seed in range(3):
             c = sampled_fiber(EV, d, seed)[1][0].curve()
+            yield c
             for v in range(c.graph.num_vertices):
-                rerooted = PlaneCurve(c.curve, c.dirs, v, image_position(c, v))
-                for curve in (c, rerooted):
-                    pos = image_positions(curve)
-                    assert sorted(pos) == list(range(c.graph.num_vertices))
-                    for w, p in pos.items():
-                        assert p == image_position(curve, w) == image_by_path(curve, w)
+                yield PlaneCurve(c.curve, c.dirs, v, image_position(c, v))
+
+
+def test_image_positions_walk_matches_image_position():
+    for curve in sampled_curves():
+        pos = image_positions(curve)
+        assert sorted(pos) == list(range(curve.graph.num_vertices))
+        for w, p in pos.items():
+            assert p == image_position(curve, w) == image_by_path(curve, w)
+
+
+def test_image_cache_matches_own_walk_and_json_copy():
+    t = degree2_chain()
+    lengths = {e: Fraction(i + 2, 3) for i, e in enumerate(t.graph.bounded_edges())}
+    chain = t.with_lengths(lengths, 2, (Fraction(-1, 2), 5))
+    for c in [chain, *sampled_curves()]:
+        pos, segs = image_by_walk(c)
+        copy = plane_curve_from_json(plane_curve_to_json(c))
+        for curve in (c, copy):
+            assert dict(image_positions(curve)) == pos
+            assert list(image_segments(curve)) == segs
+            den, scaled = curve.image.denominator, curve.image.scaled
+            assert den == lcm(
+                *(x.denominator for p, _, l in segs for x in (*p, l or 0))
+            )
+            assert list(scaled) == [
+                (p[0] * den, p[1] * den, None if l is None else l * den)
+                for p, _, l in segs
+            ]
+            assert all(type(x) is int for row in scaled for x in row if x is not None)
+
+
+def test_image_cache_is_read_only():
+    c = next(sampled_curves())
+    pos, segs = image_positions(c), image_segments(c)
+    with pytest.raises(TypeError):
+        pos[c.root] = (0, 0)
+    with pytest.raises(TypeError):
+        del pos[c.root]
+    with pytest.raises(TypeError):
+        segs[0] = segs[1]
+    assert image_positions(c) == pos
+    assert image_segments(c) == segs
+
+
+def test_image_cache_leaves_eq_hash_repr():
+    c = next(sampled_curves())
+    twin = PlaneCurve(c.curve, c.dirs, c.root, c.root_pos)
+    assert "image" not in vars(c)
+    empty = (hash(c), repr(c))
+    image_segments(c)
+    assert "image" in vars(c) and "image" not in vars(twin)
+    assert c == twin and twin == c
+    assert (hash(c), repr(c)) == empty == (hash(twin), repr(twin))
+    for back in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert back == c and "image" not in vars(back)
+        assert image_segments(back) == image_segments(c)
 
 
 def test_image_segments_line_star():

@@ -1,6 +1,7 @@
 """The core stays stdlib-only and float-free: checked on the source itself."""
 
 import ast
+import importlib
 import re
 import sys
 from collections import Counter
@@ -143,3 +144,24 @@ def test_every_test_import_is_read():
         if imported - read:
             unread[path.name] = sorted(imported - read)
     assert not unread, f"imported and never read: {unread}"
+
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer patches these names from outside; read its
+    # table without importing or running anything under bench/
+    tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
+    (table,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)
+    ]
+    hooks = ast.literal_eval(table)
+    assert hooks
+    missing = [
+        f"{module}.{attr}" for module, attr, _ in hooks
+        if not callable(getattr(importlib.import_module(f"tropcount.{module}"), attr, None))
+    ]
+    assert not missing, f"traced names tropcount no longer has: {missing}"
