@@ -3,15 +3,16 @@
 One search and one leaf serve both maps.  Unmarked trivalent image trees
 are enumerated once per degree (cached).  A map's row spec lists the
 (mark, coordinate) pairs it pins: a mark with both coordinates pinned is a
-point, a mark with one a line.  The search inserts contracted marked ends
-edge by edge, pruning each partial placement with one exact cone test per
-pair of marks, in the coordinates both pin, before any linear algebra
-runs.  At a complete placement the leaf builds the map's integer rows, one
-per pair of the row spec, plus the ft4 row for the combined map, whose
-quartet ray the row builder checks as it goes; it solves them once and
-builds the marked type only for a solution.  Everything is exact; a
-degenerate input is reported as GeneralPositionViolation so the caller can
-resample.
+point, a mark with one a line.  The search assigns each mark a host edge,
+pruning each partial assignment with one exact cone test per pair of
+marks, in the coordinates both pin, before any linear algebra runs.  In a
+chart of edge lengths and mark offsets along their hosts the map's rows
+depend on the hosts only, so the leaf eliminates them once per
+assignment and reads the order of the marks on each host off the
+solution; the combined map's ft4 row, which depends on the order of marks
+0-3, completes them by a rank-one step.  The marked type is built only for
+a solution.  Everything is exact; a degenerate input is reported as
+GeneralPositionViolation so the caller can resample.
 """
 
 from __future__ import annotations
@@ -362,19 +363,15 @@ class _TreeData:
     collinear: bool = False
     handles: Tuple[int, ...] = ()
     _sectors: Optional[dict] = field(default=None, repr=False)
-    _tables: Optional[tuple] = field(default=None, repr=False)
+    _chart: Optional[tuple] = field(default=None, repr=False)
+    _quartets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         g = self.t.graph
         dirs = self.t.dirs
-        self.contracted = tuple(
-            e for e in g.bounded_edges() if dirs[e] == ZERO
-        )
+        self.contracted = tuple(e for e in g.bounded_edges() if dirs[e] == ZERO)
         self.collinear = self._has_collinear_vertex()
-        skip = set(self.contracted)
-        self.handles = tuple(
-            e for e in g.bounded_edges() if e not in skip
-        ) + g.end_flags()
+        self.handles = tuple(e for e in g.bounded_edges() if dirs[e] != ZERO) + g.end_flags()
 
     def _has_collinear_vertex(self) -> bool:
         g = self.t.graph
@@ -413,20 +410,81 @@ class _TreeData:
             self._sectors = s
         return self._sectors
 
-    def tables(self):
-        """(paths, bounded edges, end flags) for the leaf: paths[v] lists
-        (bounded edge, flag walked) from vertex 0 to v."""
-        if self._tables is None:
+    def chart(self):
+        """(cols, paths, rows) of the leaf's columns: root x, root y, the
+        length of each bounded edge e at cols[e], then each mark's offset
+        from flag_vertex[h] along dirs[h] on its host h.  paths[v] lists the
+        bounded edges from vertex 0 to v, and rows[h][c] is coordinate c of
+        flag_vertex[h]."""
+        if self._chart is None:
             g = self.t.graph
-            paths = [
-                tuple((g.edge_of_flag(f), f) for f in g.path_flags(0, v))
-                for v in range(g.num_vertices)
-            ]
-            self._tables = (paths, g.bounded_edges(), g.end_flags())
-        return self._tables
+            dirs = self.t.dirs
+            cols = {e: 2 + i for i, e in enumerate(g.bounded_edges())}
+            walks = [g.path_flags(0, v) for v in range(g.num_vertices)]
+            rows = {}
+            for h in self.handles:
+                rows[h] = []
+                for c in (0, 1):
+                    row = [0] * (2 + len(cols))
+                    row[c] = 1
+                    for f in walks[g.flag_vertex[h]]:
+                        row[cols[g.edge_of_flag(f)]] = dirs[f][c]
+                    rows[h].append(row)
+            paths = [[g.edge_of_flag(f) for f in walk] for walk in walks]
+            self._chart = (cols, paths, rows)
+        return self._chart
+
+    def quartets(self, hosts, cluster):
+        """(ray, before, add, sub) of marks 0-3 on hosts, one per order of
+        those sharing a host; no point enters, so it is cached.  before
+        lists the pairs (a, b) next to each other on one host, a nearer its
+        flag; the ft4 row adds the columns in add and subtracts sub.  The
+        pairing i, j | k, l is the ray when path(i, j) and path(k, l) share
+        no edge and the central path, path(i, k) ∩ path(j, l), is not
+        empty; with none it is D.  Trees share equal tables."""
+        key = (*hosts, cluster)
+        if key in self._quartets:
+            return self._quartets[key]
+        cols, paths, _ = self.chart()
+        off = 2 + len(cols)
+        at = [cluster[0] if cluster and m == cluster[1] else m for m in range(4)]
+        on: Dict[int, dict] = {}
+        for m in range(4):
+            on.setdefault(hosts[m], {})[at[m]] = None
+        table = []
+        for orders in itertools.product(*map(itertools.permutations, on.values())):
+            seq = dict(zip(on, orders))
+
+            def pieces(e, count=None):  # (column added, column subtracted) each
+                s = [off + p for p in seq.get(e, ())]
+                return set(list(zip(s + [cols.get(e)], [None] + s))[:count])
+
+            walks = []
+            for m in range(4):
+                h = hosts[m]
+                # xor: the walk to flag_vertex[h] crosses h if h points to the root
+                walk = set().union(*map(pieces, paths[self.t.graph.flag_vertex[h]]))
+                walk ^= pieces(h, seq[h].index(at[m]) + 1)
+                if cluster and m in cluster:
+                    walk.add((off + cluster[1], None))
+                walks.append(walk)
+            ray, central = "D", ()
+            for r, (i, j), (k, l) in _PAIRINGS:
+                shared = (walks[i] ^ walks[k]) & (walks[j] ^ walks[l])
+                if shared and not (walks[i] ^ walks[j]) & (walks[k] ^ walks[l]):
+                    ray, central = r, shared
+                    break
+            # consecutive pieces share a column, which cancels
+            ups = {up for up, _ in central}
+            lows = {low for _, low in central} - {None}
+            before = tuple(pair for s in orders for pair in zip(s, s[1:]))
+            table.append((ray, before, tuple(ups - lows), tuple(lows - ups)))
+        table = tuple(table)
+        return self._quartets.setdefault(key, _QUARTET_TABLES.setdefault(table, table))
 
 
 _TREE_DATA: Dict[int, List[_TreeData]] = {}
+_QUARTET_TABLES: Dict[tuple, tuple] = {}
 
 
 def _tree_data(d: int) -> List[_TreeData]:
@@ -497,9 +555,7 @@ def _subdivide(tree: PlaneType, placements: dict, n: int):
                 for mi in item[1]:
                     marks[mi] = new_flag(wv, None, ZERO)
             open_flag = new_flag(w, None, d)
-        if far is None:
-            pass  # tail stays unbounded
-        else:
+        if far is not None:  # an end's tail stays unbounded
             fp[open_flag] = far
             fp[far] = open_flag
             ids.append(min(open_flag, far))
@@ -559,56 +615,45 @@ def _pair_ok(secs, dirs, pairs, placed, m, h) -> bool:
 
 
 def _search_tree(td: _TreeData, ipts, which, leaf):
-    """Place the marks on one tree's edges, calling leaf(td, occupancy,
-    where) on every placement that passes the pair test.
+    """Assign the marks to one tree's hosts, calling leaf(td, where,
+    cluster) on every assignment that passes the pair test.
 
     Each mark's constraint is read from the row spec which: a mark with
     both coordinates in it is pinned to its point, a mark with one sees
     only the line through its point that fixes that coordinate.  Point
     marks are placed first, then line marks, each in mark order.  A line
-    mark may also share one vertex, hanging off a host by a contracted
-    edge, with a placed line mark on the other axis.  occupancy maps each
-    host to its items, nearest the host's own flag first; where maps each
-    mark to its host.
+    mark m may also share one vertex, hanging off a host by a contracted
+    edge, with a placed line mark m2 on the other axis: the cluster
+    (m2, m).  The order of the marks on a host is left to the leaf.
     """
     secs = td.sectors()
     hosts = td.handles
     dirs = td.t.dirs
     pins, pairs = _pair_table(ipts, which)
     order = sorted(range(len(pins)), key=lambda m: len(pins[m]) == 1)
-    occupancy: Dict[int, list] = {h: [] for h in hosts}
     where: Dict[int, int] = {}
 
-    def rec(k):
+    def rec(k, cluster):
         if k == len(order):
-            leaf(td, occupancy, where)
+            leaf(td, where, cluster)
             return
         m = order[k]
         for h in hosts:
-            if not _pair_ok(secs, dirs, pairs, where.items(), m, h):
-                continue
-            occ = occupancy[h]
-            for slot in range(len(occ) + 1):
-                occ.insert(slot, ("mark", m))
+            if _pair_ok(secs, dirs, pairs, where.items(), m, h):
                 where[m] = h
-                rec(k + 1)
-                occ.pop(slot)
+                rec(k + 1, cluster)
                 del where[m]
-        # the cluster hangs by a contracted edge; a second one in the tree
-        # would leave two columns on the one ft4 row, and determinant zero
+        # a second contracted edge in the tree would leave two columns on
+        # the one ft4 row, and determinant zero
         if len(pins[m]) == 1 and not td.contracted:
             for m2, h2 in list(where.items()):
                 if len(pins[m2]) != 1 or pins[m2] == pins[m]:
                     continue
-                occ = occupancy[h2]
-                slot = occ.index(("mark", m2))
-                occ[slot] = ("cluster", (m2, m))
                 where[m] = h2
-                rec(k + 1)
-                occ[slot] = ("mark", m2)
+                rec(k + 1, (m2, m))
                 del where[m]
 
-    rec(0)
+    rec(0, None)
 
 
 def _integer_points(points, *denominators):
@@ -624,143 +669,98 @@ def _integer_points(points, *denominators):
 # the shared leaf
 
 
-def _slot(items, m) -> int:
-    """Position, on its host, of the item carrying mark m."""
-    for s, it in enumerate(items):
-        if it == ("mark", m) or (it[0] == "cluster" and m in it[1]):
-            return s
-    raise AssertionError(f"mark {m} is not on its host")
+def _leaf(td: _TreeData, where, cluster, d: int, which, ray, rhs, scale, found):
+    """One assignment of the marks to hosts: eliminate its rows once, and
+    build the marked type only for a solution.
 
-
-def _rows(td: _TreeData, occupancy, where, which, ray: Optional[str]):
-    """Integer rows of a map on the type a placement builds, or None when
-    the placement's quartet does not pair as the target ray.
-
-    Rows: one per (mark, coordinate) pair in which, then, given a ray (the
-    combined map), the ft4 row of its quartet pairing.  Columns: root x,
-    root y, the pieces of each base bounded edge in walk order from its own
-    flag, the bounded pieces of each end, and last the cluster's contracted
-    edge, if any.  Returns the rows and the column of the first piece of
-    each base bounded edge and each end.
-
-    The ray is decided as soon as marks 0-3 are walked: the pairing
-    i, j | k, l holds when path(i, j) and path(k, l) share no edge and the
-    central path, path(i, k) ∩ path(j, l), is not empty.
+    The columns are td.chart()'s; in a cluster (m2, m), m sits at m2's
+    offset and its column holds the contracted edge's length.  The rows
+    read only the hosts, so the solution orders the marks on each host, and
+    the lengths are offset differences.  For the combined map each order of
+    marks 0-3 that pairs them as ray adds its ft4 row f (td.quartets): with
+    the other rows' solution x0 and kernel vector k, the determinant is f·k
+    and the solution x0 + t·k.  rhs is the fiber's right-hand side times
+    the integer scale, the ft4 target last.
     """
-    g = td.t.graph
-    dirs = td.t.dirs
-    paths, bounded, ends = td.tables()
-    size = len(which) + (ray is not None)
-    start = {}
-    col = 2
-    for e in bounded:
-        start[e] = col
-        col += len(occupancy.get(e, ())) + 1
-    for h in ends:
-        start[h] = col
-        col += len(occupancy[h])
+    cols, _, host_rows = td.chart()
+    n = len(where)
+    off = 2 + len(cols)
+    at = [cluster[0] if cluster and m == cluster[1] else m for m in range(n)]
+    completions = [((), None, None)]
     if ray is not None:
-        (i, j), (k, l) = next(pair for r, *pair in _PAIRINGS if r == ray)
-    # (column, direction) along the path from the root to each mark
-    walks = []
-    for m in range(len(where)):
-        h = where[m]
-        items = occupancy[h]
-        s = _slot(items, m)
-        far = g.flag_partner[h]
-        if far is None or len(paths[g.flag_vertex[h]]) < len(paths[g.flag_vertex[far]]):
-            via, f, pieces = g.flag_vertex[h], h, range(s + 1)
-        else:
-            via, f, pieces = g.flag_vertex[far], far, range(s + 1, len(items) + 1)
-        walk = []
-        for e, ef in paths[via]:
-            c0 = start[e]
-            walk.extend((c0 + p, dirs[ef]) for p in range(len(occupancy.get(e, ())) + 1))
-        walk.extend((start[h] + p, dirs[f]) for p in pieces)
-        if items[s][0] == "cluster":
-            walk.append((size - 1, ZERO))
-        walks.append(walk)
-        if m == 3 and ray is not None:
-            cols = [{col for col, _ in w} for w in walks]
-            if (cols[i] ^ cols[j]) & (cols[k] ^ cols[l]):
-                return None
-            central = (cols[i] ^ cols[k]) & (cols[j] ^ cols[l])
-            if not central:
-                return None
-    clustered = any(it[0] == "cluster" for items in occupancy.values() for it in items)
-    if col + clustered != size:
-        raise AssertionError(f"{col + clustered} columns for {size} rows")
+        quartet = td.quartets(tuple(where[m] for m in range(4)), cluster)
+        completions = [entry[1:] for entry in quartet if entry[0] == ray]
+        if not completions:
+            return
     rows = []
     for m, c in which:
-        row = [0] * size
-        row[c] = 1
-        for col, v in walks[m]:
-            row[col] = v[c]
-        rows.append(row)
-    if ray is not None:
-        rows.append([int(col in central) for col in range(size)])
-    return rows, start
-
-
-def _leaf(td: _TreeData, occupancy, where, d: int, which, ray, rhs, scale, found):
-    """One placement of all marks: solve its integer rows once, and build
-    the marked type only for a solution.
-
-    ray is None for the evaluation map; for the combined map _rows drops a
-    placement whose quartet pairs otherwise.  rhs is the fiber's right-hand
-    side times the integer scale.
-    """
-    built = _rows(td, occupancy, where, which, ray)
-    if built is None:
-        return
-    rows, start = built
-    res = solve(rows, rhs)
+        rows.append(host_rows[where[m]][c] + [0] * n)
+        rows[-1][off + at[m]] = td.t.dirs[where[m]][c]
+    if len(rows) + (ray is not None) != off + n:
+        raise AssertionError(f"{off + n} columns for {len(rows) + (ray is not None)} rows")
+    res = solve(rows, rhs[: len(rows)])
     if res.status == "inconsistent":
         return
-    if res.status == "underdetermined":
-        raise GeneralPositionViolation(
-            "rank-deficient consistent system: input in special position"
-        )
-    xs = res.solution
-    if any(v < 0 for v in xs[2:]):
-        return
-    if any(v == 0 for v in xs[2:]):
-        raise GeneralPositionViolation(
-            "solution on a cell boundary (zero edge length)"
-        )
-    placements = {h: list(items) for h, items in occupancy.items() if items}
-    mt, piece_ids = _subdivide(td.t, placements, len(where))
-    key = canonical_plane_form(mt)
-    if key in found:
-        return
-    # the kernel must agree with the cell map of the type it stands for
-    if ray is None:
-        cell_map = ev_matrix(mt)
-    else:
-        mt_ray = ft4_coordinate(mt)[0]
-        if mt_ray != ray:
-            raise AssertionError(f"placement ray {ray} but the type's ray is {mt_ray}")
-        cell_map = pi_matrix(mt, d)
-    mult = multiplicity(cell_map)
-    if mult != abs(res.det):
-        raise AssertionError(
-            f"multiplicity {mult} disagrees with the leaf determinant {res.det}"
-        )
-    col_of = dict(start)  # an unsplit bounded edge keeps its id
-    for h, ids in piece_ids.items():
-        for k, e in enumerate(ids):
-            col_of[e] = start[h] + k
-    cluster_col = len(rows) - 1
-    order = [0, 1] + [col_of.get(e, cluster_col) for e in mt.graph.bounded_edges()]
-    sol = FiberSolution(mt, tuple(xs[c] / scale for c in order), mult)
-    if ray is None:
-        # a cell's determinant is the product of its vertex multiplicities
-        vertex_mult = curve_multiplicity(sol.curve())
-        if vertex_mult != mult:
-            raise AssertionError(
-                f"multiplicity {mult} disagrees with vertex product {vertex_mult}"
+    for before, add, sub in completions:
+        x, det = res.solution, res.det
+        if add is not None:
+            fx, *fk = [sum(v[c] for c in add) - sum(v[c] for c in sub) for v in (x, *res.kernel)]
+            if len(fk) == 1 and fk[0]:
+                det = fk[0]
+                x = [v + (rhs[-1] - fx) / det * w for v, w in zip(x, res.kernel[0])]
+            elif not any(fk) and fx != rhs[-1]:
+                continue  # this order's system is inconsistent
+        if det is None:
+            raise GeneralPositionViolation(
+                "rank-deficient consistent system: input in special position"
             )
-    found[key] = sol
+        if any(x[off + a] > x[off + b] for a, b in before):
+            continue  # the solution orders marks 0-3 otherwise
+        items: Dict[int, list] = {}
+        for m in set(at):
+            item = ("cluster", cluster) if cluster and m == cluster[0] else ("mark", m)
+            items.setdefault(where[m], []).append((x[off + m], item))
+        pieces = {e: [x[c]] for e, c in cols.items()}
+        for h, its in items.items():
+            its.sort(key=lambda it: it[0])
+            ends = [0] + [v for v, _ in its] + ([x[cols[h]]] if h in cols else [])
+            pieces[h] = [b - a for a, b in zip(ends, ends[1:])]
+        contracted = [x[off + cluster[1]]] if cluster else []
+        lengths = [v for ps in pieces.values() for v in ps] + contracted
+        if any(v < 0 for v in lengths):
+            continue
+        if any(v == 0 for v in lengths):
+            raise GeneralPositionViolation("solution on a cell boundary (zero edge length)")
+        placements = {h: [item for _, item in its] for h, its in items.items()}
+        mt, piece_ids = _subdivide(td.t, placements, n)
+        key = canonical_plane_form(mt)
+        if key in found:
+            continue
+        # the kernel must agree with the cell map of the type it stands for
+        if ray is None:
+            cell_map = ev_matrix(mt)
+        else:
+            mt_ray = ft4_coordinate(mt)[0]
+            if mt_ray != ray:
+                raise AssertionError(f"placement ray {ray} but the type's ray is {mt_ray}")
+            cell_map = pi_matrix(mt, d)
+        mult = multiplicity(cell_map)
+        if mult != abs(det):
+            raise AssertionError(f"multiplicity {mult} disagrees with the leaf determinant {det}")
+        # an unsplit bounded edge keeps its id; the edge left is the cluster's
+        length = {}
+        for h, ps in pieces.items():
+            length.update(zip(piece_ids.get(h, [h]), ps))
+        coords = [*x[:2], *(length.get(e, *contracted) for e in mt.graph.bounded_edges())]
+        sol = FiberSolution(mt, tuple(v / scale for v in coords), mult)
+        if ray is None:
+            # a cell's determinant is the product of its vertex multiplicities
+            vertex_mult = curve_multiplicity(sol.curve())
+            if vertex_mult != mult:
+                raise AssertionError(
+                    f"multiplicity {mult} disagrees with vertex product {vertex_mult}"
+                )
+        found[key] = sol
 
 
 def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
@@ -775,8 +775,8 @@ def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
     ray = None if m4 is None else m4.ray
     found: dict = {}
 
-    def leaf(td, occupancy, where):
-        _leaf(td, occupancy, where, d, which, ray, rhs, scale, found)
+    def leaf(td, where, cluster):
+        _leaf(td, where, cluster, d, which, ray, rhs, scale, found)
 
     for td in trees:
         _search_tree(td, ipts, which, leaf)

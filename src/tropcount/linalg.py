@@ -4,7 +4,7 @@ A cell map is a list of integer rows.  Every multiplicity in this package
 is |det| of such rows, and every fiber is an exact solve of them against a
 rational right-hand side.  Both run one fraction-free (Bareiss)
 elimination, so every entry stays an integer; only a solution is returned
-as stdlib fractions.  Nothing here touches a float.
+as stdlib fractions, and a kernel stays in integers.  Nothing here touches a float.
 """
 
 from __future__ import annotations
@@ -66,23 +66,39 @@ def det(rows) -> int:
 class SolveResult:
     """Outcome of an exact linear solve: unique / inconsistent / underdetermined.
 
-    A unique solve of a square system also carries the determinant of its
-    coefficient rows, read off the elimination's last pivot.
+    A consistent system carries a solution: the unique one, or for an
+    underdetermined system the one that is 0 on every free column, together
+    with an integer kernel basis.  A unique solve of a square system also
+    carries the determinant of its coefficient rows, read off the
+    elimination's last pivot.
     """
 
-    __slots__ = ("status", "solution", "det")
+    __slots__ = ("status", "solution", "det", "kernel")
 
     UNIQUE = "unique"
     INCONSISTENT = "inconsistent"
     UNDERDETERMINED = "underdetermined"
 
-    def __init__(self, status: str, solution=None, det=None):
+    def __init__(self, status: str, solution=None, det=None, kernel=()):
         self.status = status
         self.solution = solution
         self.det = det
+        self.kernel = kernel
 
     def __repr__(self) -> str:
         return f"SolveResult({self.status}, {self.solution})"
+
+
+def _back_substitute(a, pivots, y, rhs):
+    """Fill y's pivot columns so that the echelon rows times y give rhs.
+
+    y's free columns are set on entry.  Each division is exact when the
+    result is integral, as Cramer's rule makes it for the callers."""
+    for k in range(len(pivots) - 1, -1, -1):
+        row, c = a[k], pivots[k]
+        acc = rhs[k] - sum(row[j] * y[j] for j in range(c + 1, len(y)))
+        y[c] = acc // row[c]
+    return y
 
 
 def solve(rows, rhs) -> SolveResult:
@@ -90,7 +106,11 @@ def solve(rows, rhs) -> SolveResult:
 
     rows are integer rows; rhs holds ints or Fractions and is scaled once to
     integers by the lcm of its denominators.  UNIQUE requires full column
-    rank and consistency; no tolerances anywhere.
+    rank and consistency; no tolerances anywhere.  An UNDERDETERMINED result
+    holds the solution that is 0 on the free columns and one integer kernel
+    vector per free column.  For n - 1 independent rows in n columns that
+    vector is ± their maximal minors (the generalized cross product), so a
+    further row f completes them to a square system of determinant ±f·k.
     """
     nrows = len(rows)
     if len(rhs) != nrows:
@@ -99,20 +119,21 @@ def solve(rows, rhs) -> SolveResult:
     scale = lcm(*(b.denominator for b in rhs))
     a = [[*row, b.numerator * (scale // b.denominator)] for row, b in zip(rows, rhs)]
     pivots, sign = _eliminate(a, n)
-    if any(row[n] != 0 for row in a[len(pivots) :]):
+    r = len(pivots)
+    if any(row[n] != 0 for row in a[r:]):
         return SolveResult(SolveResult.INCONSISTENT)
-    if len(pivots) < n:
-        return SolveResult(SolveResult.UNDERDETERMINED)
-    # the leading n rows form a square system whose determinant is its last
-    # pivot den, so by Cramer's rule y = den·scale·x is integral and every
-    # division in the back substitution is exact
-    den = a[n - 1][n - 1] if n else 1
-    y = [0] * n
-    for k in range(n - 1, -1, -1):
-        row = a[k]
-        acc = row[n] * den - sum(row[j] * y[j] for j in range(k + 1, n))
-        y[k] = acc // row[k]
+    # the pivot columns of the leading r rows form a square system whose
+    # determinant is its last pivot den, so by Cramer's rule y = den·scale·x
+    # and each kernel vector with den on its free column are integral
+    den = a[r - 1][pivots[-1]] if r else 1
+    y = _back_substitute(a, pivots, [0] * n, [row[n] * den for row in a])
+    solution = tuple(Fraction(v, den * scale) for v in y)
+    if r < n:
+        kernel = []
+        for c in sorted(set(range(n)) - set(pivots)):
+            k = [0] * n
+            k[c] = den
+            kernel.append(tuple(_back_substitute(a, pivots, k, [0] * r)))
+        return SolveResult(SolveResult.UNDERDETERMINED, solution, kernel=tuple(kernel))
     square_det = sign * den if nrows == n else None
-    return SolveResult(
-        SolveResult.UNIQUE, tuple(Fraction(v, den * scale) for v in y), square_det
-    )
+    return SolveResult(SolveResult.UNIQUE, solution, square_det)

@@ -15,8 +15,10 @@ from tropcount.enumeration import (
     GeneralPositionViolation,
     PointConfig,
     _ev_tree_data,
+    _integer_points,
+    _pair_ok,
+    _pair_table,
     _pi_tree_data,
-    _rows,
     _search_tree,
     _sector,
     _sector_has,
@@ -41,6 +43,8 @@ from tropcount import enumeration
 from tropcount.graph import AbstractType, Graph, trivalent_trees_on_leaves
 from tropcount.linalg import det, solve
 from tropcount.moduli_maps import (
+    _PAIRINGS,
+    M4Point,
     ev_matrix,
     ft4_coordinate,
     m4_point,
@@ -875,36 +879,51 @@ def scaled_points(cfg):
     return [(int(x * scale), int(y * scale)) for x, y in cfg.points]
 
 
+def host_orders(where, cluster):
+    """Every occupancy of one assignment: the items on each host, nearest
+    the host's own flag first, in every order."""
+    items = {}
+    for m, h in sorted(where.items()):
+        if cluster and m == cluster[1]:
+            continue
+        item = ("cluster", cluster) if cluster and m == cluster[0] else ("mark", m)
+        items.setdefault(h, []).append(item)
+    hosts = sorted(items)
+    for orders in itertools.product(*(itertools.permutations(items[h]) for h in hosts)):
+        yield {h: list(order) for h, order in zip(hosts, orders)}
+
+
 def dense_pi_fiber(d, cfg):
     """Oracle: the dense combined-map leaf the integer kernel replaced.
 
-    Every placement is subdivided into its marked type, its ray is read off
-    ft4_coordinate, and the rows of pi_matrix are solved densely against
-    the unscaled rational right-hand side."""
+    Every order of the marks of every assignment the search reaches is
+    subdivided into its marked type, its ray is read off ft4_coordinate,
+    and the rows of pi_matrix are solved densely against the unscaled
+    rational right-hand side."""
     n = 3 * d
     rhs = [cfg.points[0][0], cfg.points[1][1]] + [c for p in cfg.points[2:] for c in p]
     rhs.append(cfg.m4.length)
     found = {}
 
-    def leaf(td, occupancy, where):
-        placements = {h: list(items) for h, items in occupancy.items() if items}
-        mt, _ = _subdivide(td.t, placements, n)
-        if ft4_coordinate(mt)[0] != cfg.m4.ray:
-            return
-        rows = pi_matrix(mt, d)
-        res = solve(rows, rhs)
-        if res.status == "inconsistent":
-            return
-        if res.status == "underdetermined":
-            raise GeneralPositionViolation("rank-deficient consistent system")
-        lens = res.solution[2:]
-        if any(v < 0 for v in lens):
-            return
-        if any(v == 0 for v in lens):
-            raise GeneralPositionViolation("zero edge length")
-        key = canonical_plane_form(mt)
-        if key not in found:
-            found[key] = FiberSolution(mt, res.solution, multiplicity(rows))
+    def leaf(td, where, cluster):
+        for occupancy in host_orders(where, cluster):
+            mt, _ = _subdivide(td.t, occupancy, n)
+            if ft4_coordinate(mt)[0] != cfg.m4.ray:
+                continue
+            rows = pi_matrix(mt, d)
+            res = solve(rows, rhs)
+            if res.status == "inconsistent":
+                continue
+            if res.status == "underdetermined":
+                raise GeneralPositionViolation("rank-deficient consistent system")
+            lens = res.solution[2:]
+            if any(v < 0 for v in lens):
+                continue
+            if any(v == 0 for v in lens):
+                raise GeneralPositionViolation("zero edge length")
+            key = canonical_plane_form(mt)
+            if key not in found:
+                found[key] = FiberSolution(mt, res.solution, multiplicity(rows))
 
     for td in _pi_tree_data(d):
         _search_tree(td, scaled_points(cfg), pi_which(n), leaf)
@@ -945,25 +964,283 @@ def test_pi_cell_maps_are_integer_rows(ray):
         assert_integer_cell_map(pi_matrix(sol.type, 2), sol.mult)
 
 
+def host_chart(td, occupancy, mt, piece_ids, length):
+    """The leaf's chart of a subdivided type whose bounded edges have the
+    given lengths: root at the origin, the base edge lengths, then each
+    mark's offset along its host; a cluster's second mark holds the
+    contracted edge's length."""
+    g = td.t.graph
+    n = len(mt.marks)
+    bounded = g.bounded_edges()
+    x = [0] * (2 + len(bounded) + n)
+    pieces = {e for ids in piece_ids.values() for e in ids}
+    for i, e in enumerate(bounded):
+        x[2 + i] = sum(length[p] for p in piece_ids.get(e, [e]))
+    for h, items in occupancy.items():
+        for k, item in enumerate(items):
+            offset = sum(length[p] for p in piece_ids[h][: k + 1])
+            if item[0] == "mark":
+                x[2 + len(bounded) + item[1]] = offset
+            else:
+                m2, m = item[1]
+                x[2 + len(bounded) + m2] = offset
+                (cluster_edge,) = set(mt.graph.bounded_edges()) - pieces - set(bounded)
+                x[2 + len(bounded) + m] = length[cluster_edge]
+    return x
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("ray", ["A", "B", "C"])
 def test_placement_ray_matches_ft4_coordinate_on_every_leaf(seed, ray):
-    # _rows keeps a placement exactly when its marked type lies on the ray
+    # on every order of the marks of every assignment, exactly one entry of
+    # the quartet table holds; its ray is ft4_coordinate's, and its row in
+    # the offset chart measures the same central path
     cfg = pi_config(2, seed, ray)
     which = pi_which(6)
+    lengths = itertools.cycle([3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8])
     leaves = []
 
-    def leaf(td, occupancy, where):
-        placements = {h: list(items) for h, items in occupancy.items() if items}
-        mt, _ = _subdivide(td.t, placements, 6)
-        kept = _rows(td, occupancy, where, which, ray) is not None
-        leaves.append((kept, ft4_coordinate(mt)[0]))
+    def leaf(td, where, cluster):
+        table = td.quartets(tuple(where[m] for m in range(4)), cluster)
+        for occupancy in host_orders(where, cluster):
+            rank = {}
+            for items in occupancy.values():
+                for k, item in enumerate(items):
+                    for m in (item[1] if item[0] == "cluster" else (item[1],)):
+                        rank[m] = k
+            (entry,) = [e for e in table if all(rank[a] < rank[b] for a, b in e[1])]
+            mt, piece_ids = _subdivide(td.t, occupancy, 6)
+            theirs, row = ft4_coordinate(mt)
+            length = {e: next(lengths) for e in mt.graph.bounded_edges()}
+            central = sum(a * length[e] for a, e in zip(row[2:], mt.graph.bounded_edges()))
+            x = host_chart(td, occupancy, mt, piece_ids, length)
+            _, _, add, sub = entry
+            assert sum(x[c] for c in add) - sum(x[c] for c in sub) == central
+            leaves.append((entry[0], theirs))
 
     for td in _pi_tree_data(2):
         _search_tree(td, scaled_points(cfg), which, leaf)
     assert len(leaves) > 100
-    assert all(kept == (theirs == ray) for kept, theirs in leaves)
+    assert all(ours == theirs for ours, theirs in leaves)
     assert {theirs for _, theirs in leaves} == {"A", "B", "C"}
+
+
+# --- the slot-order oracle ---------------------------------------------------
+# A second search and leaf, kept as the reference: every order of the marks
+# on a host is its own leaf, solved densely in a chart with one column per
+# edge piece between consecutive marks.
+
+
+def slot_search_tree(td, ipts, which, leaf):
+    """Place the marks on one tree's edges, calling leaf(td, occupancy,
+    where) on every placement, each order on a host its own, that passes
+    the pair test."""
+    secs = td.sectors()
+    hosts = td.handles
+    dirs = td.t.dirs
+    pins, pairs = _pair_table(ipts, which)
+    order = sorted(range(len(pins)), key=lambda m: len(pins[m]) == 1)
+    occupancy = {h: [] for h in hosts}
+    where = {}
+
+    def rec(k):
+        if k == len(order):
+            leaf(td, occupancy, where)
+            return
+        m = order[k]
+        for h in hosts:
+            if not _pair_ok(secs, dirs, pairs, where.items(), m, h):
+                continue
+            occ = occupancy[h]
+            for slot in range(len(occ) + 1):
+                occ.insert(slot, ("mark", m))
+                where[m] = h
+                rec(k + 1)
+                occ.pop(slot)
+                del where[m]
+        if len(pins[m]) == 1 and not td.contracted:
+            for m2, h2 in list(where.items()):
+                if len(pins[m2]) != 1 or pins[m2] == pins[m]:
+                    continue
+                occ = occupancy[h2]
+                slot = occ.index(("mark", m2))
+                occ[slot] = ("cluster", (m2, m))
+                where[m] = h2
+                rec(k + 1)
+                occ[slot] = ("mark", m2)
+                del where[m]
+
+    rec(0)
+
+
+def piece_slot(items, m):
+    for s, it in enumerate(items):
+        if it == ("mark", m) or (it[0] == "cluster" and m in it[1]):
+            return s
+    raise AssertionError(f"mark {m} is not on its host")
+
+
+def piece_rows(td, occupancy, where, which, ray):
+    """Integer rows of a placement in the piece chart, or None when its
+    quartet does not pair as ray: root x, root y, the pieces of each base
+    bounded edge in walk order from its own flag, the bounded pieces of
+    each end, and last the cluster's contracted edge.  Also returns the
+    column of the first piece of each base bounded edge and each end."""
+    g = td.t.graph
+    dirs = td.t.dirs
+    paths = [
+        tuple((g.edge_of_flag(f), f) for f in g.path_flags(0, v))
+        for v in range(g.num_vertices)
+    ]
+    size = len(which) + (ray is not None)
+    start = {}
+    col = 2
+    for e in g.bounded_edges():
+        start[e] = col
+        col += len(occupancy.get(e, ())) + 1
+    for h in g.end_flags():
+        start[h] = col
+        col += len(occupancy[h])
+    if ray is not None:
+        (i, j), (k, l) = next(pair for r, *pair in _PAIRINGS if r == ray)
+    walks = []
+    for m in range(len(where)):
+        h = where[m]
+        items = occupancy[h]
+        s = piece_slot(items, m)
+        far = g.flag_partner[h]
+        if far is None or len(paths[g.flag_vertex[h]]) < len(paths[g.flag_vertex[far]]):
+            via, f, pieces = g.flag_vertex[h], h, range(s + 1)
+        else:
+            via, f, pieces = g.flag_vertex[far], far, range(s + 1, len(items) + 1)
+        walk = []
+        for e, ef in paths[via]:
+            walk.extend((start[e] + p, dirs[ef]) for p in range(len(occupancy.get(e, ())) + 1))
+        walk.extend((start[h] + p, dirs[f]) for p in pieces)
+        if items[s][0] == "cluster":
+            walk.append((size - 1, (0, 0)))
+        walks.append(walk)
+        if m == 3 and ray is not None:
+            cols = [{col for col, _ in w} for w in walks]
+            if (cols[i] ^ cols[j]) & (cols[k] ^ cols[l]):
+                return None
+            central = (cols[i] ^ cols[k]) & (cols[j] ^ cols[l])
+            if not central:
+                return None
+    rows = []
+    for m, c in which:
+        row = [0] * size
+        row[c] = 1
+        for col, v in walks[m]:
+            row[col] = v[c]
+        rows.append(row)
+    if ray is not None:
+        rows.append([int(col in central) for col in range(size)])
+    return rows, start
+
+
+def piece_leaf(td, occupancy, where, d, which, ray, rhs, scale, found):
+    built = piece_rows(td, occupancy, where, which, ray)
+    if built is None:
+        return
+    rows, start = built
+    res = solve(rows, rhs)
+    if res.status == "inconsistent":
+        return
+    if res.status == "underdetermined":
+        raise GeneralPositionViolation("rank-deficient consistent system")
+    xs = res.solution
+    if any(v < 0 for v in xs[2:]):
+        return
+    if any(v == 0 for v in xs[2:]):
+        raise GeneralPositionViolation("solution on a cell boundary")
+    placements = {h: list(items) for h, items in occupancy.items() if items}
+    mt, piece_ids = _subdivide(td.t, placements, len(where))
+    key = canonical_plane_form(mt)
+    if key in found:
+        return
+    cell_map = ev_matrix(mt) if ray is None else pi_matrix(mt, d)
+    mult = multiplicity(cell_map)
+    assert mult == abs(res.det)
+    col_of = dict(start)
+    for h, ids in piece_ids.items():
+        for k, e in enumerate(ids):
+            col_of[e] = start[h] + k
+    order = [0, 1] + [col_of.get(e, len(rows) - 1) for e in mt.graph.bounded_edges()]
+    found[key] = FiberSolution(mt, tuple(xs[c] / scale for c in order), mult)
+
+
+def slot_fiber(kind, d, cfg):
+    """Oracle: fiber(kind, d, cfg) through the slot-order search and the
+    piece-chart leaf."""
+    if kind == EV:
+        which = [(m, c) for m in range(3 * d - 1) for c in (0, 1)]
+        trees, m4 = _ev_tree_data(d), None
+    else:
+        which, trees, m4 = pi_which(3 * d), _pi_tree_data(d), cfg.m4
+    extra = () if m4 is None else (m4.length.denominator,)
+    scale, ipts = _integer_points(cfg.points, *extra)
+    rhs = [ipts[m][c] for m, c in which]
+    if m4 is not None:
+        rhs.append(int(m4.length * scale))
+    ray = None if m4 is None else m4.ray
+    found = {}
+    for td in trees:
+        slot_search_tree(
+            td, ipts, which,
+            lambda td, occ, where: piece_leaf(td, occ, where, d, which, ray, rhs, scale, found),
+        )
+    return [found[k] for k in sorted(found, key=repr)]
+
+
+def sharing(seed, ray, i, j, c):
+    """pi_config(2, seed, ray) with point i given coordinate c of point j."""
+    cfg = pi_config(2, seed, ray)
+    pts = list(cfg.points)
+    pts[i] = tuple(pts[j][c] if k == c else pts[i][k] for k in (0, 1))
+    return PointConfig(tuple(pts), cfg.m4)
+
+
+SLOT_ORACLE_CASES = (
+    [(EV, d, ev_config(d, seed)) for d in (1, 2) for seed in range(5)]
+    + [
+        (PI, 2, pi_config(2, seed, ray, scale))
+        for ray in "ABC" for seed in (0, 1) for scale in (1, 2)
+    ]
+    # degenerate: points on one line, coincident points, a point on a
+    # line mark's line
+    + [
+        (EV, 1, PointConfig(pts))
+        for pts in (((0, 0), (1, 1)), ((0, 0), (0, 1)), ((0, 0), (3, 0)))
+    ]
+    + [
+        (EV, 2, PointConfig(tuple(pts)))
+        for pts in ([(i, 0) for i in range(5)], [(i, i) for i in range(5)])
+    ]
+    + [(EV, 2, PointConfig(ev_config(2, 0).points[:4] + (ev_config(2, 0).points[1],)))]
+    + [(PI, 2, sharing(seed, ray, 2, 0, 0)) for ray in "ABC" for seed in (0, 1)]
+    # two rows of one leaf coincide, leaving two free columns
+    + [(PI, 2, sharing(1, "C", 1, 3, 1))]
+    # a target the ft4 row reaches on a leaf whose other rows already fix
+    # it: a consistent singular system
+    + [(PI, 2, PointConfig(
+        pi_config(2, 0, "C").points, M4Point("C", Fraction(5521732628, 84227))
+    ))]
+    # a target just short of where seed 0's ray-A cluster curve needs it:
+    # that leaf's contracted edge alone is negative
+    + [(PI, 2, PointConfig(
+        pi_config(2, 0, "A").points, M4Point("A", Fraction(4464658343819, 50493234))
+    ))]
+)
+
+
+@pytest.mark.parametrize("kind, d, cfg", SLOT_ORACLE_CASES)
+def test_fiber_matches_slot_order_oracle(kind, d, cfg):
+    # one solve per host assignment finds what one solve per order found,
+    # and reports the same inputs as degenerate
+    assert fiber_or_degenerate(fiber, kind, d, cfg) == fiber_or_degenerate(
+        slot_fiber, kind, d, cfg
+    )
 
 
 # --- splitting reducible curves ---------------------------------------------

@@ -50,11 +50,12 @@ def solve_by_gauss_jordan(rows, rhs) -> SolveResult:
     for i in range(r, nrows):
         if aug[i][ncols] != 0:
             return SolveResult(SolveResult.INCONSISTENT)
-    if len(pivots) < ncols:
-        return SolveResult(SolveResult.UNDERDETERMINED)
+    # the solution with every free column 0
     x = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
         x[c] = aug[i][ncols]
+    if len(pivots) < ncols:
+        return SolveResult(SolveResult.UNDERDETERMINED, tuple(x))
     return SolveResult(SolveResult.UNIQUE, tuple(x))
 
 
@@ -157,6 +158,8 @@ def test_solve_zero_matrix_nonzero_rhs():
 def test_solve_underdetermined():
     res = solve([[1, 1], [2, 2]], [3, 6])
     assert res.status == SolveResult.UNDERDETERMINED
+    assert res.solution == (3, 0)
+    assert res.kernel == ((-1, 1),)
 
 
 def test_solve_example_ev_system():
@@ -250,3 +253,74 @@ def test_solve_plain_integer_rows_match_matrix(system):
         assert res.det == det(rows) != 0
     else:
         assert res.det is None
+
+
+def maximal_minors(rows):
+    """(-1)^j det(rows without column j), for n - 1 rows in n columns."""
+    n = len(rows[0])
+    return tuple(
+        (-1) ** j * det([row[:j] + row[j + 1 :] for row in rows]) for j in range(n)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_solve_kernel_spans_the_null_space(system):
+    rows, rhs = system
+    res = solve(rows, rhs)
+    ncols = len(rows[0])
+    if res.status == SolveResult.INCONSISTENT:
+        assert res.solution is None and res.kernel == ()
+        return
+    # the solution solves the system; each kernel vector is an integer
+    # vector the rows annihilate, one per column the rank leaves free
+    assert apply(rows, res.solution) == tuple(rhs)
+    assert all(type(e) is int for k in res.kernel for e in k)
+    for k in res.kernel:
+        assert any(k)
+        assert apply(rows, k) == (0,) * len(rows)
+    assert (res.status == SolveResult.UNIQUE) == (not res.kernel)
+    if res.kernel:
+        # independent: each has a nonzero entry on its own free column
+        # where the others are zero
+        frees = [next(j for j in range(ncols - 1, -1, -1) if k[j]) for k in res.kernel]
+        assert len(set(frees)) == len(frees)
+        for k, j in zip(res.kernel, frees):
+            assert all(other[j] == 0 for other in res.kernel if other is not k)
+
+
+@st.composite
+def corank_one_systems(draw):
+    """n - 1 random integer rows in n columns, a right-hand side, and one
+    more row."""
+    n = draw(st.integers(2, 5))
+    row = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n - 1, max_size=n - 1))
+    rhs = draw(st.lists(small_fractions, min_size=n - 1, max_size=n - 1))
+    return rows, rhs, draw(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corank_one_systems())
+def test_solve_corank_one_kernel_is_the_maximal_minors(system):
+    rows, rhs, f = system
+    res = solve(rows, rhs)
+    minors = maximal_minors(rows)
+    if not any(minors):
+        # rank-deficient rows: at least two free columns, or inconsistent
+        assert res.status == SolveResult.INCONSISTENT or len(res.kernel) >= 2
+        return
+    assert res.status == SolveResult.UNDERDETERMINED
+    (k,) = res.kernel
+    assert k in (minors, tuple(-e for e in minors))
+    # the extra row completes a square system of determinant ±f·k, and
+    # x0 + t·k solves it for any target
+    fk = sum(a * b for a, b in zip(f, k))
+    assert det(rows + [f]) in (fk, -fk)
+    if fk:
+        target = Fraction(7, 3)
+        x0 = res.solution
+        t = (target - sum(a * b for a, b in zip(f, x0))) / fk
+        x = tuple(a + t * b for a, b in zip(x0, k))
+        full = solve(rows + [f], list(rhs) + [target])
+        assert full.status == SolveResult.UNIQUE and full.solution == x
