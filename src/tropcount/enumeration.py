@@ -4,15 +4,20 @@ One search and one leaf serve both maps.  Unmarked trivalent image trees
 are enumerated once per degree (cached).  A map's row spec lists the
 (mark, coordinate) pairs it pins: a mark with both coordinates pinned is a
 point, a mark with one a line.  The search assigns each mark a host edge,
-pruning each partial assignment with one exact cone test per pair of
-marks, in the coordinates both pin, before any linear algebra runs.  In a
-chart of edge lengths and mark offsets along their hosts the map's rows
-depend on the hosts only, so the leaf eliminates them once per
+pruning each partial assignment by an exact cone test per pair of marks,
+in the coordinates both pin, before any linear algebra runs.  A cone test
+sees a displacement only through its class (a direction or an angular
+gap between two, or a sign for a line pair), so each fiber classes its
+mark pairs once, and each tree keeps a point-independent table of the
+hosts that pass, per placed mark's host and class; the test is a lookup.
+In a chart of edge lengths and mark offsets along their hosts the map's
+rows depend on the hosts only, so the leaf eliminates them once per
 assignment and reads the order of the marks on each host off the
 solution; the combined map's ft4 row, which depends on the order of marks
-0-3, completes them by a rank-one step.  The marked type is built only for
-a solution.  Everything is exact; a degenerate input is reported as
-GeneralPositionViolation so the caller can resample.
+0-3, completes them by a rank-one step.  The leaf decides in integers and
+builds fractions and the marked type only for a solution.  Everything is
+exact; a degenerate input is reported as GeneralPositionViolation so the
+caller can resample.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cmp_to_key
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -353,16 +359,140 @@ def _sector_meets_horizontal(sec, dy) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# displacement classes
+
+# Every sector endpoint and host direction of a degree-d tree is a positive
+# multiple of a primitive vector with entries in [-d, d].  So a cone test
+# sees a displacement only through its class: the direction of such a vector
+# it points along, or the open gap between two angularly neighbouring ones.
+# The line tests are homogeneous, so they see a coordinate difference only
+# through its sign.
+
+
+def _half_turn(u) -> int:
+    return 0 if u[1] > 0 or (u[1] == 0 and u[0] > 0) else 1
+
+
+class _Lazy(dict):
+    """A table that fills a missing key from fill(key) and keeps it."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class _Classes:
+    """The displacement classes of degree d, and the pair test on them.
+
+    dirs are the primitive vectors with entries in [-d, d], counterclockwise
+    from (1, 0).  Class 2i is a displacement along dirs[i], class 2i + 1 one
+    strictly between dirs[i] and the next; reps[k] represents class k.  The
+    line classes follow, from `lines` on: lines + 3c + 1 + sign for a
+    difference in coordinate c.  between[sec] and along[v] are bitmasks over
+    the classes that pass the pair test between two hosts whose cone is
+    sec, and on one host of direction v.
+    """
+
+    def __init__(self, d: int):
+        self.d = d
+        r = range(-d, d + 1)
+        prims = [(x, y) for x in r for y in r if math.gcd(x, y) == 1]
+        self.dirs = tuple(sorted(prims, key=cmp_to_key(
+            lambda u, v: _half_turn(u) - _half_turn(v) or -cross(u, v)
+        )))
+        self.index = {u: i for i, u in enumerate(self.dirs)}
+        nxt = self.dirs[1:] + self.dirs[:1]
+        gaps = [(u[0] + v[0], u[1] + v[1]) for u, v in zip(self.dirs, nxt)]
+        self.lines = 2 * len(self.dirs)
+        self.reps = (
+            *(x for pair in zip(self.dirs, gaps) for x in pair),
+            *((c, sign) for c in (0, 1) for sign in (-1, 0, 1)),
+        )
+        self.between = _Lazy(self._between)
+        self.along = _Lazy(self._along)
+
+    def check(self, v):
+        """Raise unless v is a positive multiple of a class direction: the
+        classes decide the cone tests of a tree only if its host directions
+        and sector endpoints all are."""
+        g = math.gcd(*v)
+        if not g or (v[0] // g, v[1] // g) not in self.index:
+            raise AssertionError(f"direction {v} is no multiple of a degree-{self.d} class direction")
+
+    def point(self, x) -> int:
+        """The class of a nonzero integer displacement."""
+        g = math.gcd(*x)
+        i = self.index.get((x[0] // g, x[1] // g))
+        if i is not None:
+            return 2 * i
+        dirs = self.dirs
+        return next(
+            2 * i + 1 for i, u in enumerate(dirs)
+            if cross(u, x) > 0 and cross(x, dirs[(i + 1) % len(dirs)]) > 0
+        )
+
+    def line(self, c, delta) -> int:
+        """The class of a difference delta in coordinate c."""
+        return self.lines + 3 * c + 1 + (delta > 0) - (delta < 0)
+
+    def _between(self, sec) -> int:
+        # a point pair's displacement must lie in the cone, a line pair's
+        # lines must meet it
+        for v in sec or ():
+            self.check(v)
+        mask = 0
+        for k, rep in enumerate(self.reps):
+            if k < self.lines:
+                ok = _sector_has(sec, rep)
+            else:
+                c, sign = rep
+                ok = (_sector_meets_horizontal if c else _sector_meets_vertical)(sec, sign)
+            mask |= ok << k
+        return mask
+
+    def _along(self, v) -> int:
+        # on one edge a point pair's displacement must ride its direction,
+        # and a line pair may differ only in a coordinate the edge moves
+        self.check(v)
+        mask = 0
+        for k, rep in enumerate(self.reps):
+            if k < self.lines:
+                ok = cross(rep, v) == 0
+            else:
+                c, sign = rep
+                ok = v[c] != 0 or sign == 0
+            mask |= ok << k
+        return mask
+
+
+_CLASSES: Dict[int, _Classes] = {}
+
+
+def _classes(d: int) -> _Classes:
+    if d not in _CLASSES:
+        _CLASSES[d] = _Classes(d)
+    return _CLASSES[d]
+
+
+# ---------------------------------------------------------------------------
 # per-tree search structures
 
 
 @dataclass
 class _TreeData:
     t: PlaneType
+    classes: _Classes
     contracted: Tuple[int, ...] = ()
     collinear: bool = False
     handles: Tuple[int, ...] = ()
-    _sectors: Optional[dict] = field(default=None, repr=False)
+    hosts: Optional[dict] = field(default=None, repr=False)
+    _cones: Optional[tuple] = field(default=None, repr=False)
     _chart: Optional[tuple] = field(default=None, repr=False)
     _quartets: dict = field(default_factory=dict, repr=False)
 
@@ -372,6 +502,7 @@ class _TreeData:
         self.contracted = tuple(e for e in g.bounded_edges() if dirs[e] == ZERO)
         self.collinear = self._has_collinear_vertex()
         self.handles = tuple(e for e in g.bounded_edges() if dirs[e] != ZERO) + g.end_flags()
+        self.hosts = _Lazy(self._host_mask)
 
     def _has_collinear_vertex(self) -> bool:
         g = self.t.graph
@@ -398,17 +529,43 @@ class _TreeData:
             last = vneg(dirs[h2])
         return [first] + [dirs[f] for f in walk] + [last]
 
-    def sectors(self) -> dict:
-        if self._sectors is None:
-            s = {}
-            hs = self.handles
-            for i, h1 in enumerate(hs):
-                for h2 in hs[i + 1 :]:
-                    sec = _sector(self._path_dirs(h1, h2))
-                    s[(h1, h2)] = sec
-                    s[(h2, h1)] = _sector_reverse(sec)
-            self._sectors = s
-        return self._sectors
+    def sectors(self) -> tuple:
+        """sectors()[i][j] is the cone of displacements from a point on host
+        handles[i] to one on handles[j]; the diagonal is None."""
+        hs = self.handles
+        s = [[None] * len(hs) for _ in hs]
+        for i, h1 in enumerate(hs):
+            for j in range(i + 1, len(hs)):
+                s[i][j] = _sector(self._path_dirs(h1, hs[j]))
+                s[j][i] = _sector_reverse(s[i][j])
+        return tuple(map(tuple, s))
+
+    def cones(self) -> tuple:
+        """cones()[i][j] is the bitmask over classes of the displacements
+        from a mark on host handles[i] to one on handles[j] that pass the
+        pair test; building it checks every sector endpoint and host
+        direction against the class directions."""
+        if self._cones is None:
+            cl = self.classes
+            self._cones = tuple(
+                tuple(
+                    cl.along[self.t.dirs[self.handles[i]]] if j == i else cl.between[sec]
+                    for j, sec in enumerate(row)
+                )
+                for i, row in enumerate(self.sectors())
+            )
+        return self._cones
+
+    def _host_mask(self, key: int) -> int:
+        """Bitmask over handles of the hosts a mark may take, for the key
+        i * (class count) + k: another mark sits on handles[i], and the
+        displacement from it has class k.  No point enters, so td.hosts
+        fills each key on first use and keeps it."""
+        i, k = divmod(key, len(self.classes.reps))
+        mask = 0
+        for j, classes in enumerate(self.cones()[i]):
+            mask |= (classes >> k & 1) << j
+        return _MASKS.setdefault(mask, mask)
 
     def chart(self):
         """(cols, paths, rows) of the leaf's columns: root x, root y, the
@@ -485,12 +642,13 @@ class _TreeData:
 
 _TREE_DATA: Dict[int, List[_TreeData]] = {}
 _QUARTET_TABLES: Dict[tuple, tuple] = {}
+_MASKS: Dict[int, int] = {}
 
 
 def _tree_data(d: int) -> List[_TreeData]:
     """One _TreeData per degree-d base tree, shared by both fiber engines."""
     if d not in _TREE_DATA:
-        _TREE_DATA[d] = [_TreeData(t) for t in base_trees(d)]
+        _TREE_DATA[d] = [_TreeData(t, _classes(d)) for t in base_trees(d)]
     return _TREE_DATA[d]
 
 
@@ -566,91 +724,86 @@ def _subdivide(tree: PlaneType, placements: dict, n: int):
     return t, piece_ids
 
 
-def _pair_table(ipts, which):
-    """(pins, pairs) of a row spec: pins[m] lists the coordinates mark m
-    pins, and pairs[m][m2] is None when marks m and m2 pin no common
-    coordinate, else (cone test, displacement from m2 to m in the common
-    coordinates, the common coordinate or None when they share both)."""
+def _mark_classes(cl: _Classes, ipts, which):
+    """(order, pins, classes) of a row spec: pins[m] lists the coordinates
+    mark m pins, order places the point marks first, then the line marks,
+    each in mark order, and classes[m][m2] is the class of the displacement
+    from mark m2 to mark m in the coordinates both pin, or None when they
+    share none."""
     pins: List[List[int]] = [[] for _ in ipts]
     for m, c in which:
         pins[m].append(c)
-    pairs = []
-    for im, cs in zip(ipts, pins):
+    classes = []
+    for m, (im, cs) in enumerate(zip(ipts, pins)):
         row = []
-        for i2, cs2 in zip(ipts, pins):
+        for m2, (i2, cs2) in enumerate(zip(ipts, pins)):
             shared = [c for c in cs if c in cs2]
-            if len(shared) == 2:
-                row.append((_sector_has, (im[0] - i2[0], im[1] - i2[1]), None))
-            elif shared:
-                (c,) = shared
-                meets = _sector_meets_horizontal if c else _sector_meets_vertical
-                row.append((meets, im[c] - i2[c], c))
-            else:
+            if m2 == m or not shared:
                 row.append(None)
-        pairs.append(row)
-    return pins, pairs
+            elif len(shared) == 2:
+                row.append(cl.point((im[0] - i2[0], im[1] - i2[1])))
+            else:
+                (c,) = shared
+                row.append(cl.line(c, im[c] - i2[c]))
+        classes.append(row)
+    order = sorted(range(len(pins)), key=lambda m: len(pins[m]) == 1)
+    return order, pins, classes
 
 
-def _pair_ok(secs, dirs, pairs, placed, m, h) -> bool:
-    """Can mark m sit on host h, given the (mark, host) pairs placed so
-    far?  In the coordinates two marks both pin, their displacement must
-    lie in the cone of the path directions between their hosts, or ride
-    the host's direction when they share one."""
-    row = pairs[m]
-    for m2, h2 in placed:
-        pair = row[m2]
-        if pair is None:
-            continue
-        meets, delta, c = pair
-        if h2 != h:
-            if not meets(secs[(h2, h)], delta):
-                return False
-        elif c is None:
-            # both on one edge: the displacement must ride its direction
-            if cross(delta, dirs[h]) != 0:
-                return False
-        elif dirs[h][c] == 0 and delta != 0:
-            return False
-    return True
-
-
-def _search_tree(td: _TreeData, ipts, which, leaf):
+def _search_tree(td: _TreeData, marks, leaf):
     """Assign the marks to one tree's hosts, calling leaf(td, where,
     cluster) on every assignment that passes the pair test.
 
-    Each mark's constraint is read from the row spec which: a mark with
-    both coordinates in it is pinned to its point, a mark with one sees
-    only the line through its point that fixes that coordinate.  Point
-    marks are placed first, then line marks, each in mark order.  A line
-    mark m may also share one vertex, hanging off a host by a contracted
-    edge, with a placed line mark m2 on the other axis: the cluster
-    (m2, m).  The order of the marks on a host is left to the leaf.
+    marks is _mark_classes' reading of the row spec: a mark with both
+    coordinates in it is pinned to its point, a mark with one sees only the
+    line through its point that fixes that coordinate.  In the coordinates
+    two marks both pin, their displacement must lie in the cone of the path
+    directions between their hosts, or ride the host's direction when they
+    share one; td.hosts holds the hosts that pass, per placed mark's host
+    and class.  Point marks are placed first, then line marks, each in mark
+    order and on its hosts in handle order.  A line mark m may also share
+    one vertex, hanging off a host by a contracted edge, with a placed line
+    mark m2 on the other axis: the cluster (m2, m).  The order of the marks
+    on a host is left to the leaf.
     """
-    secs = td.sectors()
+    order, pins, classes = marks
     hosts = td.handles
-    dirs = td.t.dirs
-    pins, pairs = _pair_table(ipts, which)
-    order = sorted(range(len(pins)), key=lambda m: len(pins[m]) == 1)
+    masks = td.hosts
+    ncls = len(td.classes.reps)
+    everywhere = (1 << len(hosts)) - 1
     where: Dict[int, int] = {}
+    placed: List[Tuple[int, int]] = []  # (mark, its host's key offset)
 
     def rec(k, cluster):
         if k == len(order):
             leaf(td, where, cluster)
             return
         m = order[k]
-        for h in hosts:
-            if _pair_ok(secs, dirs, pairs, where.items(), m, h):
-                where[m] = h
-                rec(k + 1, cluster)
-                del where[m]
+        row = classes[m]
+        mask = everywhere
+        for m2, base in placed:
+            c = row[m2]
+            if c is not None:
+                mask &= masks[base + c]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            j = low.bit_length() - 1
+            where[m] = hosts[j]
+            placed.append((m, j * ncls))
+            rec(k + 1, cluster)
+            placed.pop()
+            del where[m]
         # a second contracted edge in the tree would leave two columns on
         # the one ft4 row, and determinant zero
         if len(pins[m]) == 1 and not td.contracted:
-            for m2, h2 in list(where.items()):
+            for m2, base in list(placed):
                 if len(pins[m2]) != 1 or pins[m2] == pins[m]:
                     continue
-                where[m] = h2
+                where[m] = where[m2]
+                placed.append((m, base))
                 rec(k + 1, (m2, m))
+                placed.pop()
                 del where[m]
 
     rec(0, None)
@@ -680,7 +833,9 @@ def _leaf(td: _TreeData, where, cluster, d: int, which, ray, rhs, scale, found):
     marks 0-3 that pairs them as ray adds its ft4 row f (td.quartets): with
     the other rows' solution x0 and kernel vector k, the determinant is f·k
     and the solution x0 + t·k.  rhs is the fiber's right-hand side times
-    the integer scale, the ft4 target last.
+    the integer scale, the ft4 target last.  Every test runs on the
+    solution's integer numerators over their positive common denominator;
+    fractions are built only for a solution kept.
     """
     cols, _, host_rows = td.chart()
     n = len(where)
@@ -702,13 +857,17 @@ def _leaf(td: _TreeData, where, cluster, d: int, which, ray, rhs, scale, found):
     if res.status == "inconsistent":
         return
     for before, add, sub in completions:
-        x, det = res.solution, res.det
+        # the solution is x / q, q > 0
+        x, q, det = res.numerators, res.denominator, res.det
         if add is not None:
             fx, *fk = [sum(v[c] for c in add) - sum(v[c] for c in sub) for v in (x, *res.kernel)]
             if len(fk) == 1 and fk[0]:
+                # x / q + (target - fx / q) / det * k, over q * |det|
                 det = fk[0]
-                x = [v + (rhs[-1] - fx) / det * w for v, w in zip(x, res.kernel[0])]
-            elif not any(fk) and fx != rhs[-1]:
+                t = (rhs[-1] * q - fx) * (1 if det > 0 else -1)
+                x = [v * abs(det) + t * w for v, w in zip(x, res.kernel[0])]
+                q *= abs(det)
+            elif not any(fk) and fx != rhs[-1] * q:
                 continue  # this order's system is inconsistent
         if det is None:
             raise GeneralPositionViolation(
@@ -752,7 +911,7 @@ def _leaf(td: _TreeData, where, cluster, d: int, which, ray, rhs, scale, found):
         for h, ps in pieces.items():
             length.update(zip(piece_ids.get(h, [h]), ps))
         coords = [*x[:2], *(length.get(e, *contracted) for e in mt.graph.bounded_edges())]
-        sol = FiberSolution(mt, tuple(v / scale for v in coords), mult)
+        sol = FiberSolution(mt, tuple(Fraction(v, q * scale) for v in coords), mult)
         if ray is None:
             # a cell's determinant is the product of its vertex multiplicities
             vertex_mult = curve_multiplicity(sol.curve())
@@ -766,20 +925,21 @@ def _leaf(td: _TreeData, where, cluster, d: int, which, ray, rhs, scale, found):
 def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
     """Search every tree with the shared leaf.  which is the map's row
     spec; m4 is None for the evaluation map and the target of the ft4 row
-    for the combined map."""
+    for the combined map.  The mark pairs are classed once per point set."""
     extra = () if m4 is None else (m4.length.denominator,)
     scale, ipts = _integer_points(cfg.points, *extra)
     rhs = [ipts[m][c] for m, c in which]
     if m4 is not None:
         rhs.append(int(m4.length * scale))
     ray = None if m4 is None else m4.ray
+    marks = _mark_classes(_classes(d), ipts, which)
     found: dict = {}
 
     def leaf(td, where, cluster):
         _leaf(td, where, cluster, d, which, ray, rhs, scale, found)
 
     for td in trees:
-        _search_tree(td, ipts, which, leaf)
+        _search_tree(td, marks, leaf)
     return [found[k] for k in sorted(found, key=repr)]
 
 

@@ -3,8 +3,10 @@
 A cell map is a list of integer rows.  Every multiplicity in this package
 is |det| of such rows, and every fiber is an exact solve of them against a
 rational right-hand side.  Both run one fraction-free (Bareiss)
-elimination, so every entry stays an integer; only a solution is returned
-as stdlib fractions, and a kernel stays in integers.  Nothing here touches a float.
+elimination, so every entry stays an integer.  A solution is returned as
+integer numerators over one positive common denominator, and as stdlib
+fractions on request; a kernel stays in integers.  Nothing here touches a
+float.
 """
 
 from __future__ import annotations
@@ -68,22 +70,35 @@ class SolveResult:
 
     A consistent system carries a solution: the unique one, or for an
     underdetermined system the one that is 0 on every free column, together
-    with an integer kernel basis.  A unique solve of a square system also
-    carries the determinant of its coefficient rows, read off the
-    elimination's last pivot.
+    with an integer kernel basis.  A solve keeps the solution as integer
+    numerators over one positive common denominator, and builds its
+    fractions only when `solution` is read.  A unique solve of a square
+    system also carries the determinant of its coefficient rows, read off
+    the elimination's last pivot.
     """
 
-    __slots__ = ("status", "solution", "det", "kernel")
+    __slots__ = ("status", "numerators", "denominator", "det", "kernel", "_solution")
 
     UNIQUE = "unique"
     INCONSISTENT = "inconsistent"
     UNDERDETERMINED = "underdetermined"
 
-    def __init__(self, status: str, solution=None, det=None, kernel=()):
+    def __init__(
+        self, status: str, solution=None, det=None, kernel=(), numerators=None, denominator=1
+    ):
         self.status = status
-        self.solution = solution
+        self._solution = solution
+        self.numerators = numerators
+        self.denominator = denominator
         self.det = det
         self.kernel = kernel
+
+    @property
+    def solution(self):
+        if self._solution is None and self.numerators is not None:
+            q = self.denominator
+            self._solution = tuple(Fraction(v, q) for v in self.numerators)
+        return self._solution
 
     def __repr__(self) -> str:
         return f"SolveResult({self.status}, {self.solution})"
@@ -106,11 +121,13 @@ def solve(rows, rhs) -> SolveResult:
 
     rows are integer rows; rhs holds ints or Fractions and is scaled once to
     integers by the lcm of its denominators.  UNIQUE requires full column
-    rank and consistency; no tolerances anywhere.  An UNDERDETERMINED result
-    holds the solution that is 0 on the free columns and one integer kernel
-    vector per free column.  For n - 1 independent rows in n columns that
-    vector is ± their maximal minors (the generalized cross product), so a
-    further row f completes them to a square system of determinant ±f·k.
+    rank and consistency; no tolerances anywhere.  A consistent result holds
+    its solution as integer numerators over one positive denominator.  An
+    UNDERDETERMINED result holds the solution that is 0 on the free columns
+    and one integer kernel vector per free column.  For n - 1 independent
+    rows in n columns that vector is ± their maximal minors (the generalized
+    cross product), so a further row f completes them to a square system of
+    determinant ±f·k.
     """
     nrows = len(rows)
     if len(rhs) != nrows:
@@ -127,13 +144,17 @@ def solve(rows, rhs) -> SolveResult:
     # and each kernel vector with den on its free column are integral
     den = a[r - 1][pivots[-1]] if r else 1
     y = _back_substitute(a, pivots, [0] * n, [row[n] * den for row in a])
-    solution = tuple(Fraction(v, den * scale) for v in y)
+    # over a positive common denominator q
+    q = den * scale
+    y, q = (tuple(y), q) if q > 0 else (tuple(-v for v in y), -q)
     if r < n:
         kernel = []
         for c in sorted(set(range(n)) - set(pivots)):
             k = [0] * n
             k[c] = den
             kernel.append(tuple(_back_substitute(a, pivots, k, [0] * r)))
-        return SolveResult(SolveResult.UNDERDETERMINED, solution, kernel=tuple(kernel))
+        return SolveResult(
+            SolveResult.UNDERDETERMINED, kernel=tuple(kernel), numerators=y, denominator=q
+        )
     square_det = sign * den if nrows == n else None
-    return SolveResult(SolveResult.UNIQUE, solution, square_det)
+    return SolveResult(SolveResult.UNIQUE, det=square_det, numerators=y, denominator=q)

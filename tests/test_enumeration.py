@@ -14,10 +14,12 @@ from tropcount.enumeration import (
     FiberSolution,
     GeneralPositionViolation,
     PointConfig,
+    _Classes,
+    _TreeData,
+    _classes,
     _ev_tree_data,
     _integer_points,
-    _pair_ok,
-    _pair_table,
+    _mark_classes,
     _pi_tree_data,
     _search_tree,
     _sector,
@@ -25,6 +27,7 @@ from tropcount.enumeration import (
     _sector_meets_horizontal,
     _sector_meets_vertical,
     _subdivide,
+    _tree_data,
     base_trees,
     curve_multiplicity,
     decompose_reducible,
@@ -56,6 +59,7 @@ from tropcount.plane import (
     PlaneCurve,
     PlaneType,
     canonical_plane_form,
+    cross,
     derive_directions,
     image_position,
     image_segments,
@@ -396,6 +400,17 @@ def _handle_points(c, td, h, fractions):
     ]
 
 
+def sector_map(td):
+    """td.sectors() keyed by the pairs of handles it runs between."""
+    hs = td.handles
+    return {
+        (h1, h2): sec
+        for h1, row in zip(hs, td.sectors())
+        for h2, sec in zip(hs, row)
+        if h1 != h2
+    }
+
+
 def test_sector_cache_matches_geometry():
     # displacements between actual handle points must lie in the cached cone
     samples = [Fraction(0), Fraction(1, 3), Fraction(1)]
@@ -407,7 +422,7 @@ def test_sector_cache_matches_geometry():
             for i, e in enumerate(t.graph.bounded_edges())
         }
         c = t.with_lengths(lens, 0, (Fraction(1, 7), Fraction(-2, 5)))
-        secs = td.sectors()
+        secs = sector_map(td)
         hs = td.handles
         for h1 in hs[:4]:
             for h2 in hs[:4]:
@@ -714,7 +729,7 @@ def cut_structure_ev_fiber(d, cfg):
     ipts = scaled_points(cfg)
     found = {}
     for td in _ev_tree_data(d):
-        secs = td.sectors()
+        secs = sector_map(td)
         for comps in cut_structures(td):
             for kept in itertools.product(*(ends for ends, _ in comps)):
                 hosts_of = [
@@ -926,7 +941,7 @@ def dense_pi_fiber(d, cfg):
                 found[key] = FiberSolution(mt, res.solution, multiplicity(rows))
 
     for td in _pi_tree_data(d):
-        _search_tree(td, scaled_points(cfg), pi_which(n), leaf)
+        _search_tree(td, _mark_classes(_classes(d), scaled_points(cfg), pi_which(n)), leaf)
     return [found[k] for k in sorted(found, key=repr)]
 
 
@@ -1019,7 +1034,7 @@ def test_placement_ray_matches_ft4_coordinate_on_every_leaf(seed, ray):
             leaves.append((entry[0], theirs))
 
     for td in _pi_tree_data(2):
-        _search_tree(td, scaled_points(cfg), which, leaf)
+        _search_tree(td, _mark_classes(_classes(2), scaled_points(cfg), which), leaf)
     assert len(leaves) > 100
     assert all(ours == theirs for ours, theirs in leaves)
     assert {theirs for _, theirs in leaves} == {"A", "B", "C"}
@@ -1031,14 +1046,60 @@ def test_placement_ray_matches_ft4_coordinate_on_every_leaf(seed, ray):
 # edge piece between consecutive marks.
 
 
+def pair_table(ipts, which):
+    """(pins, pairs) of a row spec: pins[m] lists the coordinates mark m
+    pins, and pairs[m][m2] is None when marks m and m2 pin no common
+    coordinate, else (cone test, displacement from m2 to m in the common
+    coordinates, the common coordinate or None when they share both)."""
+    pins = [[] for _ in ipts]
+    for m, c in which:
+        pins[m].append(c)
+    pairs = []
+    for im, cs in zip(ipts, pins):
+        row = []
+        for i2, cs2 in zip(ipts, pins):
+            shared = [c for c in cs if c in cs2]
+            if len(shared) == 2:
+                row.append((_sector_has, (im[0] - i2[0], im[1] - i2[1]), None))
+            elif shared:
+                (c,) = shared
+                meets = _sector_meets_horizontal if c else _sector_meets_vertical
+                row.append((meets, im[c] - i2[c], c))
+            else:
+                row.append(None)
+        pairs.append(row)
+    return pins, pairs
+
+
+def pair_ok(secs, dirs, pairs, placed, m, h) -> bool:
+    """Can mark m sit on host h, given the (mark, host) pairs placed so
+    far?  The pair test as cone tests on the marks' own displacements."""
+    row = pairs[m]
+    for m2, h2 in placed:
+        pair = row[m2]
+        if pair is None:
+            continue
+        meets, delta, c = pair
+        if h2 != h:
+            if not meets(secs[(h2, h)], delta):
+                return False
+        elif c is None:
+            # both on one edge: the displacement must ride its direction
+            if cross(delta, dirs[h]) != 0:
+                return False
+        elif dirs[h][c] == 0 and delta != 0:
+            return False
+    return True
+
+
 def slot_search_tree(td, ipts, which, leaf):
     """Place the marks on one tree's edges, calling leaf(td, occupancy,
     where) on every placement, each order on a host its own, that passes
     the pair test."""
-    secs = td.sectors()
+    secs = sector_map(td)
     hosts = td.handles
     dirs = td.t.dirs
-    pins, pairs = _pair_table(ipts, which)
+    pins, pairs = pair_table(ipts, which)
     order = sorted(range(len(pins)), key=lambda m: len(pins[m]) == 1)
     occupancy = {h: [] for h in hosts}
     where = {}
@@ -1049,7 +1110,7 @@ def slot_search_tree(td, ipts, which, leaf):
             return
         m = order[k]
         for h in hosts:
-            if not _pair_ok(secs, dirs, pairs, where.items(), m, h):
+            if not pair_ok(secs, dirs, pairs, where.items(), m, h):
                 continue
             occ = occupancy[h]
             for slot in range(len(occ) + 1):
@@ -1241,6 +1302,89 @@ def test_fiber_matches_slot_order_oracle(kind, d, cfg):
     assert fiber_or_degenerate(fiber, kind, d, cfg) == fiber_or_degenerate(
         slot_fiber, kind, d, cfg
     )
+
+
+# --- host masks against the cone tests --------------------------------------
+# td.hosts answers the pair test for a whole class of displacements at once;
+# pair_ok, the test on the displacement itself, is the reference.
+
+POINT_AND_LINES = (
+    [(0, 0), (0, 1), (1, 0), (1, 1)],  # two points
+    [(0, 0), (1, 0)],  # two vertical lines
+    [(0, 1), (1, 1)],  # two horizontal lines
+)
+
+
+def assert_masks_match(td, deltas):
+    """Mark 1 at each displacement in deltas from mark 0, as two points and
+    as two lines on each axis: with mark 0 on any host, the hosts td.hosts
+    gives mark 1 are those pair_ok allows, the host of mark 0 itself
+    included."""
+    secs = sector_map(td)
+    hs = td.handles
+    ncls = len(td.classes.reps)
+    for delta in deltas:
+        ipts = [(0, 0), delta]
+        for which in POINT_AND_LINES:
+            if len(which) == 4 and delta == (0, 0):
+                continue  # coincident points are rejected before any search
+            _, _, classes = _mark_classes(td.classes, ipts, which)
+            _, pairs = pair_table(ipts, which)
+            for i2, h2 in enumerate(hs):
+                expected = sum(
+                    pair_ok(secs, td.t.dirs, pairs, [(0, h2)], 1, h) << j
+                    for j, h in enumerate(hs)
+                )
+                assert td.hosts[i2 * ncls + classes[1][0]] == expected, (delta, which, h2)
+
+
+def test_classes_of_degree_2_and_3():
+    for d, count in ((2, 16), (3, 32)):
+        cl = _classes(d)
+        assert len(cl.dirs) == count
+        assert len(cl.reps) == cl.lines + 6 == 2 * count + 6
+        # each representative, and any positive multiple, is in its class
+        for k, rep in enumerate(cl.reps[: cl.lines]):
+            assert cl.point(rep) == k == cl.point((5 * rep[0], 5 * rep[1]))
+        assert {cl.line(c, delta) for c in (0, 1) for delta in (-3, 0, 3)} == set(
+            range(cl.lines, cl.lines + 6)
+        )
+
+
+def test_masks_match_cone_tests_on_every_class():
+    # every (h2, h) of every tree of degree at most 2 and of every 60th of
+    # degree 3, on a displacement exactly along each class direction, one
+    # inside each gap, the same at three times the length, and a zero
+    # difference for each line pair
+    for td in [*_tree_data(1), *_tree_data(2), *_tree_data(3)[::60]]:
+        reps = td.classes.reps[: td.classes.lines]
+        assert_masks_match(td, [(t * x, t * y) for x, y in reps for t in (1, 3)] + [(0, 0)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    st.sampled_from([1, 2, 3]),
+    st.data(),
+)
+def test_masks_match_cone_tests_on_drawn_deltas(delta, d, data):
+    trees = _tree_data(d)
+    assert_masks_match(trees[data.draw(st.integers(0, len(trees) - 1))], [delta])
+
+
+def test_tree_directions_are_class_directions():
+    # the classes see every cone exactly only if each sector endpoint and
+    # host direction is a multiple of a class direction; building a tree's
+    # cones checks that, and raises otherwise
+    for d in (1, 2, 3):
+        cl = _Classes(d)
+        for t in base_trees(d):
+            _TreeData(t, cl).cones()
+    with pytest.raises(AssertionError, match="class direction"):
+        _Classes(1).check((2, 1))
+    with pytest.raises(AssertionError, match="class direction"):
+        for t in base_trees(2):
+            _TreeData(t, _Classes(1)).cones()
 
 
 # --- splitting reducible curves ---------------------------------------------

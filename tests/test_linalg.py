@@ -255,6 +255,37 @@ def test_solve_plain_integer_rows_match_matrix(system):
         assert res.det is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_solve_numerators_over_a_positive_denominator(system):
+    rows, rhs = system
+    res = solve(rows, rhs)
+    if res.status == SolveResult.INCONSISTENT:
+        assert res.numerators is None
+        return
+    assert type(res.denominator) is int and res.denominator > 0
+    assert all(type(v) is int for v in res.numerators)
+    assert tuple(Fraction(v, res.denominator) for v in res.numerators) == res.solution
+    assert res.solution == solve_by_gauss_jordan(rows, rhs).solution
+
+
+@pytest.mark.parametrize(
+    "rows, rhs, status",
+    [
+        # a negative last pivot, and a negative one with a free column
+        ([[1, 0], [0, -3]], [Fraction(1, 2), 2], SolveResult.UNIQUE),
+        ([[-2, 4, 0], [0, 0, -5]], [3, Fraction(7, 3)], SolveResult.UNDERDETERMINED),
+        ([[1, 1], [2, 2]], [3, 6], SolveResult.UNDERDETERMINED),
+    ],
+)
+def test_solve_numerators_on_negative_pivots(rows, rhs, status):
+    res = solve(rows, rhs)
+    assert res.status == status
+    assert res.denominator > 0
+    assert tuple(Fraction(v, res.denominator) for v in res.numerators) == res.solution
+    assert apply(rows, res.solution) == tuple(rhs)
+
+
 def maximal_minors(rows):
     """(-1)^j det(rows without column j), for n - 1 rows in n columns."""
     n = len(rows[0])

@@ -149,19 +149,49 @@ def test_every_test_import_is_read():
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
-def test_traced_names_resolve():
-    # the benchmark's tracer patches these names from outside; read its
-    # table without importing or running anything under bench/
+def traced_hooks():
+    """bench/tracing.py's HOOKS table, read without importing or running
+    anything under bench/."""
     tree = ast.parse(TRACING.read_text(), filename=str(TRACING))
     (table,) = [
         node.value for node in tree.body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "HOOKS" for t in node.targets)
     ]
-    hooks = ast.literal_eval(table)
+    return ast.literal_eval(table)
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer patches these names from outside
+    hooks = traced_hooks()
     assert hooks
     missing = [
         f"{module}.{attr}" for module, attr, _ in hooks
         if not callable(getattr(importlib.import_module(f"tropcount.{module}"), attr, None))
     ]
     assert not missing, f"traced names tropcount no longer has: {missing}"
+
+
+def test_traced_imports_are_called_by_bare_name():
+    # a traced name a module imports is patched in that module's namespace,
+    # so the module must call it there by its bare name; a call through
+    # another path would leave its counters at zero.  A name the module
+    # defines itself is an entry point the benchmark calls from outside.
+    modules = dict(parsed())
+    unread = []
+    for module, attr, _ in traced_hooks():
+        source = modules[module]
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(source) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        read = {
+            node.id for node in ast.walk(source)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        if attr in imported and attr not in read:
+            unread.append(f"{module}.{attr}")
+        elif attr not in imported and attr not in set(definitions(source)):
+            unread.append(f"{module}.{attr} (neither imported nor defined)")
+    assert not unread, f"traced names no call reads: {unread}"
