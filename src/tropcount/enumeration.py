@@ -14,10 +14,14 @@ In a chart of edge lengths and mark offsets along their hosts the map's
 rows depend on the hosts only, so the leaf eliminates them once per
 assignment and reads the order of the marks on each host off the
 solution; the combined map's ft4 row, which depends on the order of marks
-0-3, completes them by a rank-one step.  The leaf decides in integers and
-builds fractions and the marked type only for a solution.  Everything is
-exact; a degenerate input is reported as GeneralPositionViolation so the
-caller can resample.
+0-3, completes them by a rank-one step.  A mark's offset meets only its
+own rows, so the leaf solves in the base columns alone: a point mark
+brings one point-independent row per host, kept on the tree, and its
+offset is read back after the solve.  The leaf decides in integers,
+checks a solution against every row of the full chart, and builds
+fractions and the marked type only for a solution.  Everything is exact;
+a degenerate input is reported as GeneralPositionViolation so the caller
+can resample.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cmp_to_key
+from operator import mul
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -568,17 +573,21 @@ class _TreeData:
         return _MASKS.setdefault(mask, mask)
 
     def chart(self):
-        """(cols, paths, rows) of the leaf's columns: root x, root y, the
-        length of each bounded edge e at cols[e], then each mark's offset
-        from flag_vertex[h] along dirs[h] on its host h.  paths[v] lists the
-        bounded edges from vertex 0 to v, and rows[h][c] is coordinate c of
-        flag_vertex[h]."""
+        """(cols, paths, rows, base) of the leaf's chart: the base columns
+        root x, root y and the length of each bounded edge e at cols[e],
+        then each mark's offset from flag_vertex[h] along dirs[h] on its
+        host h.  paths[v] lists the bounded edges from vertex 0 to v, and
+        rows[h][c] is coordinate c of flag_vertex[h] over the base columns.
+        A point on h at offset t is rows[h][c]·x + dirs[h][c]·t in
+        coordinate c, so base[h] = dy·rows[h][0] − dx·rows[h][1], for
+        dirs[h] = (dx, dy), is the row it pins once t is eliminated."""
         if self._chart is None:
             g = self.t.graph
             dirs = self.t.dirs
             cols = {e: 2 + i for i, e in enumerate(g.bounded_edges())}
             walks = [g.path_flags(0, v) for v in range(g.num_vertices)]
             rows = {}
+            base = {}
             for h in self.handles:
                 rows[h] = []
                 for c in (0, 1):
@@ -587,8 +596,10 @@ class _TreeData:
                     for f in walks[g.flag_vertex[h]]:
                         row[cols[g.edge_of_flag(f)]] = dirs[f][c]
                     rows[h].append(row)
+                dx, dy = dirs[h]
+                base[h] = [dy * a - dx * b for a, b in zip(*rows[h])]
             paths = [[g.edge_of_flag(f) for f in walk] for walk in walks]
-            self._chart = (cols, paths, rows)
+            self._chart = (cols, paths, rows, base)
         return self._chart
 
     def quartets(self, hosts, cluster):
@@ -602,7 +613,7 @@ class _TreeData:
         key = (*hosts, cluster)
         if key in self._quartets:
             return self._quartets[key]
-        cols, paths, _ = self.chart()
+        cols, paths, _, _ = self.chart()
         off = 2 + len(cols)
         at = [cluster[0] if cluster and m == cluster[1] else m for m in range(4)]
         on: Dict[int, dict] = {}
@@ -822,52 +833,110 @@ def _integer_points(points, *denominators):
 # the shared leaf
 
 
-def _leaf(td: _TreeData, where, cluster, d: int, which, ray, rhs, scale, found):
-    """One assignment of the marks to hosts: eliminate its rows once, and
-    build the marked type only for a solution.
+def _read_back(v, q, back, width):
+    """v over the base columns, with each read-back mark's offset filled
+    in: for (column, row, factor, value) in back, factor·t = value·q − row·v.
+    q is the denominator of v, or 0 for a kernel vector."""
+    full = v + [0] * (width - len(v))
+    for col, row, factor, value in back:
+        t, r = divmod(value * q - sum(map(mul, row, v)), factor)
+        if r:
+            raise AssertionError(f"offset {col} read back as {t} + {r}/{factor}, not an integer")
+        full[col] = t
+    return full
 
-    The columns are td.chart()'s; in a cluster (m2, m), m sits at m2's
-    offset and its column holds the contracted edge's length.  The rows
-    read only the hosts, so the solution orders the marks on each host, and
-    the lengths are offset differences.  For the combined map each order of
-    marks 0-3 that pairs them as ray adds its ft4 row f (td.quartets): with
-    the other rows' solution x0 and kernel vector k, the determinant is f·k
-    and the solution x0 + t·k.  rhs is the fiber's right-hand side times
-    the integer scale, the ft4 target last.  Every test runs on the
-    solution's integer numerators over their positive common denominator;
-    fractions are built only for a solution kept.
+
+def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale, found):
+    """One assignment of the marks to hosts: eliminate its rows once, in
+    the base columns, and build the marked type only for a solution.
+
+    A mark's offset column meets only its own rows, so it is eliminated
+    before the solve: a point mark, or a cluster (m2, m), which pins a
+    point, keeps td.chart()'s point-independent base row of its host, a
+    line mark keeps its row only when its host does not move its
+    coordinate.  Every other offset is read back off one of the mark's rows
+    by an exact division; a line mark's leaves a factor dirs[h][c] on the
+    full chart's minors, a point mark's cancels.  A line mark's offset on a
+    host that keeps its coordinate, and the cluster's contracted edge
+    length, held in m's offset column, are free columns: unit kernel
+    vectors.  The rows read only the hosts, so the solution orders the
+    marks on each host, and the lengths are offset differences.  For the
+    combined map each order of marks 0-3 that pairs them as ray adds its
+    ft4 row f (td.quartets): with the other rows' solution x0 and kernel
+    vector k, the determinant is f·k and the solution x0 + t·k.  ipts are
+    the points and target the ft4 target, each times the integer scale.
+    Every test runs on the solution's integer numerators over their
+    positive common denominator; a solution kept is checked against every
+    row of the full chart, and only then are fractions built.
     """
-    cols, _, host_rows = td.chart()
-    n = len(where)
-    off = 2 + len(cols)
-    at = [cluster[0] if cluster and m == cluster[1] else m for m in range(n)]
     completions = [((), None, None)]
     if ray is not None:
-        quartet = td.quartets(tuple(where[m] for m in range(4)), cluster)
+        quartet = td.quartets((where[0], where[1], where[2], where[3]), cluster)
         completions = [entry[1:] for entry in quartet if entry[0] == ray]
         if not completions:
             return
-    rows = []
-    for m, c in which:
-        rows.append(host_rows[where[m]][c] + [0] * n)
-        rows[-1][off + at[m]] = td.t.dirs[where[m]][c]
-    if len(rows) + (ray is not None) != off + n:
-        raise AssertionError(f"{off + n} columns for {len(rows) + (ray is not None)} rows")
-    res = solve(rows, rhs[: len(rows)])
+    cols, _, host_rows, base = td.chart()
+    dirs = td.t.dirs
+    n = len(where)
+    off = 2 + len(cols)
+    rows, rhs, free, back = [], [], [], []
+    p = 1  # the read-back line marks' factors
+    for m in range(n):
+        h = where[m]
+        v = dirs[h]
+        pt, cs = ipts[m], pins[m]
+        if cluster and m in cluster:
+            if m == cluster[1]:
+                free.append(off + m)
+                continue
+            # the cluster pins each coordinate through the mark that pins it
+            pt = [ipts[cluster[c not in cs]][c] for c in (0, 1)]
+            cs = (0, 1)
+        if len(cs) == 2:
+            rows.append(base[h])
+            rhs.append(v[1] * pt[0] - v[0] * pt[1])
+            c = 0 if v[0] else 1
+            back.append((off + m, host_rows[h][c], v[c], pt[c]))
+        else:
+            (c,) = cs
+            if v[c]:
+                p *= v[c]
+                back.append((off + m, host_rows[h][c], v[c], pt[c]))
+            else:
+                rows.append(host_rows[h][c])
+                rhs.append(pt[c])
+                free.append(off + m)
+    if len(rows) + (ray is not None) != off + len(free):
+        raise AssertionError(f"{off + len(free)} columns for {len(rows) + (ray is not None)} rows")
+    res = solve(rows, rhs)
     if res.status == "inconsistent":
         return
+    if len(res.kernel) + len(free) == (ray is not None):
+        # a solution may be kept: the full chart's minors are p times these
+        s = abs(p)
+    else:
+        # none is: any s the read-back divides keeps it in integers
+        s = math.lcm(*(factor for _, _, factor, _ in back))
+    q0 = res.denominator * s
+    x0 = _read_back([v * s for v in res.numerators], q0, back, off + n)
+    kernel = [_read_back([v * s for v in k], 0, back, off + n) for k in res.kernel]
+    for col in free:
+        kernel.append([0] * (off + n))
+        kernel[-1][col] = 1 if res.det is None else res.det * p
+    det0 = res.det * p if res.det is not None and not free else None
+    at = [cluster[0] if cluster and m == cluster[1] else m for m in range(n)]
     for before, add, sub in completions:
         # the solution is x / q, q > 0
-        x, q, det = res.numerators, res.denominator, res.det
+        x, q, det = x0, q0, det0
         if add is not None:
-            fx, *fk = [sum(v[c] for c in add) - sum(v[c] for c in sub) for v in (x, *res.kernel)]
+            fx, *fk = [sum(v[c] for c in add) - sum(v[c] for c in sub) for v in (x, *kernel)]
             if len(fk) == 1 and fk[0]:
                 # x / q + (target - fx / q) / det * k, over q * |det|
                 det = fk[0]
-                t = (rhs[-1] * q - fx) * (1 if det > 0 else -1)
-                x = [v * abs(det) + t * w for v, w in zip(x, res.kernel[0])]
+                t = (target * q - fx) * (1 if det > 0 else -1)
+                x = [v * abs(det) + t * w for v, w in zip(x, kernel[0])]
                 q *= abs(det)
-            elif not any(fk) and fx != rhs[-1] * q:
+            elif not any(fk) and fx != target * q:
                 continue  # this order's system is inconsistent
         if det is None:
             raise GeneralPositionViolation(
@@ -890,6 +959,14 @@ def _leaf(td: _TreeData, where, cluster, d: int, which, ray, rhs, scale, found):
             continue
         if any(v == 0 for v in lengths):
             raise GeneralPositionViolation("solution on a cell boundary (zero edge length)")
+        # the solution must meet every row of the full chart
+        for m, cs in enumerate(pins):
+            h = where[m]
+            for c in cs:
+                if sum(map(mul, host_rows[h][c], x)) + dirs[h][c] * x[off + at[m]] != ipts[m][c] * q:
+                    raise AssertionError(f"the leaf's solution misses coordinate {c} of mark {m}")
+        if add is not None and sum(x[c] for c in add) - sum(x[c] for c in sub) != target * q:
+            raise AssertionError("the leaf's solution misses the ft4 target")
         placements = {h: [item for _, item in its] for h, its in items.items()}
         mt, piece_ids = _subdivide(td.t, placements, n)
         key = canonical_plane_form(mt)
@@ -928,15 +1005,14 @@ def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
     for the combined map.  The mark pairs are classed once per point set."""
     extra = () if m4 is None else (m4.length.denominator,)
     scale, ipts = _integer_points(cfg.points, *extra)
-    rhs = [ipts[m][c] for m, c in which]
-    if m4 is not None:
-        rhs.append(int(m4.length * scale))
+    target = None if m4 is None else int(m4.length * scale)
     ray = None if m4 is None else m4.ray
     marks = _mark_classes(_classes(d), ipts, which)
+    pins = marks[1]
     found: dict = {}
 
     def leaf(td, where, cluster):
-        _leaf(td, where, cluster, d, which, ray, rhs, scale, found)
+        _leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found)
 
     for td in trees:
         _search_tree(td, marks, leaf)
