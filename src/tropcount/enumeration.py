@@ -31,8 +31,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cmp_to_key
-from operator import mul
 from fractions import Fraction
+from operator import mul
 from typing import Dict, List, Optional, Tuple
 
 from .graph import (
@@ -915,7 +915,7 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
         # a solution may be kept: the full chart's minors are p times these
         s = abs(p)
     else:
-        # none is: any s the read-back divides keeps it in integers
+        # no solution is kept, so any s that every factor divides will do
         s = math.lcm(*(factor for _, _, factor, _ in back))
     q0 = res.denominator * s
     x0 = _read_back([v * s for v in res.numerators], q0, back, off + n)

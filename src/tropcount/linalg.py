@@ -3,11 +3,11 @@
 A cell map is a list of integer rows.  Every multiplicity in this package
 is |det| of such rows, and every fiber is an exact solve of them against a
 rational right-hand side; a fiber's leaf solves only the rows left once
-each mark's offset is eliminated, at most 3d - 1 columns at degree d.  Both run one fraction-free (Bareiss)
-elimination, so every entry stays an integer.  A solution is returned as
-integer numerators over one positive common denominator, and as stdlib
-fractions on request; a kernel stays in integers.  Nothing here touches a
-float.
+each mark's offset is eliminated, at most 3d - 1 columns at degree d.
+Both run one fraction-free (Bareiss) elimination, so every entry stays an
+integer.  A solution is returned as integer numerators over one positive
+common denominator, and as stdlib fractions on request; a kernel stays in
+integers.  Nothing here touches a float.
 """
 
 from __future__ import annotations

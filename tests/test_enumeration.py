@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1254,12 +1255,16 @@ def slot_fiber(kind, d, cfg):
     return [found[k] for k in sorted(found, key=repr)]
 
 
-def sharing(seed, ray, i, j, c):
-    """pi_config(2, seed, ray) with point i given coordinate c of point j."""
-    cfg = pi_config(2, seed, ray)
+def take_coordinate(cfg, i, j, c):
+    """cfg with point i given coordinate c of point j."""
     pts = list(cfg.points)
     pts[i] = tuple(pts[j][c] if k == c else pts[i][k] for k in (0, 1))
     return PointConfig(tuple(pts), cfg.m4)
+
+
+def sharing(seed, ray, i, j, c):
+    """pi_config(2, seed, ray) with point i given coordinate c of point j."""
+    return take_coordinate(pi_config(2, seed, ray), i, j, c)
 
 
 SLOT_ORACLE_CASES = (
@@ -1375,11 +1380,24 @@ def full_chart_leaf(td, where, cluster, d, which, ray, rhs, scale, found, record
         found[key] = FiberSolution(mt, tuple(Fraction(v, q * scale) for v in coords), abs(det))
 
 
-def fiber_spec(kind, d, cfg):
-    """(which, trees, m4) of fiber(kind, d, cfg)."""
+def leaf_inputs(kind, d, cfg):
+    """What both leaves of fiber(kind, d, cfg) read: the row spec, trees,
+    integer scale and points, right-hand side with the ft4 target last,
+    target, ray and the search's mark classes.  Coincident points raise,
+    as in fiber."""
     if kind == EV:
-        return [(m, c) for m in range(3 * d - 1) for c in (0, 1)], _ev_tree_data(d), None
-    return pi_which(3 * d), _pi_tree_data(d), cfg.m4
+        which, trees, m4 = [(m, c) for m in range(3 * d - 1) for c in (0, 1)], _ev_tree_data(d), None
+    else:
+        which, trees, m4 = pi_which(3 * d), _pi_tree_data(d), cfg.m4
+    extra = () if m4 is None else (m4.length.denominator,)
+    scale, ipts = _integer_points(cfg.points, *extra)
+    target = None if m4 is None else int(m4.length * scale)
+    return SimpleNamespace(
+        which=which, trees=trees, scale=scale, ipts=ipts, target=target,
+        rhs=[ipts[m][c] for m, c in which] + ([] if m4 is None else [target]),
+        ray=None if m4 is None else m4.ray,
+        marks=_mark_classes(_classes(d), ipts, which),
+    )
 
 
 def leaf_outcome(leaf, *args):
@@ -1396,41 +1414,36 @@ def assert_leaves_match_full_chart(kind, d, cfg, trees=None):
     """Run both leaves on every assignment the search reaches on the map's
     trees, or on the given ones; returns (tree, hosts, outcome) per leaf,
     or None when two points coincide."""
-    which, all_trees, m4 = fiber_spec(kind, d, cfg)
-    extra = () if m4 is None else (m4.length.denominator,)
     try:
-        scale, ipts = _integer_points(cfg.points, *extra)
+        a = leaf_inputs(kind, d, cfg)
     except GeneralPositionViolation:
         return None
-    rhs = [ipts[m][c] for m, c in which]
-    target = None if m4 is None else int(m4.length * scale)
-    rhs += [] if m4 is None else [target]
-    ray = None if m4 is None else m4.ray
-    marks = _mark_classes(_classes(d), ipts, which)
     leaves = []
 
     def reduced_leaf(td, where, cluster, found, record):
         # the reduced solve's outcome, as the full chart's kernel dimension
         def recording(rows, rhs):
             res = solve(rows, rhs)
-            free = len(rows) + (ray is not None) - 2 - len(td.chart()[0])
+            free = len(rows) + (a.ray is not None) - 2 - len(td.chart()[0])
             record("inconsistent" if res.status == "inconsistent" else len(res.kernel) + free)
             return res
 
         enumeration.solve = recording
         try:
-            enumeration._leaf(td, where, cluster, d, marks[1], ray, ipts, target, scale, found)
+            enumeration._leaf(
+                td, where, cluster, d, a.marks[1], a.ray, a.ipts, a.target, a.scale, found
+            )
         finally:
             enumeration.solve = solve
 
     def leaf(td, where, cluster):
-        want = leaf_outcome(full_chart_leaf, td, where, cluster, d, which, ray, rhs, scale)
+        want = leaf_outcome(full_chart_leaf, td, where, cluster, d, a.which, a.ray, a.rhs, a.scale)
         got = leaf_outcome(reduced_leaf, td, where, cluster)
         assert got == want, (td.t, dict(where), cluster)
         leaves.append((td, dict(where), want))
 
-    for td in all_trees if trees is None else trees:
-        _search_tree(td, marks, leaf)
+    for td in a.trees if trees is None else trees:
+        _search_tree(td, a.marks, leaf)
     return leaves
 
 
@@ -1508,27 +1521,15 @@ def test_corrupted_base_row_raises():
     assert [s.mult for s in fiber(EV, 1, cfg)] == [1]
 
 
-def take_coordinate(cfg, i, j, c):
-    """cfg with point i given coordinate c of point j."""
-    pts = list(cfg.points)
-    pts[i] = tuple(pts[j][c] if k == c else pts[i][k] for k in (0, 1))
-    return PointConfig(tuple(pts), cfg.m4)
-
-
 def full_chart_fiber(kind, d, cfg):
     """fiber(kind, d, cfg) with the full-chart leaf: solutions, or the
     message of the first leaf that raises."""
-    which, trees, m4 = fiber_spec(kind, d, cfg)
-    extra = () if m4 is None else (m4.length.denominator,)
+    found = {}
     try:
-        scale, ipts = _integer_points(cfg.points, *extra)
-        rhs = [ipts[m][c] for m, c in which] + ([] if m4 is None else [int(m4.length * scale)])
-        ray = None if m4 is None else m4.ray
-        marks = _mark_classes(_classes(d), ipts, which)
-        found = {}
-        for td in trees:
-            _search_tree(td, marks, lambda td, where, cluster: full_chart_leaf(
-                td, where, cluster, d, which, ray, rhs, scale, found, lambda _: None
+        a = leaf_inputs(kind, d, cfg)
+        for td in a.trees:
+            _search_tree(td, a.marks, lambda td, where, cluster: full_chart_leaf(
+                td, where, cluster, d, a.which, a.ray, a.rhs, a.scale, found, lambda _: None
             ))
     except GeneralPositionViolation as exc:
         return str(exc)
