@@ -17,11 +17,15 @@ solution; the combined map's ft4 row, which depends on the order of marks
 0-3, completes them by a rank-one step.  A mark's offset meets only its
 own rows, so the leaf solves in the base columns alone: a point mark
 brings one point-independent row per host, kept on the tree, and its
-offset is read back after the solve.  The leaf decides in integers,
-checks a solution against every row of the full chart, and builds
-fractions and the marked type only for a solution.  Everything is exact;
-a degenerate input is reported as GeneralPositionViolation so the caller
-can resample.
+offset is read back after the solve.  The search places the point marks
+first, so the combined map's fiber solves their rows once per assignment
+of them: when they are inconsistent it cuts every assignment of the line
+marks below, and otherwise a leaf whose rows are just these, with no
+cluster and both line marks read back, reuses that solve.  The leaf
+decides in integers, checks a solution against every row of the full
+chart, and builds fractions and the marked type only for a solution.
+Everything is exact; a degenerate input is reported as
+GeneralPositionViolation so the caller can resample.
 """
 
 from __future__ import annotations
@@ -761,7 +765,7 @@ def _mark_classes(cl: _Classes, ipts, which):
     return order, pins, classes
 
 
-def _search_tree(td: _TreeData, marks, leaf):
+def _search_tree(td: _TreeData, marks, leaf, points=None):
     """Assign the marks to one tree's hosts, calling leaf(td, where,
     cluster) on every assignment that passes the pair test.
 
@@ -775,9 +779,14 @@ def _search_tree(td: _TreeData, marks, leaf):
     order and on its hosts in handle order.  A line mark m may also share
     one vertex, hanging off a host by a contracted edge, with a placed line
     mark m2 on the other axis: the cluster (m2, m).  The order of the marks
-    on a host is left to the leaf.
+    on a host is left to the leaf.  Once the point marks are placed and
+    line marks remain, points(td, where) is called, when given: every leaf
+    below holds the point marks' rows, so a false return, for rows that
+    are inconsistent, cuts every assignment of the line marks.  Without
+    points the search visits every assignment that passes the pair test.
     """
     order, pins, classes = marks
+    npoints = sum(len(pins[m]) == 2 for m in order)
     hosts = td.handles
     masks = td.hosts
     ncls = len(td.classes.reps)
@@ -788,6 +797,8 @@ def _search_tree(td: _TreeData, marks, leaf):
     def rec(k, cluster):
         if k == len(order):
             leaf(td, where, cluster)
+            return
+        if k == npoints and points is not None and not points(td, where):
             return
         m = order[k]
         row = classes[m]
@@ -846,7 +857,8 @@ def _read_back(v, q, back, width):
     return full
 
 
-def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale, found):
+def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale, found,
+          point_solve=None):
     """One assignment of the marks to hosts: eliminate its rows once, in
     the base columns, and build the marked type only for a solution.
 
@@ -868,6 +880,11 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
     Every test runs on the solution's integer numerators over their
     positive common denominator; a solution kept is checked against every
     row of the full chart, and only then are fractions built.
+    point_solve, when given, is the solve of this assignment's point-mark
+    rows, which the search ran once for all the leaves under it.  A
+    cluster or a kept line-mark row always comes with a free column, so a
+    leaf with none has just the point rows, in mark order, and reuses the
+    solve instead of running its own.
     """
     completions = [((), None, None)]
     if ray is not None:
@@ -908,7 +925,7 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
                 free.append(off + m)
     if len(rows) + (ray is not None) != off + len(free):
         raise AssertionError(f"{off + len(free)} columns for {len(rows) + (ray is not None)} rows")
-    res = solve(rows, rhs)
+    res = point_solve if point_solve is not None and not free else solve(rows, rhs)
     if res.status == "inconsistent":
         return
     if len(res.kernel) + len(free) == (ray is not None):
@@ -1002,20 +1019,38 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
 def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
     """Search every tree with the shared leaf.  which is the map's row
     spec; m4 is None for the evaluation map and the target of the ft4 row
-    for the combined map.  The mark pairs are classed once per point set."""
+    for the combined map.  The mark pairs are classed once per point set.
+    The combined map's point-mark rows are solved once per assignment of
+    the point marks, before its line marks are placed; point_solve holds
+    that solve only until the next assignment replaces it."""
     extra = () if m4 is None else (m4.length.denominator,)
     scale, ipts = _integer_points(cfg.points, *extra)
     target = None if m4 is None else int(m4.length * scale)
     ray = None if m4 is None else m4.ray
     marks = _mark_classes(_classes(d), ipts, which)
     pins = marks[1]
+    point_marks = [m for m in range(len(pins)) if len(pins[m]) == 2]
+    point_solve = None
     found: dict = {}
 
+    def points(td, where):
+        # every leaf below holds these rows: cut them all when they are
+        # inconsistent, and keep the solve for this assignment's leaves
+        nonlocal point_solve
+        base, dirs = td.chart()[3], td.t.dirs
+        rows, rhs = [], []
+        for m in point_marks:
+            h = where[m]
+            rows.append(base[h])
+            rhs.append(dirs[h][1] * ipts[m][0] - dirs[h][0] * ipts[m][1])
+        point_solve = solve(rows, rhs)
+        return point_solve.status != "inconsistent"
+
     def leaf(td, where, cluster):
-        _leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found)
+        _leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, point_solve)
 
     for td in trees:
-        _search_tree(td, marks, leaf)
+        _search_tree(td, marks, leaf, points)
     return [found[k] for k in sorted(found, key=repr)]
 
 

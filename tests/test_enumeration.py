@@ -1447,13 +1447,18 @@ def assert_leaves_match_full_chart(kind, d, cfg, trees=None):
     return leaves
 
 
-LEAF_ORACLE_CASES = (
-    [(PI, 2, pi_config(2, 0, ray, scale)) for ray in "ABC" for scale in (1, 2)]
-    + [(EV, d, ev_config(d, seed)) for d in (1, 2) for seed in range(10)]
-    # special position: leaves that raise, and kernels of dimension two
-    + [(EV, 2, PointConfig(tuple((i, i) for i in range(5))))]
+# the six configurations of the census-d2 benchmark workload
+CENSUS_D2_CASES = [(PI, 2, pi_config(2, 0, ray, scale)) for ray in "ABC" for scale in (1, 2)]
+# special position: leaves that raise, and kernels of dimension two
+SPECIAL_POSITION_CASES = (
+    [(EV, 2, PointConfig(tuple((i, i) for i in range(5))))]
     + [(PI, 2, sharing(0, ray, 2, 0, 0)) for ray in "ABC"]
     + [(PI, 2, sharing(1, "C", 1, 3, 1))]
+)
+LEAF_ORACLE_CASES = (
+    CENSUS_D2_CASES
+    + [(EV, d, ev_config(d, seed)) for d in (1, 2) for seed in range(10)]
+    + SPECIAL_POSITION_CASES
 )
 
 
@@ -1466,14 +1471,19 @@ def test_leaves_match_full_chart_oracle(kind, d, cfg):
     assert any(out[0] == "raise" or out[2] for _, _, out in leaves)
 
 
+def degree_3_factor_trees():
+    """pi_config(3, 1, "A") and three degree-3 trees, chosen by index, that
+    carry solutions of it."""
+    return pi_config(3, 1, "A"), [_pi_tree_data(3)[i] for i in (405, 673, 778)]
+
+
 def test_leaves_match_full_chart_oracle_on_degree_3_factors():
     # three degree-3 combined-map trees that carry solutions of this
     # configuration: on 405 and 778 a point mark sits on a host of
     # direction (2, 1), read back through a factor 2 that the determinant
     # must not take; on 673 marks 0 and 1 form a cluster, whose contracted
     # column is free, and the determinant is 4
-    cfg = pi_config(3, 1, "A")
-    trees = [_pi_tree_data(3)[i] for i in (405, 673, 778)]
+    cfg, trees = degree_3_factor_trees()
     leaves = assert_leaves_match_full_chart(PI, 3, cfg, trees)
     kept = [(td, where, out[2]) for td, where, out in leaves if out[0] == "return" and out[2]]
     assert any(
@@ -1571,6 +1581,152 @@ def test_coordinate_sharing_sweep():
     outcomes = [fiber_or_message(PI, 2, sharing(0, ray, 2, 0, 0)) for ray in "ABC"]
     assert isinstance(outcomes[1], str)
     assert [sum(mult for _, _, mult in out) for out in outcomes[::2]] == [2, 2]
+
+
+# --- point-level pruning ----------------------------------------------------
+# fiber solves the point marks' rows once per assignment of the point marks,
+# cuts the line marks' subtree when they are inconsistent, and hands the
+# solve to the leaves; _search_tree with no points callback is the unpruned
+# search.
+
+
+def leaf_key(td, where, cluster):
+    return id(td), tuple(sorted(where.items())), cluster
+
+
+def assert_pruning_cuts_only_inconsistent_leaves(kind, d, cfg, trees, monkeypatch):
+    """Run fiber's pruned search and the unpruned one, _search_tree with no
+    points callback, on the map's trees or on the given ones, both with the
+    production leaf.  The pruned leaves are a subsequence of the unpruned
+    ones; every leaf cut has full-chart rows that are inconsistent without
+    the ft4 row, so no order of it could be kept or raise; the fibers, or
+    the GeneralPositionViolation messages, are equal."""
+    a = leaf_inputs(kind, d, cfg)
+    trees = a.trees if trees is None else trees
+    m4 = None if kind == EV else cfg.m4
+    real_leaf = enumeration._leaf
+
+    def outcome(search):
+        try:
+            sols = search()
+        except GeneralPositionViolation as exc:
+            return str(exc)
+        return [(s.type, s.coords, s.mult) for s in sols]
+
+    pruned = []
+
+    def recording_leaf(td, where, cluster, *args):
+        pruned.append(leaf_key(td, where, cluster))
+        return real_leaf(td, where, cluster, *args)
+
+    monkeypatch.setattr(enumeration, "_leaf", recording_leaf)
+    got = outcome(lambda: enumeration._fiber(d, cfg, a.which, trees, m4))
+
+    unpruned, found = [], {}
+
+    def leaf(td, where, cluster):
+        unpruned.append((leaf_key(td, where, cluster), td, dict(where), cluster))
+        real_leaf(td, where, cluster, d, a.marks[1], a.ray, a.ipts, a.target, a.scale, found)
+
+    def unpruned_fiber():
+        for td in trees:
+            _search_tree(td, a.marks, leaf)
+        return [found[k] for k in sorted(found, key=repr)]
+
+    want = outcome(unpruned_fiber)
+    assert got == want
+    kept = set(pruned)
+    assert len(kept) == len(pruned)
+    assert pruned == [key for key, *_ in unpruned if key in kept]
+    cut = [leaf for leaf in unpruned if leaf[0] not in kept]
+    if kind == EV:
+        assert not cut
+    for _, td, where, cluster in cut:
+        seen = []
+        # ray None skips the quartet table, which would return before the solve
+        full_chart_leaf(td, where, cluster, d, a.which, None, a.rhs, a.scale, {}, seen.append)
+        assert seen == ["inconsistent"], (td.t, where, cluster)
+    if kind == PI and isinstance(want, list):
+        assert cut
+
+
+@pytest.mark.parametrize("kind, d, cfg", CENSUS_D2_CASES + SPECIAL_POSITION_CASES)
+def test_pruning_cuts_only_inconsistent_leaves(kind, d, cfg, monkeypatch):
+    assert_pruning_cuts_only_inconsistent_leaves(kind, d, cfg, None, monkeypatch)
+
+
+def test_pruning_cuts_only_inconsistent_leaves_on_degree_3_factors(monkeypatch):
+    assert_pruning_cuts_only_inconsistent_leaves(PI, 3, *degree_3_factor_trees(), monkeypatch)
+
+
+def solve_fields(res):
+    return res.status, res.numerators, res.denominator, res.det, res.kernel
+
+
+def test_leaves_reuse_the_point_solve_only_on_their_own_rows(monkeypatch):
+    # a leaf reuses the point marks' solve exactly when it has no cluster
+    # and reads both line marks' offsets back, so that its rows are the
+    # point rows; each time, the solve equals a fresh one on the rows the
+    # leaf builds when it is given none
+    real_leaf = enumeration._leaf
+    reused = []
+
+    def checking_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, point_solve):
+        assert point_solve is not None and point_solve.status != "inconsistent"
+        calls = []
+
+        def recording(rows, rhs):
+            calls.append((rows, rhs))
+            return solve(rows, rhs)
+
+        monkeypatch.setattr(enumeration, "solve", recording)
+        try:
+            real_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, {}, None)
+            own, calls[:] = calls[:], []
+            real_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, point_solve)
+        finally:
+            monkeypatch.setattr(enumeration, "solve", solve)
+        if not own:
+            assert not calls  # the quartet table drops the leaf first
+            return
+        dirs = td.t.dirs
+        if cluster is None and dirs[where[0]][0] and dirs[where[1]][1]:
+            assert not calls
+            ((rows, rhs),) = own
+            fresh = solve(rows, rhs)
+            assert solve_fields(point_solve) == solve_fields(fresh)
+            reused.append(fresh.status)
+        else:
+            assert calls == own
+
+    monkeypatch.setattr(enumeration, "_leaf", checking_leaf)
+    for _, d, cfg in CENSUS_D2_CASES:
+        enumeration._fiber(d, cfg, pi_which(3 * d), _pi_tree_data(d), cfg.m4)
+    cfg, trees = degree_3_factor_trees()
+    enumeration._fiber(3, cfg, pi_which(9), trees, cfg.m4)
+    assert len(reused) > 100
+
+
+def test_census_d2_leaf_and_solve_budget(monkeypatch):
+    # regression guard: one pass over the census-d2 configurations runs at
+    # most 1,122 leaves and 392 solves (2,058 and 694 before the point marks'
+    # rows were solved once per assignment of them)
+    counts = {"leaf": 0, "solve": 0}
+    real_leaf = enumeration._leaf
+
+    def counting_leaf(*args):
+        counts["leaf"] += 1
+        return real_leaf(*args)
+
+    def counting_solve(rows, rhs):
+        counts["solve"] += 1
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(enumeration, "_leaf", counting_leaf)
+    monkeypatch.setattr(enumeration, "solve", counting_solve)
+    assert [sum(s.mult for s in fiber(PI, d, cfg)) for _, d, cfg in CENSUS_D2_CASES] == [2] * 6
+    assert counts["leaf"] <= 1122
+    assert counts["solve"] <= 392
 
 
 # --- host masks against the cone tests --------------------------------------

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from tropcount.enumeration import EV, sampled_fiber
+from tropcount.enumeration import EV, PI, decompose_reducible, fiber, pi_config, sampled_fiber
 from tropcount.graph import AbstractType, Graph
 from tropcount.plane import (
     PlaneCurve,
@@ -186,6 +186,28 @@ def test_image_positions_walk_matches_image_position():
         assert sorted(pos) == list(range(curve.graph.num_vertices))
         for w, p in pos.items():
             assert p == image_position(curve, w) == image_by_path(curve, w)
+
+
+def test_image_position_without_a_cached_image():
+    # the curves of the six census-d2 configurations and their split sides:
+    # before the image is walked, image_position sums along the path from
+    # the root and leaves the cache empty; after, it reads the cache
+    curves = [
+        s.curve() for ray in "ABC" for k in (1, 2) for s in fiber(PI, 2, pi_config(2, 0, ray, k))
+    ]
+    # a case-(b) curve, whose marks 0 and 1 sit apart, splits in two
+    curves += [
+        side for c in curves if c.mark_vertex(0) != c.mark_vertex(1)
+        for side in decompose_reducible(c)
+    ]
+    assert len(curves) == 32
+    for c in curves:
+        c = PlaneCurve(c.curve, c.dirs, c.root, c.root_pos)  # no image walked yet
+        vertices = range(c.graph.num_vertices)
+        by_path = [image_position(c, v) for v in vertices]
+        assert "image" not in vars(c)
+        assert by_path == [image_positions(c)[v] for v in vertices]
+        assert by_path == [image_position(c, v) for v in vertices]
 
 
 def test_image_cache_matches_own_walk_and_json_copy():
