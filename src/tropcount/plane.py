@@ -280,12 +280,9 @@ def image_positions(c: PlaneCurve) -> Mapping:
 
 
 def image_position(c: PlaneCurve, v: int):
-    """Image of vertex v: the cached walk's when there is one, else the
-    root position plus the length-weighted directions along the path to v,
-    so that reading one vertex does not walk the whole image."""
-    image = c.__dict__.get("image")
-    if image is not None:
-        return image.positions[v]
+    """Image of vertex v: the root position plus the length-weighted
+    directions along the path to v, so that reading one vertex does not
+    walk the whole image."""
     g = c.graph
     x, y = c.root_pos
     for f in g.path_flags(c.root, v):

@@ -190,8 +190,8 @@ def test_image_positions_walk_matches_image_position():
 
 def test_image_position_without_a_cached_image():
     # the curves of the six census-d2 configurations and their split sides:
-    # before the image is walked, image_position sums along the path from
-    # the root and leaves the cache empty; after, it reads the cache
+    # image_position sums along the path from the root: it leaves the cache
+    # empty, and agrees with the walk before and after the walk is cached
     curves = [
         s.curve() for ray in "ABC" for k in (1, 2) for s in fiber(PI, 2, pi_config(2, 0, ray, k))
     ]
