@@ -4,11 +4,13 @@ One search and one leaf serve both maps.  Unmarked trivalent image trees
 are enumerated once per degree (cached).  A map's row spec lists the
 (mark, coordinate) pairs it pins: a mark with both coordinates pinned is a
 point, a mark with one a line.  The search assigns each mark a host edge,
-pruning each partial assignment by an exact cone test per pair of marks,
-in the coordinates both pin, before any linear algebra runs.  A cone test
-sees a displacement only through its class (a direction or an angular
-gap between two, or a sign for a line pair), so each fiber classes its
-mark pairs once, and each tree keeps a point-independent table of the
+pruning each partial assignment by a cone test per pair of marks, in the
+coordinates both pin, before any linear algebra runs.  The cone of the
+path directions between two hosts is an arc of class directions, and one
+walk over the tree per host reads off its arcs to every other host.  A
+cone test sees a displacement only through its class (a direction or an
+angular gap between two, or a sign for a line pair), so each fiber classes
+its mark pairs once, and each tree keeps a point-independent table of the
 hosts that pass, per placed mark's host and class; the test is a lookup.
 In a chart of edge lengths and mark offsets along their hosts the map's
 rows depend on the hosts only, so the leaf eliminates them once per
@@ -281,105 +283,39 @@ def curve_multiplicity(c) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact cone tests
-
-# A sector is None (whole plane) or a pair (lo, hi) of integer vectors with
-# angular span at most a half turn; it stands for all positive combinations
-# of the path directions between two host edges.
-
-
-def _dot(u, v) -> int:
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def _sector_has(sec, x) -> bool:
-    if sec is None:
-        return True
-    # cross(lo, x) and cross(x, hi), written out: this is the search's
-    # innermost test
-    (lx, ly), (hx, hy) = sec
-    x0, x1 = x
-    c1 = lx * x1 - ly * x0
-    c2 = x0 * hy - x1 * hx
-    if c1 < 0 or c2 < 0:
-        return False
-    return c1 > 0 or c2 > 0 or lx * x0 + ly * x1 > 0 or hx * x0 + hy * x1 > 0
-
-
-def _sector(gens):
-    gens = [g for g in gens if g != ZERO]
-    lo = hi = gens[0]
-    for g in gens[1:]:
-        if _sector_has((lo, hi), g):
-            continue
-        cl = cross(lo, g)
-        if (cl > 0 or (cl == 0 and _dot(lo, g) < 0)) and cross(hi, g) >= 0:
-            hi = g
-            continue
-        ch = cross(g, hi)
-        if (ch > 0 or (ch == 0 and _dot(g, hi) < 0)) and cross(g, lo) >= 0:
-            lo = g
-            continue
-        return None
-    return (lo, hi)
-
-
-def _sector_reverse(sec):
-    # point reflection keeps orientation: the negated cone runs -lo to -hi
-    if sec is None:
-        return None
-    lo, hi = sec
-    return (vneg(lo), vneg(hi))
-
-
-def _sector_meets_vertical(sec, dx) -> bool:
-    """Is any (dx, y) inside the sector?  Conservative on boundaries.
-
-    dx is an integer; the bounds on y are compared cross-multiplied.
-    """
-    if sec is None:
-        return True
-    (lx, ly), (hx, hy) = sec
-    lower = upper = None
-    # cross(lo, (dx, y)) >= 0 and cross((dx, y), hi) >= 0, each as coeff*y >= const
-    for coeff, const in ((lx, ly * dx), (-hx, -hy * dx)):
-        if coeff > 0:
-            lower = (const, coeff)
-        elif coeff < 0:
-            upper = (const, coeff)
-        elif const > 0:
-            return False
-    if lower is None or upper is None:
-        return True
-    # const_l / coeff_l <= const_u / coeff_u, times coeff_l * -coeff_u > 0
-    (cl, kl), (cu, ku) = lower, upper
-    return cl * -ku + cu * kl <= 0
-
-
-def _swap(v):
-    return (v[1], v[0])
-
-
-def _sector_meets_horizontal(sec, dy) -> bool:
-    if sec is None:
-        return True
-    lo, hi = sec
-    return _sector_meets_vertical((_swap(hi), _swap(lo)), dy)
-
-
-# ---------------------------------------------------------------------------
 # displacement classes
 
-# Every sector endpoint and host direction of a degree-d tree is a positive
-# multiple of a primitive vector with entries in [-d, d].  So a cone test
-# sees a displacement only through its class: the direction of such a vector
-# it points along, or the open gap between two angularly neighbouring ones.
-# The line tests are homogeneous, so they see a coordinate difference only
-# through its sign.
+# Every flag direction of a degree-d tree is a positive multiple of a class
+# direction: a primitive vector with entries in [-d, d].  The displacements
+# between marks on two hosts lie in the cone of the path directions between
+# them, so that cone is an arc of class directions, and a cone test sees a
+# displacement only through its class: the class direction it points along,
+# or the open gap between two angularly neighbouring ones.  The line tests
+# are homogeneous, so they see a coordinate difference only through its
+# sign.
 
 
 def _half_turn(u) -> int:
     return 0 if u[1] > 0 or (u[1] == 0 and u[0] > 0) else 1
+
+
+def _widen(arc, g: int, n: int):
+    """The arc of the cone spanned by arc and class direction g, of n, or
+    None when that is wider than a half turn.  Folded over generators, it
+    breaks ties by their order: u then -u gives the half-plane left of u,
+    and a later generator right of u gives None, though the three span only
+    the half-plane right of u."""
+    if arc is None:
+        return None
+    lo, hi = arc
+    span, o = (hi - lo) % n, (g - lo) % n
+    if o <= span:
+        return arc
+    if 2 * o <= n:
+        return lo, g
+    if 2 * o >= 2 * span + n:
+        return g, hi
+    return None
 
 
 class _Lazy(dict):
@@ -400,12 +336,15 @@ class _Classes:
     """The displacement classes of degree d, and the pair test on them.
 
     dirs are the primitive vectors with entries in [-d, d], counterclockwise
-    from (1, 0).  Class 2i is a displacement along dirs[i], class 2i + 1 one
-    strictly between dirs[i] and the next; reps[k] represents class k.  The
-    line classes follow, from `lines` on: lines + 3c + 1 + sign for a
-    difference in coordinate c.  between[sec] and along[v] are bitmasks over
-    the classes that pass the pair test between two hosts whose cone is
-    sec, and on one host of direction v.
+    from (1, 0), so dirs[i + n/2] = -dirs[i] for n = len(dirs).  Class 2i
+    is a displacement along dirs[i], class 2i + 1 one strictly between
+    dirs[i] and the next; reps[k] represents class k.  The line classes
+    follow, from `lines` on: lines + 3c + 1 + sign for a difference in
+    coordinate c.  An arc (lo, hi) is the cone of dirs[lo], dirs[lo + 1],
+    ..., dirs[hi], indices mod n, at most a half turn wide; None is the
+    whole plane.  between[arc] and along[i] are bitmasks over the classes
+    that pass the pair test between two hosts whose cone is arc, and on one
+    host of direction dirs[i].
     """
 
     def __init__(self, d: int):
@@ -426,13 +365,15 @@ class _Classes:
         self.between = _Lazy(self._between)
         self.along = _Lazy(self._along)
 
-    def check(self, v):
-        """Raise unless v is a positive multiple of a class direction: the
-        classes decide the cone tests of a tree only if its host directions
-        and sector endpoints all are."""
+    def check(self, v) -> int:
+        """The index in dirs of v's direction.  Raise unless v is a positive
+        multiple of a class direction: the classes decide the cone tests of
+        a tree only if its flag directions all are."""
         g = math.gcd(*v)
-        if not g or (v[0] // g, v[1] // g) not in self.index:
+        i = self.index.get((v[0] // g, v[1] // g)) if g else None
+        if i is None:
             raise AssertionError(f"direction {v} is no multiple of a degree-{self.d} class direction")
+        return i
 
     def point(self, x) -> int:
         """The class of a nonzero integer displacement."""
@@ -450,34 +391,38 @@ class _Classes:
         """The class of a difference delta in coordinate c."""
         return self.lines + 3 * c + 1 + (delta > 0) - (delta < 0)
 
-    def _between(self, sec) -> int:
-        # a point pair's displacement must lie in the cone, a line pair's
-        # lines must meet it
-        for v in sec or ():
-            self.check(v)
+    def _between(self, arc) -> int:
+        # a point pair's displacement must lie in the cone: the classes 2lo
+        # to 2hi.  A line pair's lines must meet it: a difference of sign 0
+        # always does, and one of sign ±1 in coordinate c does when a
+        # direction of the arc has that sign in c; the axes are class
+        # directions, so each class has one sign per coordinate.  A one-ray
+        # arc also lets in its antipode's signs, as if it were the whole
+        # line.  That is loose: the assignments it adds hold no curve, but
+        # a leaf may still call their rank-deficient system degenerate.  It
+        # stays until a change that tightens it checks the degenerate inputs.
+        if arc is None:
+            return (1 << len(self.reps)) - 1
+        n = len(self.dirs)
+        lo, hi = arc
+        span = (hi - lo) % n
         mask = 0
-        for k, rep in enumerate(self.reps):
-            if k < self.lines:
-                ok = _sector_has(sec, rep)
-            else:
-                c, sign = rep
-                ok = (_sector_meets_horizontal if c else _sector_meets_vertical)(sec, sign)
-            mask |= ok << k
+        for k in range(2 * lo, 2 * (lo + span) + 1):
+            mask |= 1 << k % (2 * n)
+        arc_dirs = [self.dirs[i % n] for i in range(lo, lo + span + 1)]
+        if not span:
+            arc_dirs.append(self.dirs[(lo + n // 2) % n])
+        for c in (0, 1):
+            for sign in (-1, 0, 1):
+                if not sign or any(sign * u[c] > 0 for u in arc_dirs):
+                    mask |= 1 << self.line(c, sign)
         return mask
 
-    def _along(self, v) -> int:
-        # on one edge a point pair's displacement must ride its direction,
-        # and a line pair may differ only in a coordinate the edge moves
-        self.check(v)
-        mask = 0
-        for k, rep in enumerate(self.reps):
-            if k < self.lines:
-                ok = cross(rep, v) == 0
-            else:
-                c, sign = rep
-                ok = v[c] != 0 or sign == 0
-            mask |= ok << k
-        return mask
+    def _along(self, i) -> int:
+        # on one edge a displacement rides the line through its direction
+        # dirs[i]: the union of the two rays
+        j = (i + len(self.dirs) // 2) % len(self.dirs)
+        return self.between[i, i] | self.between[j, j]
 
 
 _CLASSES: Dict[int, _Classes] = {}
@@ -522,46 +467,49 @@ class _TreeData:
                 return True
         return False
 
-    def _path_dirs(self, h1, h2):
-        """Directions out of host h1, along the path between the two hosts,
-        then along host h2."""
-        g = self.t.graph
-        dirs = self.t.dirs
-        walk = g.path_flags(g.flag_vertex[h1], g.flag_vertex[h2])
-        first = vneg(dirs[h1])
-        if walk and walk[0] == h1:  # the walk starts along h1 itself
-            walk = walk[1:]
-            first = dirs[h1]
-        last = dirs[h2]
-        if walk and walk[-1] == g.flag_partner[h2]:  # it ends along h2
-            walk = walk[:-1]
-            last = vneg(dirs[h2])
-        return [first] + [dirs[f] for f in walk] + [last]
-
-    def sectors(self) -> tuple:
-        """sectors()[i][j] is the cone of displacements from a point on host
-        handles[i] to one on handles[j]; the diagonal is None."""
-        hs = self.handles
-        s = [[None] * len(hs) for _ in hs]
-        for i, h1 in enumerate(hs):
-            for j in range(i + 1, len(hs)):
-                s[i][j] = _sector(self._path_dirs(h1, hs[j]))
-                s[j][i] = _sector_reverse(s[i][j])
-        return tuple(map(tuple, s))
-
     def cones(self) -> tuple:
         """cones()[i][j] is the bitmask over classes of the displacements
         from a mark on host handles[i] to one on handles[j] that pass the
-        pair test; building it checks every sector endpoint and host
-        direction against the class directions."""
+        pair test.  A walk from each host, out by both ends of its edge,
+        widens the arc of the path directions flag by flag and reads it off
+        at every later host, the host's own direction last; cones()[j][i]
+        is its point reflection.  Building it checks every flag direction
+        against the class directions."""
         if self._cones is None:
+            g = self.t.graph
             cl = self.classes
+            n, half = len(cl.dirs), len(cl.dirs) // 2
+            at = [None if v == ZERO else cl.check(v) for v in self.t.dirs]
+            hs = self.handles
+            host = {h: j for j, h in enumerate(hs)}
+            arcs = [[None] * len(hs) for _ in hs]
+            for i, h in enumerate(hs):
+                # a mark on h leaves it by the end of either flag f, along -dirs[f]
+                stack = [
+                    (g.flag_vertex[f], f, ((at[f] + half) % n,) * 2)
+                    for f in g.edge_flags(h) if f is not None
+                ]
+                while stack:
+                    v, came, arc = stack.pop()
+                    for f in g.flags_at(v):
+                        if f == came:
+                            continue
+                        out = arc if at[f] is None else _widen(arc, at[f], n)
+                        j = host.get(g.edge_of_flag(f))
+                        # one walk per pair: the walk back from j may break
+                        # a tie of antiparallel directions the other way
+                        if j is not None and j > i:
+                            arcs[i][j] = out
+                            arcs[j][i] = None if out is None else tuple((k + half) % n for k in out)
+                        p = g.flag_partner[f]
+                        if p is not None:
+                            stack.append((g.flag_vertex[p], p, out))
             self._cones = tuple(
                 tuple(
-                    cl.along[self.t.dirs[self.handles[i]]] if j == i else cl.between[sec]
-                    for j, sec in enumerate(row)
+                    cl.along[at[hs[i]]] if j == i else cl.between[arc]
+                    for j, arc in enumerate(row)
                 )
-                for i, row in enumerate(self.sectors())
+                for i, row in enumerate(arcs)
             )
         return self._cones
 

@@ -23,12 +23,9 @@ from tropcount.enumeration import (
     _mark_classes,
     _pi_tree_data,
     _search_tree,
-    _sector,
-    _sector_has,
-    _sector_meets_horizontal,
-    _sector_meets_vertical,
     _subdivide,
     _tree_data,
+    _widen,
     base_trees,
     curve_multiplicity,
     decompose_reducible,
@@ -59,12 +56,14 @@ from tropcount.moduli_maps import (
 from tropcount.plane import (
     PlaneCurve,
     PlaneType,
+    ZERO,
     canonical_plane_form,
     cross,
     derive_directions,
     image_position,
     image_segments,
     projective_degree,
+    vneg,
 )
 
 W, S, NE = (-1, 0), (0, -1), (1, 1)
@@ -293,6 +292,118 @@ def test_curve_multiplicity_accepts_types():
 
 
 # --- sector cone arithmetic --------------------------------------------------
+# The cone geometry the arcs of class indices replaced, kept as the oracle
+# of td.cones().  A sector is None (whole plane) or a pair (lo, hi) of
+# integer vectors with angular span at most a half turn; it stands for all
+# positive combinations of the path directions between two host edges.
+
+
+def _dot(u, v) -> int:
+    return u[0] * v[0] + u[1] * v[1]
+
+
+def _sector_has(sec, x) -> bool:
+    if sec is None:
+        return True
+    # cross(lo, x) and cross(x, hi), written out
+    (lx, ly), (hx, hy) = sec
+    x0, x1 = x
+    c1 = lx * x1 - ly * x0
+    c2 = x0 * hy - x1 * hx
+    if c1 < 0 or c2 < 0:
+        return False
+    return c1 > 0 or c2 > 0 or lx * x0 + ly * x1 > 0 or hx * x0 + hy * x1 > 0
+
+
+def _sector(gens):
+    gens = [g for g in gens if g != ZERO]
+    lo = hi = gens[0]
+    for g in gens[1:]:
+        if _sector_has((lo, hi), g):
+            continue
+        cl = cross(lo, g)
+        if (cl > 0 or (cl == 0 and _dot(lo, g) < 0)) and cross(hi, g) >= 0:
+            hi = g
+            continue
+        ch = cross(g, hi)
+        if (ch > 0 or (ch == 0 and _dot(g, hi) < 0)) and cross(g, lo) >= 0:
+            lo = g
+            continue
+        return None
+    return (lo, hi)
+
+
+def _sector_reverse(sec):
+    # point reflection keeps orientation: the negated cone runs -lo to -hi
+    if sec is None:
+        return None
+    lo, hi = sec
+    return (vneg(lo), vneg(hi))
+
+
+def _sector_meets_vertical(sec, dx) -> bool:
+    """Is any (dx, y) inside the sector?  Conservative on boundaries.
+
+    dx is an integer; the bounds on y are compared cross-multiplied.
+    """
+    if sec is None:
+        return True
+    (lx, ly), (hx, hy) = sec
+    lower = upper = None
+    # cross(lo, (dx, y)) >= 0 and cross((dx, y), hi) >= 0, each as coeff*y >= const
+    for coeff, const in ((lx, ly * dx), (-hx, -hy * dx)):
+        if coeff > 0:
+            lower = (const, coeff)
+        elif coeff < 0:
+            upper = (const, coeff)
+        elif const > 0:
+            return False
+    if lower is None or upper is None:
+        return True
+    # const_l / coeff_l <= const_u / coeff_u, times coeff_l * -coeff_u > 0
+    (cl, kl), (cu, ku) = lower, upper
+    return cl * -ku + cu * kl <= 0
+
+
+def _swap(v):
+    return (v[1], v[0])
+
+
+def _sector_meets_horizontal(sec, dy) -> bool:
+    if sec is None:
+        return True
+    lo, hi = sec
+    return _sector_meets_vertical((_swap(hi), _swap(lo)), dy)
+
+
+def path_dirs(td, h1, h2):
+    """Directions out of host h1, along the path between the two hosts,
+    then along host h2."""
+    g = td.t.graph
+    dirs = td.t.dirs
+    walk = g.path_flags(g.flag_vertex[h1], g.flag_vertex[h2])
+    first = vneg(dirs[h1])
+    if walk and walk[0] == h1:  # the walk starts along h1 itself
+        walk = walk[1:]
+        first = dirs[h1]
+    last = dirs[h2]
+    if walk and walk[-1] == g.flag_partner[h2]:  # it ends along h2
+        walk = walk[:-1]
+        last = vneg(dirs[h2])
+    return [first] + [dirs[f] for f in walk] + [last]
+
+
+def sectors(td) -> tuple:
+    """sectors(td)[i][j] is the cone of displacements from a point on host
+    td.handles[i] to one on td.handles[j]; the diagonal is None."""
+    hs = td.handles
+    s = [[None] * len(hs) for _ in hs]
+    for i, h1 in enumerate(hs):
+        for j in range(i + 1, len(hs)):
+            s[i][j] = _sector(path_dirs(td, h1, hs[j]))
+            s[j][i] = _sector_reverse(s[i][j])
+    return tuple(map(tuple, s))
+
 
 vectors = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
     lambda v: v != (0, 0)
@@ -402,11 +513,11 @@ def _handle_points(c, td, h, fractions):
 
 
 def sector_map(td):
-    """td.sectors() keyed by the pairs of handles it runs between."""
+    """sectors(td) keyed by the pairs of handles it runs between."""
     hs = td.handles
     return {
         (h1, h2): sec
-        for h1, row in zip(hs, td.sectors())
+        for h1, row in zip(hs, sectors(td))
         for h2, sec in zip(hs, row)
         if h1 != h2
     }
@@ -1795,6 +1906,67 @@ def test_masks_match_cone_tests_on_every_class():
 def test_masks_match_cone_tests_on_drawn_deltas(delta, d, data):
     trees = _tree_data(d)
     assert_masks_match(trees[data.draw(st.integers(0, len(trees) - 1))], [delta])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 2, 3]), st.data())
+def test_arc_widening_matches_sector_tie_rule(d, data):
+    # fold the widening over class directions drawn with repeats, antipodal
+    # pairs, multiples and zero vectors: the arc's ends are the class
+    # indices of the sector's ends, in the generators' order
+    cl = _classes(d)
+    n = len(cl.dirs)
+    pool = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    picks = st.tuples(st.sampled_from(pool), st.booleans(), st.integers(0, 2))
+    gens = [
+        (t * v[0], t * v[1])
+        for i, flip, t in data.draw(st.lists(picks, min_size=1, max_size=6))
+        for v in [cl.dirs[(i + flip * n // 2) % n]]
+    ]
+    if all(v == ZERO for v in gens):
+        return
+    ks = [cl.check(v) for v in gens if v != ZERO]
+    arc = (ks[0], ks[0])
+    for k in ks[1:]:
+        arc = _widen(arc, k, n)
+    sec = _sector(gens)
+    assert arc == (None if sec is None else (cl.check(sec[0]), cl.check(sec[1])))
+
+
+def sector_cones(td):
+    """td.cones() from the sector oracle: each class's representative tested
+    against the sector between two hosts, or against the direction of the
+    host both marks share."""
+    cl = td.classes
+    memo = {}
+
+    def mask(sec, v):
+        if (sec, v) not in memo:
+            bits = 0
+            for k, rep in enumerate(cl.reps):
+                if k < cl.lines:
+                    ok = cross(rep, v) == 0 if v else _sector_has(sec, rep)
+                elif v:
+                    ok = v[rep[0]] != 0 or rep[1] == 0
+                else:
+                    meets = _sector_meets_horizontal if rep[0] else _sector_meets_vertical
+                    ok = meets(sec, rep[1])
+                bits |= ok << k
+            memo[sec, v] = bits
+        return memo[sec, v]
+
+    return tuple(
+        tuple(mask(sec, td.t.dirs[h] if i == j else None) for j, sec in enumerate(row))
+        for i, (h, row) in enumerate(zip(td.handles, sectors(td)))
+    )
+
+
+def test_cones_match_sector_oracle_on_every_tree():
+    for d in (1, 2, 3):
+        cl = _Classes(d)
+        for t in base_trees(d):
+            td = _TreeData(t, cl)
+            assert td.cones() == sector_cones(td)
 
 
 def test_tree_directions_are_class_directions():
