@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .enumeration import (
@@ -139,65 +139,129 @@ def _collinear_overlap(p, u, lu, q, w, lw) -> None:
         raise NonTransverse("collinear pieces touch at a point")
 
 
-def _on_scale(c: PlaneCurve, big: int) -> list:
-    """Each segment (p, u, l) of c as (p, u, l, X, Y, L), (X, Y, L) = big * (p, l).
-
-    big is a multiple of the curve's own denominator, so its cached integer
-    segments only need rescaling.
-    """
-    k = big // c.image.denominator
+def _on_scale(c: PlaneCurve, k: int) -> list:
+    """Each segment (p, u, l) of c as (p, u, l, X, Y, L), (X, Y, L) its
+    cached integers rescaled k times."""
     return [
         (p, u, l, k * x, k * y, None if n is None else k * n)
         for (p, u, l), (x, y, n) in zip(image_segments(c), c.image.scaled)
     ]
 
 
+def _runs_on_scale(c: PlaneCurve, k: int) -> list:
+    """Each run of c as (u0, u1, X, Y, L, breaks, pieces), its start and
+    length rescaled k times; its breaks are left on c's own scale."""
+    return [
+        (u[0], u[1], k * x, k * y, None if n is None else k * n, breaks, pieces)
+        for u, x, y, n, breaks, pieces in c.image.runs
+    ]
+
+
+def _piece_contact(seg1, seg2) -> None:
+    """Raise NonTransverse if two segments, on the common scale, meet other
+    than in a crossing strictly inside both."""
+    p, u, lu, px, py, ilu = seg1
+    q, w, lw, qx, qy, ilw = seg2
+    den = cross(u, w)
+    dx = qx - px
+    dy = qy - py
+    sn = dx * u[1] - dy * u[0]
+    if den == 0:
+        if sn == 0:
+            _collinear_overlap(p, u, lu, q, w, lw)
+        return
+    # the crossing sits at tn / (a * big) along the first segment
+    # and at sn / (a * big) along the second
+    tn = dx * w[1] - dy * w[0]
+    a = den
+    if a < 0:
+        a, tn, sn = -a, -tn, -sn
+    if tn < 0 or sn < 0:
+        return
+    if ilu is not None and tn > ilu * a:
+        return
+    if ilw is not None and sn > ilw * a:
+        return
+    if (
+        tn == 0
+        or sn == 0
+        or (ilu is not None and tn == ilu * a)
+        or (ilw is not None and sn == ilw * a)
+    ):
+        raise NonTransverse("crossing at a vertex of one of the curves")
+
+
 def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
     """Transverse crossings of two curves as [(point, multiplicity)].
 
-    Each crossing contributes |det| of the two edge directions.  Any shared
-    segment, endpoint contact, or crossing at a vertex of either curve
-    raises NonTransverse.
+    Each crossing contributes |det| of the two edge directions, and the
+    crossings at one point add up.  Any shared segment, endpoint contact,
+    or crossing at a vertex of either curve raises NonTransverse.
+
+    The scan runs over pairs of straight runs (`CurveImage.runs`), in
+    integers over one common denominator.  A crossing strictly inside both
+    runs and off their breaks is a hit.  Every other pair of runs that
+    meets, or is collinear, hands its segment pairs to a segment-level
+    test, in the order a scan over all segment pairs would reach them, so
+    the first NonTransverse raised is the one that scan would raise.
     """
-    # one common denominator scales both curves' start points and lengths
+    # one common denominator, big, scales both curves' starts and lengths
     big = lcm(c1.image.denominator, c2.image.denominator)
+    k1 = big // c1.image.denominator
+    k2 = big // c2.image.denominator
     hits: Dict[tuple, int] = {}
-    int2 = _on_scale(c2, big)
-    for p, u, lu, px, py, ilu in _on_scale(c1, big):
-        for q, w, lw, qx, qy, ilw in int2:
-            den = cross(u, w)
+    pending = []  # segment pairs of runs that meet at a vertex or are collinear
+    runs2 = _runs_on_scale(c2, k2)
+    for u0, u1, px, py, lu, breaks1, pieces1 in _runs_on_scale(c1, k1):
+        for w0, w1, qx, qy, lw, breaks2, pieces2 in runs2:
+            den = u0 * w1 - u1 * w0
             dx = qx - px
             dy = qy - py
-            sn = dx * u[1] - dy * u[0]
+            sn = dx * u1 - dy * u0
             if den == 0:
                 if sn == 0:
-                    _collinear_overlap(p, u, lu, q, w, lw)
+                    pending += [(i, j) for i in pieces1 for j in pieces2]
                 continue
-            # the crossing sits at tn / (a * big) along the first segment
-            # and at sn / (a * big) along the second
-            tn = dx * w[1] - dy * w[0]
+            # the runs cross at tn / (a * big) along the first and at
+            # sn / (a * big) along the second
+            tn = dx * w1 - dy * w0
             a = den
             if a < 0:
                 a, tn, sn = -a, -tn, -sn
             if tn < 0 or sn < 0:
                 continue
-            if ilu is not None and tn > ilu * a:
+            if lu is not None and tn > lu * a:
                 continue
-            if ilw is not None and sn > ilw * a:
+            if lw is not None and sn > lw * a:
                 continue
             if (
                 tn == 0
                 or sn == 0
-                or (ilu is not None and tn == ilu * a)
-                or (ilw is not None and sn == ilw * a)
+                or (lu is not None and tn == lu * a)
+                or (lw is not None and sn == lw * a)
+                or any(tn == b * k1 * a for b in breaks1)
+                or any(sn == b * k2 * a for b in breaks2)
             ):
-                raise NonTransverse("crossing at a vertex of one of the curves")
-            pt = (
-                Fraction(px * a + tn * u[0], a * big),
-                Fraction(py * a + tn * u[1], a * big),
-            )
-            hits[pt] = hits.get(pt, 0) + a
-    return sorted(hits.items())
+                pending += [(i, j) for i in pieces1 for j in pieces2]
+                continue
+            # the hit is (x, y) / d, keyed in lowest terms so that the hits
+            # of several run pairs at one point add up
+            x = px * a + tn * u0
+            y = py * a + tn * u1
+            d = a * big
+            g = gcd(x, y, d)
+            key = (x // g, y // g, d // g)
+            hits[key] = hits.get(key, 0) + a
+    if pending:
+        # Two collinear runs hold no crossing; two others meet at one point,
+        # here a vertex of one curve, so their segment pairs can only raise.
+        segs1 = _on_scale(c1, k1)
+        segs2 = _on_scale(c2, k2)
+        for i, j in sorted(pending):
+            _piece_contact(segs1[i], segs2[j])
+    return sorted(
+        ((Fraction(x, d), Fraction(y, d)), m) for (x, y, d), m in hits.items()
+    )
 
 
 # ---------------------------------------------------------------------------

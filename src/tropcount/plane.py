@@ -6,9 +6,10 @@ satisfying the balancing condition at every vertex, anchored to the plane
 by a root vertex position.  On trees the internal directions are forced by
 the end directions, so they are derived rather than free data.
 
-A curve's image (vertex positions, segments, and the segments as integers
-over one common denominator) is walked once out of the root, on first use,
-and cached on the curve read-only.
+A curve's image (vertex positions, segments, the segments as integers over
+one common denominator, and the straight runs the segments join into) is
+walked once out of the root, on first use, and cached on the curve
+read-only.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple, Optional
 
 from .graph import (
     AbstractType,
@@ -176,6 +177,23 @@ class PlaneCurve:
         return PlaneCurve, (self.curve, self.dirs, self.root, self.root_pos)
 
 
+class Run(NamedTuple):
+    """A straight run of segments, as integers over its image's denominator.
+
+    The run starts at (x, y) and goes along direction for length (None
+    when unbounded); breaks are the parameters, in (0, length), where one
+    of its segments ends and the next begins; pieces are the indices of its
+    segments, in order along the run.
+    """
+
+    direction: tuple
+    x: int
+    y: int
+    length: Optional[int]
+    breaks: tuple
+    pieces: tuple
+
+
 @dataclass(frozen=True)
 class CurveImage:
     """Image of a plane curve, read-only.
@@ -184,12 +202,19 @@ class CurveImage:
     `image_segments` gives them; scaled holds, per segment, the integers
     (X, Y, L) = denominator * (start point, length), where denominator is
     the least common one of all segment starts and lengths.
+
+    runs joins the segments into maximal straight chains: two segments join
+    at a vertex where they are its only non-contracted flags (balancing then
+    makes them opposite), as at a mark or at either end of a contracted
+    edge.  A chain unbounded both ways stays split into its segments, so
+    every run starts at a vertex.  Each segment lies in exactly one run.
     """
 
     positions: Mapping
     segments: tuple
     denominator: int
     scaled: tuple
+    runs: tuple
 
 
 def _walk_image(c: PlaneCurve) -> CurveImage:
@@ -209,15 +234,10 @@ def _walk_image(c: PlaneCurve) -> CurveImage:
             pos[w] = (x + l * d[0], y + l * d[1])
             stack.append(w)
 
-    segs = []
-    for f in g.end_flags():  # marked ends are contracted
-        if c.dirs[f] == ZERO:
-            continue
-        segs.append((pos[g.flag_vertex[f]], c.dirs[f], None))
-    for e in g.bounded_edges():
-        if c.dirs[e] == ZERO:
-            continue
-        segs.append((pos[g.flag_vertex[e]], c.dirs[e], g.lengths[e]))
+    # marked ends are contracted; a segment is named by its edge id
+    edges = [f for f in g.end_flags() if c.dirs[f] != ZERO]
+    edges += [e for e in g.bounded_edges() if c.dirs[e] != ZERO]
+    segs = tuple((pos[g.flag_vertex[e]], c.dirs[e], g.lengths.get(e)) for e in edges)
 
     den = lcm(*(x.denominator for p, _, l in segs for x in (*p, l or 0)))
 
@@ -227,7 +247,41 @@ def _walk_image(c: PlaneCurve) -> CurveImage:
     scaled = tuple(
         (up(p[0]), up(p[1]), None if l is None else up(l)) for p, _, l in segs
     )
-    return CurveImage(MappingProxyType(pos), tuple(segs), den, scaled)
+    index = {e: i for i, e in enumerate(edges)}
+    live = [
+        [f for f in g.flags_at(v) if c.dirs[f] != ZERO] for v in range(g.num_vertices)
+    ]
+    runs = []
+    joined = set()
+    for v, flags in enumerate(live):
+        if len(flags) == 2:
+            continue
+        for f in flags:
+            if index[g.edge_of_flag(f)] in joined:
+                continue  # traced from its other end
+            u, pieces, breaks, t = c.dirs[f], [], [], 0
+            while True:
+                i = index[g.edge_of_flag(f)]
+                pieces.append(i)
+                p = g.flag_partner[f]
+                if p is None:
+                    t = None
+                    break
+                t += scaled[i][2]
+                there = live[g.flag_vertex[p]]
+                if len(there) != 2:
+                    break
+                breaks.append(t)
+                f = there[1] if there[0] == p else there[0]
+            joined.update(pieces)
+            x, y = pos[v]
+            runs.append(Run(u, up(x), up(y), t, tuple(breaks), tuple(pieces)))
+    # what is left are the chains unbounded both ways, one run per segment
+    for i, (p, u, _) in enumerate(segs):
+        if i not in joined:
+            x, y, l = scaled[i]
+            runs.append(Run(u, x, y, l, (), (i,)))
+    return CurveImage(MappingProxyType(pos), segs, den, scaled, tuple(runs))
 
 
 def derive_directions(graph: Graph, marks, end_dirs: dict):

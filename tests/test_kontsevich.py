@@ -26,7 +26,13 @@ from tropcount.kontsevich import (
     wdvv_sides,
 )
 from tropcount.moduli_maps import M4Point
-from tropcount.plane import PlaneCurve, PlaneType, cross
+from tropcount.plane import (
+    PlaneCurve,
+    PlaneType,
+    cross,
+    plane_curve_from_json,
+    plane_curve_to_json,
+)
 
 from test_plane import image_by_walk
 
@@ -134,13 +140,19 @@ def test_bezout_on_sampled_curves():
         assert sum(m for _, m in hits) == da * db
 
 
+@functools.lru_cache(maxsize=16)
+def walked(c):
+    """image_by_walk(c), kept for the few curves a test crosses again and again."""
+    return image_by_walk(c)
+
+
 def oracle_intersection(c1, c2):
     """The Fraction kernel that tropical_intersection replaced: the oracle.
 
     It walks both curves itself, so a wrong or stale image cache shows."""
     hits = {}
-    segs2 = image_by_walk(c2)[1]
-    for p, u, lu in image_by_walk(c1)[1]:
+    segs2 = walked(c2)[1]
+    for p, u, lu in walked(c1)[1]:
         for q, w, lw in segs2:
             den = cross(u, w)
             dx = q[0] - p[0]
@@ -193,11 +205,43 @@ def test_bezout_pairs_match_oracle_cold_and_cached():
         assert outcome(tropical_intersection, a, b) == want
 
 
+def self_crossings(c):
+    """(point, u, w) wherever two segments of c, along u and w, cross
+    strictly inside both."""
+    out = []
+    for (p, u, lu), (q, w, lw) in itertools.combinations(image_by_walk(c)[1], 2):
+        den = cross(u, w)
+        if den == 0:
+            continue
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        t = Fraction(dx * w[1] - dy * w[0], den)
+        s = Fraction(dx * u[1] - dy * u[0], den)
+        if t > 0 and s > 0 and (lu is None or t < lu) and (lw is None or s < lw):
+            out.append((along(p, u, t), u, w))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def self_crossing_cubics():
+    """The curves of one degree-3 evaluation fiber whose image crosses itself."""
+    curves = [s.curve() for s in sampled_fiber(EV, 3, 0)[1]]
+    return tuple(c for c in curves if self_crossings(c))
+
+
 @functools.lru_cache(maxsize=None)
 def kernel_curves():
+    """Lines and conics; a cubic whose image crosses itself; and two census
+    curves of case (b), rays A and C, whose contracted edge glues two lines
+    at a 4-valent image point."""
     lines = [sampled_fiber(EV, 1, seed)[1][0].curve() for seed in (0, 1)]
     conics = [sampled_fiber(EV, 2, seed)[1][0].curve() for seed in (10, 11)]
-    return tuple(lines + conics)
+    cubic = self_crossing_cubics()[0]
+    glued = [
+        next(e for e in reducible_census(2, pi_config(2, 0, ray)).entries if e.case == "b")
+        .solution.curve()
+        for ray in "AC"
+    ]
+    return tuple(lines + conics + [cubic] + glued)
 
 
 def translated(c, dx, dy):
@@ -205,20 +249,24 @@ def translated(c, dx, dy):
     return PlaneCurve(c.curve, c.dirs, c.root, (x + dx, y + dy))
 
 
+def minus(a, b):
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def along(p, u, t):
+    return (p[0] + t * u[0], p[1] + t * u[1])
+
+
 def special_translations(c1, c2):
     """Moves of c2 that put one of its vertices on a vertex or an edge of
-    c1, or an end of one of its segments on the start, the end or a point
-    behind the start of a parallel segment of c1."""
-    def minus(a, b):
-        return (a[0] - b[0], a[1] - b[1])
-
-    def along(p, u, t):
-        return (p[0] + t * u[0], p[1] + t * u[1])
-
+    c1, one of its edges on a vertex of c1, or an end of one of its
+    segments on the start, the end or a point behind the start of a
+    parallel segment of c1."""
     pos1, segs1 = image_by_walk(c1)
     pos2, segs2 = image_by_walk(c2)
+    verts1 = list(pos1.values())
     verts2 = list(pos2.values())
-    moves = [minus(a, b) for a in pos1.values() for b in verts2]
+    moves = [minus(a, b) for a in verts1 for b in verts2]
     for p, u, l in segs1:
         inner = Fraction(7, 2) if l is None else l / 3
         moves += [minus(along(p, u, inner), b) for b in verts2]
@@ -227,7 +275,10 @@ def special_translations(c1, c2):
             if cross(u, w) == 0:
                 ends = [q] + ([] if lw is None else [along(q, w, lw)])
                 moves += [minus(a, b) for a in targets for b in ends]
-    return moves
+    for q, w, l in segs2:
+        inner = Fraction(7, 2) if l is None else l / 3
+        moves += [minus(a, along(q, w, inner)) for a in verts1]
+    return list(dict.fromkeys(moves))  # each distinct move once, in order
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,6 +316,72 @@ def test_intersection_kernel_hits_every_branch():
         "NonTransverse: collinear pieces touch at a point",
         "NonTransverse: crossing at a vertex of one of the curves",
     }
+
+
+def moves_through(pt, u, w):
+    """(mover, move, v): the move carries a point inside a segment of the
+    pool curve mover to pt, the segment's direction v making |det(v, u)|
+    and |det(v, w)| differ, both non-zero."""
+    for mover in kernel_curves():
+        for q, v, l in image_by_walk(mover)[1]:
+            if 0 != abs(cross(v, u)) != abs(cross(v, w)) != 0:
+                for t in [1, Fraction(7, 2)] if l is None else [l / 3, l / 2]:
+                    yield mover, minus(pt, along(q, v, t)), v
+
+
+def test_hits_at_a_self_crossing_add_up():
+    # A curve moved through a cubic's own crossing meets both branches
+    # there.  The two |det|s differ, so the sum shows that the two hits
+    # were merged into one point.
+    cubics = self_crossing_cubics()
+    assert len(cubics) == 8
+    for cubic in cubics:
+        pt, u, w = self_crossings(cubic)[0]
+        for mover, (dx, dy), v in moves_through(pt, u, w):
+            moved = translated(mover, dx, dy)
+            got = outcome(tropical_intersection, cubic, moved)
+            assert got == outcome(oracle_intersection, cubic, moved)
+            assert outcome(tropical_intersection, moved, cubic) == outcome(
+                oracle_intersection, moved, cubic
+            )
+            if not got.startswith("NonTransverse"):
+                break
+        else:
+            raise AssertionError("no transverse move through the crossing")
+        hits = dict(tropical_intersection(cubic, moved))
+        assert hits[pt] == abs(cross(v, u)) + abs(cross(v, w))
+
+
+def assert_matches_oracle_both_ways(a, b):
+    for c1, c2 in ((a, b), (b, a)):
+        for dx, dy in special_translations(c1, c2):
+            moved = translated(c2, dx, dy)
+            assert outcome(tropical_intersection, c1, moved) == outcome(
+                oracle_intersection, c1, moved
+            )
+
+
+def test_chain_unbounded_both_ways_matches_oracle():
+    # ends (1, 0) and (-1, 0) meet at one mark: a straight chain unbounded
+    # both ways, which stays split into its two pieces
+    g = Graph([0, 0, 0], [None, None, None])
+    t = PlaneType(AbstractType(g, (2,)), ((1, 0), (-1, 0), (0, 0)))
+    axis = plane_curve_from_json(plane_curve_to_json(t.with_lengths({}, 0, (1, 2))))
+    assert [r.pieces for r in axis.image.runs] == [(0,), (1,)]
+    for other in kernel_curves()[:3]:
+        assert_matches_oracle_both_ways(axis, other)
+    assert tropical_intersection(axis, line_at(0, 0)) == [((2, 2), 1)]
+
+
+def test_weight_two_curve_matches_oracle():
+    # every direction of a conic doubled: weight-2 edges throughout
+    data = plane_curve_to_json(kernel_curves()[2])
+    data["directions"] = [[2 * a, 2 * b] for a, b in data["directions"]]
+    double = plane_curve_from_json(data)
+    line = kernel_curves()[0]
+    assert_matches_oracle_both_ways(double, line)
+    hits = tropical_intersection(double, translated(line, Fraction(1, 3), Fraction(-5, 7)))
+    assert sum(m for _, m in hits) == 2 * 2 * 1
 
 
 def census_checks(census: Census, nd: NdTable):

@@ -188,10 +188,8 @@ def test_image_positions_walk_matches_image_position():
             assert p == image_position(curve, w) == image_by_path(curve, w)
 
 
-def test_image_position_without_a_cached_image():
-    # the curves of the six census-d2 configurations and their split sides:
-    # image_position sums along the path from the root: it leaves the cache
-    # empty, and agrees with the walk before and after the walk is cached
+def census_curves():
+    """The curves of the six census-d2 configurations and their split sides."""
     curves = [
         s.curve() for ray in "ABC" for k in (1, 2) for s in fiber(PI, 2, pi_config(2, 0, ray, k))
     ]
@@ -201,7 +199,13 @@ def test_image_position_without_a_cached_image():
         for side in decompose_reducible(c)
     ]
     assert len(curves) == 32
-    for c in curves:
+    return curves
+
+
+def test_image_position_without_a_cached_image():
+    # image_position sums along the path from the root: it leaves the cache
+    # empty, and agrees with the walk before and after the walk is cached
+    for c in census_curves():
         c = PlaneCurve(c.curve, c.dirs, c.root, c.root_pos)  # no image walked yet
         vertices = range(c.graph.num_vertices)
         by_path = [image_position(c, v) for v in vertices]
@@ -229,6 +233,44 @@ def test_image_cache_matches_own_walk_and_json_copy():
                 for p, _, l in segs
             ]
             assert all(type(x) is int for row in scaled for x in row if x is not None)
+
+
+def bezout_curves():
+    """The first curve of each count that the bezout-d2 benchmark makes:
+    lines for seeds 0-23, conics for seeds 24-47."""
+    specs = [(1, seed) for seed in range(24)] + [(2, seed) for seed in range(24, 48)]
+    return [sampled_fiber(EV, d, seed)[1][0].curve() for d, seed in specs]
+
+
+def test_runs_join_the_segments_into_straight_chains():
+    for c in bezout_curves() + census_curves():
+        pos, segs = image_by_walk(c)
+        image = c.image
+        den = image.denominator
+        pieces = sorted(i for run in image.runs for i in run.pieces)
+        assert pieces == list(range(len(segs)))  # each segment in exactly one run
+        for u, x, y, length, breaks, members in image.runs:
+            start = (Fraction(x, den), Fraction(y, den))
+            # every run starts at a vertex, so none is unbounded both ways
+            assert start in pos.values()
+            ends = [l for _, _, l in (segs[i] for i in members) if l is None]
+            assert len(ends) == (length is None)
+            assert list(breaks) == sorted(set(breaks))
+            assert all(0 < b and (length is None or b < length) for b in breaks)
+            seen = set()
+            for p, v, l in (segs[i] for i in members):
+                assert v in (u, (-u[0], -u[1]))
+                for q in [p] if l is None else [p, (p[0] + l * v[0], p[1] + l * v[1])]:
+                    # q lies on the closed run, at t along it
+                    t = ((q[0] - start[0]) * u[0] + (q[1] - start[1]) * u[1]) / (
+                        u[0] * u[0] + u[1] * u[1]
+                    )
+                    assert q == (start[0] + t * u[0], start[1] + t * u[1])
+                    assert t >= 0 and (length is None or t * den <= length)
+                    if t > 0 and (length is None or t * den < length):
+                        assert t * den in breaks  # an inner piece end is a break
+                        seen.add(t * den)
+            assert seen == set(breaks)
 
 
 def test_image_cache_is_read_only():
