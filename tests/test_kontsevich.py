@@ -257,6 +257,7 @@ def along(p, u, t):
     return (p[0] + t * u[0], p[1] + t * u[1])
 
 
+@functools.lru_cache(maxsize=None)
 def special_translations(c1, c2):
     """Moves of c2 that put one of its vertices on a vertex or an edge of
     c1, one of its edges on a vertex of c1, or an end of one of its
