@@ -89,6 +89,55 @@ def _emit(out, text: str) -> None:
             fh.write(text)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_parts(o, parts: list, pad: str) -> None:
+    """Append to parts the text json.dumps writes for o with sorted keys
+    and an indent of 2, for a value of dicts (string keys), lists, strings,
+    ints and None, nested at indent pad.  The json module encodes any
+    indent in pure Python; this writes the same bytes directly."""
+    t = type(o)
+    if t is str:
+        parts.append(_encode_str(o))
+    elif t is int:
+        parts.append(int.__repr__(o))
+    elif o is None:
+        parts.append("null")
+    elif t is list or t is dict:
+        if not o:
+            parts.append("[]" if t is list else "{}")
+            return
+        inner = pad + "  "
+        sep = "\n" + inner
+        if t is list:
+            parts.append("[")
+            for x in o:
+                parts.append(sep)
+                _json_parts(x, parts, inner)
+                sep = ",\n" + inner
+            parts.append("\n" + pad + "]")
+        else:
+            parts.append("{")
+            for k in sorted(o):
+                parts.append(sep)
+                parts.append(_encode_str(k))
+                parts.append(": ")
+                _json_parts(o[k], parts, inner)
+                sep = ",\n" + inner
+            parts.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"{t.__name__} is not written as JSON here")
+
+
+def _json_text(o) -> str:
+    """The text json.dumps writes for o with sorted keys and an indent of
+    2, for the values _json_parts writes."""
+    parts: list = []
+    _json_parts(o, parts, "")
+    return "".join(parts)
+
+
 def cmd_nd(ns: argparse.Namespace) -> int:
     if ns.dmax < 1:
         raise _usage("--dmax must be at least 1")
@@ -136,7 +185,7 @@ def cmd_count(ns: argparse.Namespace) -> int:
         "solutions": [_solution_json(s) for s in sols],
         "total": sum(s.mult for s in sols),
     }
-    _emit(ns.out, json.dumps(report, sort_keys=True, indent=2))
+    _emit(ns.out, _json_text(report))
     return EXIT_OK
 
 

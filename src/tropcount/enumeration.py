@@ -36,7 +36,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Tuple
@@ -143,9 +143,18 @@ class FiberSolution:
     mult: int
 
     def curve(self) -> PlaneCurve:
+        """The solution's curve, built on first use and kept."""
+        return self._curve
+
+    @cached_property
+    def _curve(self) -> PlaneCurve:
         edges = self.type.graph.bounded_edges()
         lengths = dict(zip(edges, self.coords[2:]))
         return self.type.with_lengths(lengths, 0, (self.coords[0], self.coords[1]))
+
+    def __reduce__(self):
+        # copies and pickles carry the three fields; the curve is built anew
+        return FiberSolution, (self.type, self.coords, self.mult)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +399,15 @@ class _Classes:
     def line(self, c, delta) -> int:
         """The class of a difference delta in coordinate c."""
         return self.lines + 3 * c + 1 + (delta > 0) - (delta < 0)
+
+    def reverse(self, k) -> int:
+        """The class of -x for x of class k.  A point class k goes to
+        (k + n) mod 2n for n = len(dirs), as dirs[i + n/2] = -dirs[i]; a
+        line class flips its sign."""
+        if k < self.lines:
+            return (k + self.lines // 2) % self.lines
+        c, r = divmod(k - self.lines, 3)
+        return self.lines + 3 * c + 2 - r
 
     def _between(self, arc) -> int:
         # a point pair's displacement must lie in the cone: the classes 2lo
@@ -692,23 +710,25 @@ def _mark_classes(cl: _Classes, ipts, which):
     mark m pins, order places the point marks first, then the line marks,
     each in mark order, and classes[m][m2] is the class of the displacement
     from mark m2 to mark m in the coordinates both pin, or None when they
-    share none."""
+    share none.  Each unordered pair is classed once: the other order's
+    class is its reverse."""
     pins: List[List[int]] = [[] for _ in ipts]
     for m, c in which:
         pins[m].append(c)
-    classes = []
+    classes = [[None] * len(ipts) for _ in ipts]
     for m, (im, cs) in enumerate(zip(ipts, pins)):
-        row = []
-        for m2, (i2, cs2) in enumerate(zip(ipts, pins)):
+        for m2 in range(m):
+            i2, cs2 = ipts[m2], pins[m2]
             shared = [c for c in cs if c in cs2]
-            if m2 == m or not shared:
-                row.append(None)
-            elif len(shared) == 2:
-                row.append(cl.point((im[0] - i2[0], im[1] - i2[1])))
+            if not shared:
+                continue
+            if len(shared) == 2:
+                k = cl.point((im[0] - i2[0], im[1] - i2[1]))
             else:
                 (c,) = shared
-                row.append(cl.line(c, im[c] - i2[c]))
-        classes.append(row)
+                k = cl.line(c, im[c] - i2[c])
+            classes[m][m2] = k
+            classes[m2][m] = cl.reverse(k)
     order = sorted(range(len(pins)), key=lambda m: len(pins[m]) == 1)
     return order, pins, classes
 

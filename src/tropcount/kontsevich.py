@@ -148,12 +148,15 @@ def _on_scale(c: PlaneCurve, k: int) -> list:
     ]
 
 
-def _runs_on_scale(c: PlaneCurve, k: int) -> list:
-    """Each run of c as (u0, u1, X, Y, L, breaks, pieces), its start and
-    length rescaled k times; its breaks are left on c's own scale."""
+def _runs_on_scale(c: PlaneCurve, k: int):
+    """The runs of c, each (u0, u1, X, Y, L, breaks, pieces), with start
+    and length rescaled k times; its breaks are left on c's own scale.  At
+    k = 1 these are c's cached runs themselves."""
+    if k == 1:
+        return c.image.runs
     return [
-        (u[0], u[1], k * x, k * y, None if n is None else k * n, breaks, pieces)
-        for u, x, y, n, breaks, pieces in c.image.runs
+        (u0, u1, k * x, k * y, None if n is None else k * n, breaks, pieces)
+        for u0, u1, x, y, n, breaks, pieces in c.image.runs
     ]
 
 
@@ -234,23 +237,25 @@ def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
                 continue
             if lw is not None and sn > lw * a:
                 continue
+            # a break b, on its curve's own scale, sits at b * k * a
+            ka1 = k1 * a
+            ka2 = k2 * a
             if (
                 tn == 0
                 or sn == 0
                 or (lu is not None and tn == lu * a)
                 or (lw is not None and sn == lw * a)
-                or any(tn == b * k1 * a for b in breaks1)
-                or any(sn == b * k2 * a for b in breaks2)
+                or (tn % ka1 == 0 and tn // ka1 in breaks1)
+                or (sn % ka2 == 0 and sn // ka2 in breaks2)
             ):
                 pending += [(i, j) for i in pieces1 for j in pieces2]
                 continue
-            # the hit is (x, y) / d, keyed in lowest terms so that the hits
-            # of several run pairs at one point add up
+            # the hit is (x, y) / (a * big), keyed by (x, y, a) in lowest
+            # terms so that the hits of several run pairs at one point add up
             x = px * a + tn * u0
             y = py * a + tn * u1
-            d = a * big
-            g = gcd(x, y, d)
-            key = (x // g, y // g, d // g)
+            g = gcd(x, y, a)
+            key = (x // g, y // g, a // g)
             hits[key] = hits.get(key, 0) + a
     if pending:
         # Two collinear runs hold no crossing; two others meet at one point,
@@ -259,9 +264,13 @@ def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
         segs2 = _on_scale(c2, k2)
         for i, j in sorted(pending):
             _piece_contact(segs1[i], segs2[j])
-    return sorted(
-        ((Fraction(x, d), Fraction(y, d)), m) for (x, y, d), m in hits.items()
-    )
+    # order the points in integers over one denominator, then build the
+    # fractions of each once
+    den = lcm(*(a for _, _, a in hits))
+    order = sorted(hits, key=lambda h: (h[0] * (den // h[2]), h[1] * (den // h[2])))
+    return [
+        ((Fraction(x, a * big), Fraction(y, a * big)), hits[x, y, a]) for x, y, a in order
+    ]
 
 
 # ---------------------------------------------------------------------------

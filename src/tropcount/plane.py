@@ -122,6 +122,16 @@ class PlaneType:
     def contracted_bounded_edges(self):
         return tuple(e for e in self.graph.bounded_edges() if self.dirs[e] == ZERO)
 
+    @cached_property
+    def canonical(self):
+        """The type's canonical key, computed on first use; not a dataclass
+        field."""
+        return (self.degree(), canonical_form(self.abstract, direction_classes(self)))
+
+    def __reduce__(self):
+        # copies and pickles carry the two fields; the key is computed anew
+        return PlaneType, (self.abstract, self.dirs)
+
     def with_lengths(self, lengths, root: int, root_pos) -> "PlaneCurve":
         g = self.graph
         curve = MarkedAbstractCurve(
@@ -180,13 +190,15 @@ class PlaneCurve:
 class Run(NamedTuple):
     """A straight run of segments, as integers over its image's denominator.
 
-    The run starts at (x, y) and goes along direction for length (None
-    when unbounded); breaks are the parameters, in (0, length), where one
-    of its segments ends and the next begins; pieces are the indices of its
-    segments, in order along the run.
+    The run starts at (x, y) and goes along direction (u0, u1) for length
+    (None when unbounded); breaks are the parameters, in (0, length), where
+    one of its segments ends and the next begins; pieces are the indices of
+    its segments, in order along the run.  The fields are flat, in the
+    order the intersection scan unpacks them.
     """
 
-    direction: tuple
+    u0: int
+    u1: int
     x: int
     y: int
     length: Optional[int]
@@ -275,12 +287,12 @@ def _walk_image(c: PlaneCurve) -> CurveImage:
                 f = there[1] if there[0] == p else there[0]
             joined.update(pieces)
             x, y = pos[v]
-            runs.append(Run(u, up(x), up(y), t, tuple(breaks), tuple(pieces)))
+            runs.append(Run(*u, up(x), up(y), t, tuple(breaks), tuple(pieces)))
     # what is left are the chains unbounded both ways, one run per segment
     for i, (p, u, _) in enumerate(segs):
         if i not in joined:
             x, y, l = scaled[i]
-            runs.append(Run(u, x, y, l, (), (i,)))
+            runs.append(Run(*u, x, y, l, (), (i,)))
     return CurveImage(MappingProxyType(pos), segs, den, scaled, tuple(runs))
 
 
@@ -364,8 +376,9 @@ def direction_classes(t: PlaneType):
 
 
 def canonical_plane_form(t: PlaneType):
-    """Canonical key: isomorphism respecting marks and end directions."""
-    return (t.degree(), canonical_form(t.abstract, direction_classes(t)))
+    """Canonical key: isomorphism respecting marks and end directions,
+    cached on the type."""
+    return t.canonical
 
 
 def plane_curve_to_json(c: PlaneCurve) -> dict:

@@ -3,8 +3,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tropcount.cli import main
+from tropcount.cli import _json_text, main
 from tropcount.enumeration import PointConfig
 
 
@@ -57,6 +58,40 @@ def test_count_line(capsys):
     sol = report["solutions"][0]
     assert sol["mult"] == 1
     assert sol["codim"] == 0
+
+
+# strings that need escapes or are not ASCII, and keys that sort apart as
+# strings and as numbers
+awkward = st.sampled_from(
+    ["", '"', "\\", "\n\t\x00\x1f", "\x7f", "é", "\u2603", "\U0001f600", "10", "2"]
+)
+json_values = st.recursive(
+    st.none() | st.integers() | st.integers(-(2**80), 2**80) | st.text() | awkward,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text() | awkward, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_json_writer_refuses_what_it_does_not_write():
+    for value in (True, 1.5, (1, 2), {1: 2}):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+def test_count_report_bytes_are_json_dumps(capsys, tmp_path):
+    target = tmp_path / "conic.json"
+    code, out = run(capsys, ["count", "--d", "2", "--seed", "3", "--out", str(target)])
+    assert code == 0 and out == ""
+    text = target.read_bytes()
+    report = json.loads(text)
+    assert text == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
 
 
 def test_count_output_is_deterministic(capsys):

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -653,6 +655,34 @@ def test_ev_solutions_hit_the_points_exactly():
         assert sol.mult == curve_multiplicity(c) > 0
         for i, p in enumerate(cfg.points):
             assert image_position(c, c.mark_vertex(i)) == p
+
+
+def test_solution_keeps_its_curve_and_its_type_key(monkeypatch):
+    _, sols = sampled_fiber(EV, 2, seed=7)
+    sol = sols[0]
+    twin = FiberSolution(PlaneType(sol.type.abstract, sol.type.dirs), sol.coords, sol.mult)
+    looks = [(repr(x), hash(x)) for x in (sol, sol.type)]
+    # the leaf keyed the fiber by the type's form and checked the curve's
+    # vertex product, so the solution holds both
+    assert "canonical" in vars(sol.type) and "_curve" in vars(sol)
+    assert "canonical" not in vars(twin.type) and "_curve" not in vars(twin)
+    assert sol.curve() is sol.curve()
+    calls = []
+    form = tropcount.plane.canonical_form
+    monkeypatch.setattr(
+        tropcount.plane, "canonical_form", lambda *a: calls.append(a) or form(*a)
+    )
+    assert canonical_plane_form(twin.type) == canonical_plane_form(twin.type)
+    assert canonical_plane_form(sol.type) == canonical_plane_form(twin.type)
+    assert len(calls) == 1  # the twin's, computed once
+    twin.curve()
+    assert sol == twin and sol.type == twin.type
+    assert looks == [(repr(x), hash(x)) for x in (twin, twin.type)]
+    for back in (pickle.loads(pickle.dumps(sol)), copy.deepcopy(sol)):
+        assert back == sol and back.type == sol.type
+        assert "_curve" not in vars(back) and "canonical" not in vars(back.type)
+        assert back.curve() == sol.curve()
+        assert looks == [(repr(x), hash(x)) for x in (back, back.type)]
 
 
 def ev_fiber_is_exact(d, cfg) -> bool:
@@ -1885,6 +1915,62 @@ def test_classes_of_degree_2_and_3():
         assert {cl.line(c, delta) for c in (0, 1) for delta in (-3, 0, 3)} == set(
             range(cl.lines, cl.lines + 6)
         )
+
+
+def test_reverse_class_on_every_class_rep():
+    for d in (1, 2, 3):
+        cl = _classes(d)
+        for k, rep in enumerate(cl.reps):
+            if k < cl.lines:
+                assert cl.reverse(k) == cl.point((-rep[0], -rep[1]))
+            else:
+                c, sign = rep
+                assert cl.reverse(k) == cl.line(c, -sign)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    st.sampled_from([0, 1]),
+)
+def test_reverse_class_on_drawn_displacements(d, x, c):
+    cl = _classes(d)
+    assert cl.reverse(cl.line(c, x[c])) == cl.line(c, -x[c])
+    if x != ZERO:
+        assert cl.reverse(cl.point(x)) == cl.point((-x[0], -x[1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.lists(
+        st.tuples(
+            st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+            st.sampled_from([(0,), (1,), (0, 1)]),
+        ),
+        min_size=2,
+        max_size=6,
+        unique_by=lambda mark: mark[0],
+    ),
+)
+def test_mark_classes_class_every_ordered_pair(d, marks):
+    # classing one order of each pair and reversing it gives the class of
+    # every ordered pair's own displacement
+    cl = _classes(d)
+    ipts = [p for p, _ in marks]
+    which = [(m, c) for m, (_, cs) in enumerate(marks) for c in cs]
+    _, pins, classes = _mark_classes(cl, ipts, which)
+    for m, m2 in itertools.product(range(len(marks)), repeat=2):
+        shared = [c for c in pins[m] if c in pins[m2]]
+        delta = (ipts[m][0] - ipts[m2][0], ipts[m][1] - ipts[m2][1])
+        if m == m2 or not shared:
+            want = None
+        elif len(shared) == 2:
+            want = cl.point(delta)
+        else:
+            want = cl.line(shared[0], delta[shared[0]])
+        assert classes[m][m2] == want
 
 
 def test_masks_match_cone_tests_on_every_class():

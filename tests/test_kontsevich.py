@@ -116,6 +116,15 @@ def test_collinear_touch_rejected():
     assert tropical_intersection(line_at(0, 0), star_at(3, 0, ((1, 0), (-1, 1), (0, -1))))
 
 
+def test_hits_come_in_point_order_across_multiplicities():
+    # a weight-2 crossing at x = -5/2 and a weight-1 one at x = -4, keyed
+    # over different |det|s, still come out in the order of their points
+    star = star_at(-3, -1, ((1, 2), (-1, 1), (0, -3)))
+    want = [((-4, 0), 1), ((Fraction(-5, 2), 0), 2)]
+    assert tropical_intersection(line_at(0, 0), star) == want
+    assert tropical_intersection(star, line_at(0, 0)) == want
+
+
 def curves_for_bezout():
     # disjoint seed ranges: a line and a conic sampled from the same seed
     # pass through the same first points and meet non-transversally there

@@ -249,7 +249,8 @@ def test_runs_join_the_segments_into_straight_chains():
         den = image.denominator
         pieces = sorted(i for run in image.runs for i in run.pieces)
         assert pieces == list(range(len(segs)))  # each segment in exactly one run
-        for u, x, y, length, breaks, members in image.runs:
+        for u0, u1, x, y, length, breaks, members in image.runs:
+            u = (u0, u1)
             start = (Fraction(x, den), Fraction(y, den))
             # every run starts at a vertex, so none is unbounded both ways
             assert start in pos.values()

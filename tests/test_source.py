@@ -78,6 +78,20 @@ def test_no_assert_statements():
         assert not stray, f"{module} line {stray[0].lineno} uses assert"
 
 
+def test_no_indent_in_json_dumps():
+    # CPython runs json.dumps with any indent= in its pure-Python encoder;
+    # an indented report goes through cli's own writer instead
+    for module, tree in parsed():
+        stray = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dumps"
+            and any(kw.arg == "indent" for kw in node.keywords)
+        ]
+        assert not stray, f"{module} line {stray[0].lineno} passes indent= to json.dumps"
+
+
 # Definitions the package itself never uses, each kept for its reason.
 UNCALLED = {
     "m4_point": "a curve's point of M_4, the reference combined-map fibers are checked on",
