@@ -3,29 +3,39 @@
 One search and one leaf serve both maps.  Unmarked trivalent image trees
 are enumerated once per degree (cached).  A map's row spec lists the
 (mark, coordinate) pairs it pins: a mark with both coordinates pinned is a
-point, a mark with one a line.  The search assigns each mark a host edge,
-pruning each partial assignment by a cone test per pair of marks, in the
-coordinates both pin, before any linear algebra runs.  The cone of the
-path directions between two hosts is an arc of class directions, and one
-walk over the tree per host reads off its arcs to every other host.  A
-cone test sees a displacement only through its class (a direction or an
-angular gap between two, or a sign for a line pair), so each fiber classes
-its mark pairs once, and each tree keeps a point-independent table of the
-hosts that pass, per placed mark's host and class; the test is a lookup.
-In a chart of edge lengths and mark offsets along their hosts the map's
-rows depend on the hosts only, so the leaf eliminates them once per
-assignment and reads the order of the marks on each host off the
-solution; the combined map's ft4 row, which depends on the order of marks
-0-3, completes them by a rank-one step.  A mark's offset meets only its
-own rows, so the leaf solves in the base columns alone: a point mark
-brings one point-independent row per host, kept on the tree, and its
-offset is read back after the solve.  The search places the point marks
-first, so the combined map's fiber solves their rows once per assignment
-of them: when they are inconsistent it cuts every assignment of the line
-marks below, and otherwise a leaf whose rows are just these, with no
-cluster and both line marks read back, reuses that solve.  The leaf
-decides in integers, checks a solution against every row of the full
-chart, and builds fractions and the marked type only for a solution.
+point, a mark with one a line.  The work on each tree comes in this order.
+
+1. Pair masks.  The search assigns each mark a host edge, and a cone test
+   per pair of marks, in the coordinates both pin, prunes before any linear
+   algebra runs.  The cone of the path directions between two hosts is an
+   arc of class directions, and one walk over the tree per host reads off
+   its arcs to every other host.  A cone test sees a displacement only
+   through its class (a direction or an angular gap between two, or a sign
+   for a line pair), so each fiber classes its mark pairs once, and each
+   tree keeps a point-independent table of the hosts that pass, per placed
+   mark's host and class; the test is a lookup.
+2. Quartet masks.  The combined map keeps only the assignments of its last
+   mark, mark 1, that leave some order of marks 0-3 on the target ray of
+   M_0,4; a point-independent table per tree holds them, per ray and per
+   hosts of marks 0, 2 and 3, with the ft4 row of each order.
+3. Forward checking.  Placing a mark ANDs its pair masks into the domain of
+   every later mark, and a node that empties one is cut.  The marks keep a
+   static order, point marks first, so the leaves come in a fixed order.
+4. A lazy point solve.  In a chart of edge lengths and mark offsets along
+   their hosts the map's rows depend on the hosts only.  A mark's offset
+   meets only its own rows, so a point mark brings one point-independent
+   row per host, kept on the tree, and its offset is read back after the
+   solve.  The point marks' rows are solved once per assignment of them, at
+   its first leaf: when they are inconsistent every assignment of the line
+   marks below is cut, and otherwise their solutions, a family in the base
+   columns, serve every leaf below.
+5. The leaf as a step.  A leaf adds only its own rows to the family: a line
+   mark's row on a host that keeps its coordinate, a cluster's point row,
+   and for the combined map the ft4 row of each order of marks 0-3, a
+   rank-one step.  It decides the order and the signs of the lengths in
+   integers, checks a solution against every row of the full chart, and
+   builds fractions and the marked type only for a solution.
+
 Everything is exact; a degenerate input is reported as
 GeneralPositionViolation so the caller can resample.
 """
@@ -328,7 +338,9 @@ def _widen(arc, g: int, n: int):
 
 
 class _Lazy(dict):
-    """A table that fills a missing key from fill(key) and keeps it."""
+    """A table that fills a missing key from fill(key) and keeps it.  It
+    keeps the one shared object of each key, so tables of many trees hold
+    one int object per key value between them."""
 
     __slots__ = ("fill",)
 
@@ -337,8 +349,13 @@ class _Lazy(dict):
         self.fill = fill
 
     def __missing__(self, key):
-        value = self[key] = self.fill(key)
+        value = self[_SHARED.setdefault(key, key)] = self.fill(key)
         return value
+
+
+# one object per value that the point-independent tables keep as a key or a
+# host mask: the ints above 256 are objects of their own otherwise
+_SHARED: dict = {}
 
 
 class _Classes:
@@ -466,6 +483,7 @@ class _TreeData:
     hosts: Optional[dict] = field(default=None, repr=False)
     _cones: Optional[tuple] = field(default=None, repr=False)
     _chart: Optional[tuple] = field(default=None, repr=False)
+    _sides: Optional[dict] = field(default=None, repr=False)
     _quartets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -540,7 +558,7 @@ class _TreeData:
         mask = 0
         for j, classes in enumerate(self.cones()[i]):
             mask |= (classes >> k & 1) << j
-        return _MASKS.setdefault(mask, mask)
+        return _SHARED.setdefault(mask, mask)
 
     def chart(self):
         """(cols, paths, rows, base) of the leaf's chart: the base columns
@@ -572,58 +590,167 @@ class _TreeData:
             self._chart = (cols, paths, rows, base)
         return self._chart
 
-    def quartets(self, hosts, cluster):
-        """(ray, before, add, sub) of marks 0-3 on hosts, one per order of
-        those sharing a host; no point enters, so it is cached.  before
-        lists the pairs (a, b) next to each other on one host, a nearer its
-        flag; the ft4 row adds the columns in add and subtracts sub.  The
-        pairing i, j | k, l is the ray when path(i, j) and path(k, l) share
-        no edge and the central path, path(i, k) ∩ path(j, l), is not
-        empty; with none it is D.  Trees share equal tables."""
-        key = (*hosts, cluster)
-        if key in self._quartets:
-            return self._quartets[key]
-        cols, paths, _, _ = self.chart()
+    def sides(self) -> dict:
+        """sides()[h], for each handle h, is the bitmask over the bounded
+        edges, bit i for the i-th of chart()'s columns, of those with h on
+        their flag_vertex side.  No point enters, so it is built once."""
+        if self._sides is None:
+            g = self.t.graph
+            sides = dict.fromkeys(self.handles, 0)
+            for i, e in enumerate(self.chart()[0]):
+                near = g.component(g.flag_vertex[e], cut_edges=(e,))
+                for h in sides:
+                    if h != e and g.flag_vertex[h] in near:
+                        sides[h] |= 1 << i
+            self._sides = sides
+        return self._sides
+
+    def _orders(self, hosts, cluster):
+        """Per order of marks 0-3 on hosts, those sharing a host nearest
+        its flag first: (the orders, the pieces of the tree they mark).  A
+        piece is (s, up, low): s the marks 0-3 on one side of it, as bits,
+        and its length column up minus column low (None for none).  The
+        cluster's two marks sit at one point, past its contracted edge."""
+        cols = self.chart()[0]
         off = 2 + len(cols)
+        sides = [self.sides()[h] for h in hosts]
         at = [cluster[0] if cluster and m == cluster[1] else m for m in range(4)]
+        bits = [1, 2, 4, 8]
+        if cluster:
+            bits[cluster[0]] |= bits[cluster[1]]
         on: Dict[int, dict] = {}
         for m in range(4):
             on.setdefault(hosts[m], {})[at[m]] = None
-        table = []
+
+        def near(i):  # the marks on the flag side of the i-th bounded edge
+            return (sides[0] >> i & 1) | (sides[1] >> i & 1) << 1 | (sides[2] >> i & 1) << 2 | (sides[3] >> i & 1) << 3
+
+        fixed = [(near(i), col, None) for i, (e, col) in enumerate(cols.items()) if e not in on]
+        if cluster:
+            fixed.append((bits[cluster[0]], off + cluster[1], None))
+        # an end's flag side holds every mark off it
+        hosted = [
+            (near(cols[h] - 2) if h in cols else sum(1 << m for m, k in enumerate(hosts) if k != h), cols.get(h))
+            for h in on
+        ]
         for orders in itertools.product(*map(itertools.permutations, on.values())):
-            seq = dict(zip(on, orders))
+            pieces = fixed[:]
+            for (s, col), seq in zip(hosted, orders):
+                low = None
+                for a in seq:
+                    pieces.append((s, off + a, low))
+                    s |= bits[a]
+                    low = off + a
+                if col is not None:  # past an end's last mark the piece is unbounded
+                    pieces.append((s, col, low))
+            yield orders, pieces
 
-            def pieces(e, count=None):  # (column added, column subtracted) each
-                s = [off + p for p in seq.get(e, ())]
-                return set(list(zip(s + [cols.get(e)], [None] + s))[:count])
+    def _table(self, hosts, cluster):
+        """quartets' table for hosts and cluster, built.  On four distinct
+        hosts there is one order, and the ray and its central path come
+        from bit operations over the bounded edges: an unmarked edge
+        separates i, j from k, l when i and j lie on one side of it and k
+        and l on the other; the edge of mark i has a piece on either side
+        of i, so there i may take j's side, and the piece that does is the
+        central one."""
+        if cluster or len(set(hosts)) < 4:
+            table = []
+            for orders, pieces in self._orders(hosts, cluster):
+                ray = next((_SPLITS[s] for s, _, _ in pieces if s in _SPLITS), "D")
+                central = [(up, low) for s, up, low in pieces if _SPLITS.get(s) == ray]
+                # consecutive pieces share a column, which cancels
+                ups = {up for up, _ in central}
+                lows = {low for _, low in central} - {None}
+                before = tuple(pair for s in orders for pair in zip(s, s[1:]))
+                table.append((ray, before, tuple(sorted(ups - lows)), tuple(sorted(lows - ups))))
+            return tuple(table)
+        cols = self.chart()[0]
+        off = 2 + len(cols)
+        a = [self.sides()[h] for h in hosts]
+        own = [1 << cols[h] - 2 if h in cols else 0 for h in hosts]
+        for ray, (i, j), (k, l) in _PAIRINGS:
+            a_i = a[i] & ~own[i] | a[j] & own[i]
+            a_j = a[j] & ~own[j] | a[i] & own[j]
+            a_k = a[k] & ~own[k] | a[l] & own[k]
+            a_l = a[l] & ~own[l] | a[k] & own[l]
+            central = (a_i ^ a_k) & ~(a_i ^ a_j) & ~(a_k ^ a_l)
+            if central:
+                break
+        else:
+            return (("D", (), (), ()),)
+        add, sub = [], []
+        for m, partner in ((i, j), (j, i), (k, l), (l, k)):
+            if central & own[m]:
+                central ^= own[m]
+                if a[partner] & own[m]:  # the piece from m on, m at its flag side
+                    add.append(cols[hosts[m]])
+                    sub.append(off + m)
+                else:
+                    add.append(off + m)
+        while central:  # unmarked edges
+            low = central & -central
+            central ^= low
+            add.append(1 + low.bit_length())
+        return ((ray, (), tuple(sorted(add)), tuple(sorted(sub))),)
 
-            walks = []
-            for m in range(4):
-                h = hosts[m]
-                # xor: the walk to flag_vertex[h] crosses h if h points to the root
-                walk = set().union(*map(pieces, paths[self.t.graph.flag_vertex[h]]))
-                walk ^= pieces(h, seq[h].index(at[m]) + 1)
-                if cluster and m in cluster:
-                    walk.add((off + cluster[1], None))
-                walks.append(walk)
-            ray, central = "D", ()
-            for r, (i, j), (k, l) in _PAIRINGS:
-                shared = (walks[i] ^ walks[k]) & (walks[j] ^ walks[l])
-                if shared and not (walks[i] ^ walks[j]) & (walks[k] ^ walks[l]):
-                    ray, central = r, shared
-                    break
-            # consecutive pieces share a column, which cancels
-            ups = {up for up, _ in central}
-            lows = {low for _, low in central} - {None}
-            before = tuple(pair for s in orders for pair in zip(s, s[1:]))
-            table.append((ray, before, tuple(ups - lows), tuple(lows - ups)))
-        table = tuple(table)
-        return self._quartets.setdefault(key, _QUARTET_TABLES.setdefault(table, table))
+    def _decide(self, h0, h2, h3, candidates: int) -> list:
+        """The entry [decided, A, B, C, tables] of mark 0 on h0 and marks
+        2 and 3 on h2 and h3, with the bits of candidates decided: bit j
+        puts mark 1 on handles[j], bit len(handles) makes (0, 1) a
+        cluster; A, B and C hold the bits that leave some order of marks
+        0-3 on that ray, and tables[j] the bit's quartets table."""
+        entry = self._quartets.get((h0, h2, h3))
+        hs = self.handles
+        if entry is None:
+            entry = self._quartets[h0, h2, h3] = [0, 0, 0, 0, [None] * (len(hs) + 1)]
+        todo = candidates & ~entry[0]
+        entry[0] |= candidates
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            j = low.bit_length() - 1
+            if j < len(hs):
+                table = self._table((h0, hs[j], h2, h3), None)
+            else:
+                table = self._table((h0, h0, h2, h3), (0, 1))
+            entry[4][j] = _QUARTET_TABLES.setdefault(table, table)
+            for ray, *_ in table:
+                if ray != "D":
+                    entry[_RAY_SLOT[ray]] |= low
+        return entry
 
+    def quartets(self, hosts, cluster):
+        """(ray, before, add, sub) of marks 0-3 on hosts, one per order of
+        those sharing a host, with cluster None or (0, 1).  before lists
+        the pairs (a, b) next to each other on one host, a nearer its flag;
+        the ft4 row adds the columns in add and subtracts sub.  The pairing
+        i, j | k, l is the ray when a piece of the tree separates {i, j}
+        from {k, l}, and the ft4 coordinate is the length of the central
+        path, every such piece; with none it is D.  No point enters, so it
+        is kept, and trees share equal tables."""
+        h0, h1, h2, h3 = hosts
+        j = len(self.handles) if cluster else self.handles.index(h1)
+        return self._decide(h0, h2, h3, 1 << j)[4][j]
+
+    def quartet_mask(self, ray, h0, h2, h3, candidates: int) -> int:
+        """The bits of candidates that leave some order of marks 0-3 on
+        ray, with mark 0 on h0 and marks 2 and 3 on h2 and h3: bit j puts
+        mark 1 on handles[j], bit len(handles) makes (0, 1) a cluster.
+        Each bit is decided on first use, for every ray at once, with its
+        quartets table; bits never asked for are never decided."""
+        return self._decide(h0, h2, h3, candidates)[_RAY_SLOT[ray]] & candidates
+
+
+# a piece that separates the pairing of a ray, by the marks on either side
+_SPLITS = {
+    side: ray
+    for ray, (i, j), _ in _PAIRINGS
+    for side in (1 << i | 1 << j, 15 ^ (1 << i | 1 << j))
+}
+_RAY_SLOT = {ray: 1 + k for k, (ray, _, _) in enumerate(_PAIRINGS)}
 
 _TREE_DATA: Dict[int, List[_TreeData]] = {}
 _QUARTET_TABLES: Dict[tuple, tuple] = {}
-_MASKS: Dict[int, int] = {}
 
 
 def _tree_data(d: int) -> List[_TreeData]:
@@ -706,12 +833,16 @@ def _subdivide(tree: PlaneType, placements: dict, n: int):
 
 
 def _mark_classes(cl: _Classes, ipts, which):
-    """(order, pins, classes) of a row spec: pins[m] lists the coordinates
-    mark m pins, order places the point marks first, then the line marks,
-    each in mark order, and classes[m][m2] is the class of the displacement
-    from mark m2 to mark m in the coordinates both pin, or None when they
-    share none.  Each unordered pair is classed once: the other order's
-    class is its reverse."""
+    """(order, pins, classes, later, joins) of a row spec: pins[m] lists
+    the coordinates mark m pins, order places the point marks first, then
+    the line marks, each in mark order, and classes[m][m2] is the class of
+    the displacement from mark m2 to mark m in the coordinates both pin,
+    or None when they share none.  Each unordered pair is classed once:
+    the other order's class is its reverse.  For the search, by position k
+    in order: later[k] lists (k2, class) for each later position whose
+    mark shares a coordinate with order[k], the class of the displacement
+    from order[k] to it, and joins[k] the line marks before position k on
+    the other axis, which a line mark order[k] may join in a cluster."""
     pins: List[List[int]] = [[] for _ in ipts]
     for m, c in which:
         pins[m].append(c)
@@ -730,12 +861,21 @@ def _mark_classes(cl: _Classes, ipts, which):
             classes[m][m2] = k
             classes[m2][m] = cl.reverse(k)
     order = sorted(range(len(pins)), key=lambda m: len(pins[m]) == 1)
-    return order, pins, classes
+    later = [
+        [(k2, classes[m2][m]) for k2, m2 in enumerate(order) if k2 > k and classes[m2][m] is not None]
+        for k, m in enumerate(order)
+    ]
+    joins = [
+        [m2 for m2 in order[:k] if len(pins[m]) == len(pins[m2]) == 1 and pins[m2] != pins[m]]
+        for k, m in enumerate(order)
+    ]
+    return order, pins, classes, later, joins
 
 
-def _search_tree(td: _TreeData, marks, leaf, points=None):
+def _search_tree(td: _TreeData, marks, leaf, points=None, ray=None):
     """Assign the marks to one tree's hosts, calling leaf(td, where,
-    cluster) on every assignment that passes the pair test.
+    cluster) on every assignment that passes the pair test, or, with
+    points and ray, on those that may hold a curve.
 
     marks is _mark_classes' reading of the row spec: a mark with both
     coordinates in it is pinned to its point, a mark with one sees only the
@@ -747,56 +887,81 @@ def _search_tree(td: _TreeData, marks, leaf, points=None):
     order and on its hosts in handle order.  A line mark m may also share
     one vertex, hanging off a host by a contracted edge, with a placed line
     mark m2 on the other axis: the cluster (m2, m).  The order of the marks
-    on a host is left to the leaf.  Once the point marks are placed and
-    line marks remain, points(td, where) is called, when given: every leaf
-    below holds the point marks' rows, so a false return, for rows that
-    are inconsistent, cuts every assignment of the line marks.  Without
-    points the search visits every assignment that passes the pair test.
+    on a host is left to the leaf.
+
+    The search checks forward: each mark keeps a domain, the hosts that
+    pass the pair test with every mark placed so far, and placing a mark
+    ANDs its pair masks into the domain of every later mark.  A node whose
+    placement empties a later mark's domain is cut, unless that mark may
+    still join a cluster, which takes no host of its own.  The order stays
+    static, so the leaves come in the same order as without the domains.
+    With ray given (the combined map, whose marks 0-3 are the quartet and
+    whose last mark is mark 1), mark 1's domain and its cluster with mark
+    0 are also ANDed with td.quartet_mask: the assignments that leave no
+    order of marks 0-3 on the ray never reach a leaf.  With points given,
+    points(td, where) is called at the first leaf below each assignment of
+    the point marks, before that leaf: a false return, for point rows that
+    are inconsistent, cuts every assignment of the line marks below.
     """
-    order, pins, classes = marks
+    order, pins, _, later, joins = marks
+    n = len(order)
     npoints = sum(len(pins[m]) == 2 for m in order)
     hosts = td.handles
+    nh = len(hosts)
     masks = td.hosts
     ncls = len(td.classes.reps)
-    everywhere = (1 << len(hosts)) - 1
+    # a second contracted edge in the tree would leave two columns on the
+    # one ft4 row, and determinant zero
+    partners = [()] * n if td.contracted else joins
     where: Dict[int, int] = {}
-    placed: List[Tuple[int, int]] = []  # (mark, its host's key offset)
+    index: Dict[int, int] = {}  # mark -> index of its host in hosts
+    consistent = None  # the point rows' verdict, once asked for
 
-    def rec(k, cluster):
-        if k == len(order):
+    def rec(k, domains, cluster):
+        nonlocal consistent
+        if k == npoints:
+            consistent = None
+        if k == n:
+            if points is not None:
+                if consistent is None:
+                    consistent = points(td, where)
+                if not consistent:
+                    return
             leaf(td, where, cluster)
             return
-        if k == npoints and points is not None and not points(td, where):
-            return
         m = order[k]
-        row = classes[m]
-        mask = everywhere
-        for m2, base in placed:
-            c = row[m2]
-            if c is not None:
-                mask &= masks[base + c]
+        clusters = partners[k]
+        # bit j < nh puts m on hosts[j], bit nh + i joins it to clusters[i]
+        mask = domains[k] | ((1 << len(clusters)) - 1) << nh
+        if ray is not None and k == n - 1:
+            mask = td.quartet_mask(ray, where[0], where[2], where[3], mask)
+        ahead = later[k]
         while mask:
             low = mask & -mask
             mask ^= low
             j = low.bit_length() - 1
-            where[m] = hosts[j]
-            placed.append((m, j * ncls))
-            rec(k + 1, cluster)
-            placed.pop()
-            del where[m]
-        # a second contracted edge in the tree would leave two columns on
-        # the one ft4 row, and determinant zero
-        if len(pins[m]) == 1 and not td.contracted:
-            for m2, base in list(placed):
-                if len(pins[m2]) != 1 or pins[m2] == pins[m]:
+            joined = cluster
+            if j >= nh:
+                m2 = clusters[j - nh]
+                j, joined = index[m2], (m2, m)
+            below = domains
+            if ahead:
+                below = domains[:]
+                base = j * ncls
+                for k2, c in ahead:
+                    below[k2] &= masks[base + c]
+                    if not below[k2] and not partners[k2]:
+                        below = None  # cut: order[k2] has no host left
+                        break
+                if below is None:
                     continue
-                where[m] = where[m2]
-                placed.append((m, base))
-                rec(k + 1, (m2, m))
-                placed.pop()
-                del where[m]
+            where[m], index[m] = hosts[j], j
+            rec(k + 1, below, joined)
+            if consistent is False and k >= npoints:
+                break  # the point rows above are inconsistent
+        where.pop(m, None)
 
-    rec(0, None)
+    rec(0, [(1 << nh) - 1] * n, None)
 
 
 def _integer_points(points, *denominators):
@@ -813,8 +978,8 @@ def _integer_points(points, *denominators):
 
 
 def _read_back(v, q, back, width):
-    """v over the base columns, with each read-back mark's offset filled
-    in: for (column, row, factor, value) in back, factor·t = value·q − row·v.
+    """v, widened to width, with each read-back mark's offset filled in:
+    for (column, row, factor, value) in back, factor·t = value·q − row·v.
     q is the denominator of v, or 0 for a kernel vector."""
     full = v + [0] * (width - len(v))
     for col, row, factor, value in back:
@@ -825,34 +990,102 @@ def _read_back(v, q, back, width):
     return full
 
 
-def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale, found,
-          point_solve=None):
-    """One assignment of the marks to hosts: eliminate its rows once, in
-    the base columns, and build the marked type only for a solution.
+def _point_family(td: _TreeData, where, pins, ipts):
+    """The point marks' rows solved, or None when they are inconsistent.
 
-    A mark's offset column meets only its own rows, so it is eliminated
-    before the solve: a point mark, or a cluster (m2, m), which pins a
-    point, keeps td.chart()'s point-independent base row of its host, a
-    line mark keeps its row only when its host does not move its
-    coordinate.  Every other offset is read back off one of the mark's rows
-    by an exact division; a line mark's leaves a factor dirs[h][c] on the
-    full chart's minors, a point mark's cancels.  A line mark's offset on a
-    host that keeps its coordinate, and the cluster's contracted edge
-    length, held in m's offset column, are free columns: unit kernel
-    vectors.  The rows read only the hosts, so the solution orders the
-    marks on each host, and the lengths are offset differences.  For the
-    combined map each order of marks 0-3 that pairs them as ray adds its
-    ft4 row f (td.quartets): with the other rows' solution x0 and kernel
-    vector k, the determinant is f·k and the solution x0 + t·k.  ipts are
-    the points and target the ft4 target, each times the integer scale.
-    Every test runs on the solution's integer numerators over their
-    positive common denominator; a solution kept is checked against every
-    row of the full chart, and only then are fractions built.
-    point_solve, when given, is the solve of this assignment's point-mark
-    rows, which the search ran once for all the leaves under it.  A
-    cluster or a kept line-mark row always comes with a free column, so a
-    leaf with none has just the point rows, in mark order, and reuses the
-    solve instead of running its own.
+    Returns (y, q, kernel, det, rows): every solution is (y + Σ τ_i k_i) / q
+    for the k_i in kernel, over the full chart's columns, with each point
+    mark's offset read back and the line marks' left 0; det is the rows'
+    determinant when they are square and independent, and rows their
+    count.  With independent rows Cramer's rule on the full chart, where a
+    point mark's factor cancels, makes every offset an integer over q, and
+    a single kernel vector is ± the rows' maximal minors (linalg.solve);
+    dependent rows are scaled by their factors first."""
+    cols, _, host_rows, base = td.chart()
+    dirs = td.t.dirs
+    off = 2 + len(cols)
+    rows, rhs, back = [], [], []
+    for m, cs in enumerate(pins):
+        if len(cs) == 2:
+            h = where[m]
+            v, pt = dirs[h], ipts[m]
+            rows.append(base[h])
+            rhs.append(v[1] * pt[0] - v[0] * pt[1])
+            c = 0 if v[0] else 1
+            back.append((off + m, host_rows[h][c], v[c], pt[c]))
+    res = solve(rows, rhs)
+    if res.status == "inconsistent":
+        return None
+    y, q, kernel = list(res.numerators), res.denominator, [list(k) for k in res.kernel]
+    if len(kernel) != off - len(rows):
+        s = math.lcm(*(f for _, _, f, _ in back))
+        y, q, kernel = [v * s for v in y], q * s, [[v * s for v in k] for k in kernel]
+    width = off + len(pins)
+    return (
+        _read_back(y, q, back, width),
+        q,
+        [_read_back(k, 0, back, width) for k in kernel],
+        res.det,
+        len(rows),
+    )
+
+
+def _cell_sign(x, whole, spans) -> int:
+    """The sign of the cell x's smallest length: -1 when one is negative,
+    else 0 when one is zero, else 1.  whole lists the columns that are
+    lengths themselves; spans holds, per host, its length column (None
+    for an end) and the offset columns of the items on it, which cut it
+    into pieces: each offset must lie strictly between 0 and the host's
+    length, and apart from the others."""
+    sign = 1
+    for c in whole:
+        if x[c] <= 0:
+            if x[c] < 0:
+                return -1
+            sign = 0
+    for col, offsets in spans:
+        ts = [x[o] for o in offsets]
+        lo, hi = min(ts), max(ts)
+        top = None if col is None else x[col]
+        if lo < 0 or top is not None and hi > top:
+            return -1
+        if lo == 0 or hi == top or len(set(ts)) < len(ts):
+            sign = 0
+    return sign
+
+
+def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale, found,
+          family=None):
+    """One assignment of the marks to hosts: a small exact step off the
+    solve of its point marks' rows, and the marked type built only for a
+    solution.
+
+    family is _point_family's solve of the point rows, which the search
+    shares among every leaf under one assignment of the point marks; with
+    none the leaf solves them itself.  In a chart of base columns (root x,
+    root y, the bounded edge lengths) and one offset column per mark along
+    its host, a mark's offset column meets only its own rows, so it is
+    eliminated: a point mark keeps td.chart()'s point-independent base row
+    of its host, and its offset is read back off one of its rows.  The
+    leaf then adds only its own equations on the family: a line mark's row
+    when its host does not move its coordinate, and the point row of a
+    cluster (m2, m); their unknowns are one τ per kernel vector, at most
+    one for points in general position.  Every other line-mark offset is
+    read back by an exact division, leaving a factor dirs[h][c] on the full
+    chart's minors.  A kept line mark's offset, and the cluster's
+    contracted edge length, held in m's offset column, are free columns:
+    unit kernel vectors, scaled by the step's determinant, which is ± the
+    determinant of the point and leaf rows since the point kernel vector
+    is their maximal minors.  The rows read only the hosts, so the solution
+    orders the marks on each host, and the lengths are offset differences.
+    For the combined map each order of marks 0-3 that pairs them as ray
+    adds its ft4 row f (td.quartets): with the other rows' solution x0 and
+    kernel vector k, the determinant is f·k and the solution x0 + t·k, and
+    its order of marks 0-3 is tested before the solution is built.  ipts
+    are the points and target the ft4 target, each times the integer
+    scale.  Every test runs on integer numerators over a positive common
+    denominator; a solution kept is checked against every row of the full
+    chart, and only then are fractions built.
     """
     completions = [((), None, None)]
     if ray is not None:
@@ -860,75 +1093,117 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
         completions = [entry[1:] for entry in quartet if entry[0] == ray]
         if not completions:
             return
+    if family is None:
+        family = _point_family(td, where, pins, ipts)
+        if family is None:
+            return
+    y, q, kernel, square, npoint = family
     cols, _, host_rows, base = td.chart()
     dirs = td.t.dirs
     n = len(where)
     off = 2 + len(cols)
     rows, rhs, free, back = [], [], [], []
     p = 1  # the read-back line marks' factors
-    for m in range(n):
+    for m, cs in enumerate(pins):
+        if len(cs) == 2:
+            continue
         h = where[m]
-        v = dirs[h]
-        pt, cs = ipts[m], pins[m]
+        v, pt = dirs[h], ipts[m]
         if cluster and m in cluster:
             if m == cluster[1]:
                 free.append(off + m)
                 continue
             # the cluster pins each coordinate through the mark that pins it
             pt = [ipts[cluster[c not in cs]][c] for c in (0, 1)]
-            cs = (0, 1)
-        if len(cs) == 2:
             rows.append(base[h])
             rhs.append(v[1] * pt[0] - v[0] * pt[1])
             c = 0 if v[0] else 1
             back.append((off + m, host_rows[h][c], v[c], pt[c]))
+            continue
+        (c,) = cs
+        if v[c]:
+            p *= v[c]
+            back.append((off + m, host_rows[h][c], v[c], pt[c]))
         else:
-            (c,) = cs
-            if v[c]:
-                p *= v[c]
-                back.append((off + m, host_rows[h][c], v[c], pt[c]))
-            else:
-                rows.append(host_rows[h][c])
-                rhs.append(pt[c])
-                free.append(off + m)
-    if len(rows) + (ray is not None) != off + len(free):
-        raise AssertionError(f"{off + len(free)} columns for {len(rows) + (ray is not None)} rows")
-    res = point_solve if point_solve is not None and not free else solve(rows, rhs)
-    if res.status == "inconsistent":
-        return
-    if len(res.kernel) + len(free) == (ray is not None):
+            rows.append(host_rows[h][c])
+            rhs.append(pt[c])
+            free.append(off + m)
+    if npoint + len(rows) + (ray is not None) != off + len(free):
+        raise AssertionError(f"{off + len(free)} columns for {npoint + len(rows) + (ray is not None)} rows")
+    if rows:
+        # the leaf's rows on the family (y + Σ τ_i k_i) / q
+        step = solve(
+            [[sum(map(mul, row, k)) for k in kernel] for row in rows],
+            [b * q - sum(map(mul, row, y)) for row, b in zip(rows, rhs)],
+        )
+        if step.status == "inconsistent":
+            return
+        y = [v * step.denominator for v in y]
+        for u, k in zip(step.numerators, kernel):
+            if u:
+                y = [v + u * w for v, w in zip(y, k)]
+        kernel = [[sum(map(mul, w, col)) for col in zip(*kernel)] for w in step.kernel]
+        q *= step.denominator
+        square = step.det
+    if len(kernel) + len(free) == (ray is not None):
         # a solution may be kept: the full chart's minors are p times these
         s = abs(p)
     else:
         # no solution is kept, so any s that every factor divides will do
         s = math.lcm(*(factor for _, _, factor, _ in back))
-    q0 = res.denominator * s
-    x0 = _read_back([v * s for v in res.numerators], q0, back, off + n)
-    kernel = [_read_back([v * s for v in k], 0, back, off + n) for k in res.kernel]
+    if s != 1:
+        y = [v * s for v in y]
+        kernel = [[v * s for v in k] for k in kernel]
+        q *= s
+    width = off + n
+    x0, q0 = _read_back(y, q, back, width), q
+    kernel = [_read_back(k, 0, back, width) for k in kernel]
     for col in free:
-        kernel.append([0] * (off + n))
-        kernel[-1][col] = 1 if res.det is None else res.det * p
-    det0 = res.det * p if res.det is not None and not free else None
-    at = [cluster[0] if cluster and m == cluster[1] else m for m in range(n)]
+        kernel.append([0] * width)
+        kernel[-1][col] = 1 if square is None else square * p
+    det0 = square * p if square is not None and not free else None
+    spans = None
     for before, add, sub in completions:
         # the solution is x / q, q > 0
         x, q, det = x0, q0, det0
         if add is not None:
-            fx, *fk = [sum(v[c] for c in add) - sum(v[c] for c in sub) for v in (x, *kernel)]
+            fx, *fk = [sum([v[c] for c in add]) - sum([v[c] for c in sub]) for v in (x, *kernel)]
             if len(fk) == 1 and fk[0]:
                 # x / q + (target - fx / q) / det * k, over q * |det|
                 det = fk[0]
+                r = abs(det)
                 t = (target * q - fx) * (1 if det > 0 else -1)
-                x = [v * abs(det) + t * w for v, w in zip(x, kernel[0])]
-                q *= abs(det)
+                k = kernel[0]
+                if any(
+                    (x[off + a] - x[off + b]) * r + (k[off + a] - k[off + b]) * t > 0
+                    for a, b in before
+                ):
+                    continue  # the solution orders marks 0-3 otherwise
+                x = [v * r + t * w for v, w in zip(x, k)]
+                q *= r
             elif not any(fk) and fx != target * q:
                 continue  # this order's system is inconsistent
+        # an order reaches here untested only with det None, as the point
+        # rows of the combined map are never square
         if det is None:
             raise GeneralPositionViolation(
                 "rank-deficient consistent system: input in special position"
             )
-        if any(x[off + a] > x[off + b] for a, b in before):
-            continue  # the solution orders marks 0-3 otherwise
+        if spans is None:
+            # the items on each host, a cluster at its first mark, by offset column
+            at = [cluster[0] if cluster and m == cluster[1] else m for m in range(n)]
+            on: Dict[int, list] = {}
+            for m in set(at):
+                on.setdefault(where[m], []).append(off + m)
+            spans = [(cols.get(h), offsets) for h, offsets in on.items()]
+            whole = [c for e, c in cols.items() if e not in on]
+            if cluster:
+                whole.append(off + cluster[1])  # the contracted edge's length
+        sign = _cell_sign(x, whole, spans)
+        if sign < 0:
+            continue
+        if not sign:
+            raise GeneralPositionViolation("solution on a cell boundary (zero edge length)")
         items: Dict[int, list] = {}
         for m in set(at):
             item = ("cluster", cluster) if cluster and m == cluster[0] else ("mark", m)
@@ -939,11 +1214,6 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
             ends = [0] + [v for v, _ in its] + ([x[cols[h]]] if h in cols else [])
             pieces[h] = [b - a for a, b in zip(ends, ends[1:])]
         contracted = [x[off + cluster[1]]] if cluster else []
-        lengths = [v for ps in pieces.values() for v in ps] + contracted
-        if any(v < 0 for v in lengths):
-            continue
-        if any(v == 0 for v in lengths):
-            raise GeneralPositionViolation("solution on a cell boundary (zero edge length)")
         # the solution must meet every row of the full chart
         for m, cs in enumerate(pins):
             h = where[m]
@@ -988,37 +1258,30 @@ def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
     """Search every tree with the shared leaf.  which is the map's row
     spec; m4 is None for the evaluation map and the target of the ft4 row
     for the combined map.  The mark pairs are classed once per point set.
-    The combined map's point-mark rows are solved once per assignment of
-    the point marks, before its line marks are placed; point_solve holds
-    that solve only until the next assignment replaces it."""
+    The point marks' rows are solved at the first leaf under each
+    assignment of them, and family holds that solve only until the next
+    assignment replaces it; for the evaluation map it is the leaf's own."""
     extra = () if m4 is None else (m4.length.denominator,)
     scale, ipts = _integer_points(cfg.points, *extra)
     target = None if m4 is None else int(m4.length * scale)
     ray = None if m4 is None else m4.ray
     marks = _mark_classes(_classes(d), ipts, which)
     pins = marks[1]
-    point_marks = [m for m in range(len(pins)) if len(pins[m]) == 2]
-    point_solve = None
+    family = None
     found: dict = {}
 
     def points(td, where):
         # every leaf below holds these rows: cut them all when they are
         # inconsistent, and keep the solve for this assignment's leaves
-        nonlocal point_solve
-        base, dirs = td.chart()[3], td.t.dirs
-        rows, rhs = [], []
-        for m in point_marks:
-            h = where[m]
-            rows.append(base[h])
-            rhs.append(dirs[h][1] * ipts[m][0] - dirs[h][0] * ipts[m][1])
-        point_solve = solve(rows, rhs)
-        return point_solve.status != "inconsistent"
+        nonlocal family
+        family = _point_family(td, where, pins, ipts)
+        return family is not None
 
     def leaf(td, where, cluster):
-        _leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, point_solve)
+        _leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, family)
 
     for td in trees:
-        _search_tree(td, marks, leaf, points)
+        _search_tree(td, marks, leaf, points, ray)
     return [found[k] for k in sorted(found, key=repr)]
 
 

@@ -1562,11 +1562,15 @@ def assert_leaves_match_full_chart(kind, d, cfg, trees=None):
     leaves = []
 
     def reduced_leaf(td, where, cluster, found, record):
-        # the reduced solve's outcome, as the full chart's kernel dimension
+        # the outcome of the point rows' solve and of the leaf's step off
+        # it, as the full chart's kernel dimension: the step's kernel and
+        # one free column per row of the step, or with no step the point
+        # rows' kernel
+        solves = []
+
         def recording(rows, rhs):
             res = solve(rows, rhs)
-            free = len(rows) + (a.ray is not None) - 2 - len(td.chart()[0])
-            record("inconsistent" if res.status == "inconsistent" else len(res.kernel) + free)
+            solves.append((len(rows), res))
             return res
 
         enumeration.solve = recording
@@ -1576,6 +1580,11 @@ def assert_leaves_match_full_chart(kind, d, cfg, trees=None):
             )
         finally:
             enumeration.solve = solve
+            if any(res.status == "inconsistent" for _, res in solves):
+                record("inconsistent")
+            elif solves:
+                rows, res = solves[-1] if len(solves) == 2 else (0, solves[0][1])
+                record(len(res.kernel) + rows)
 
     def leaf(td, where, cluster):
         want = leaf_outcome(full_chart_leaf, td, where, cluster, d, a.which, a.ray, a.rhs, a.scale)
@@ -1724,24 +1733,33 @@ def test_coordinate_sharing_sweep():
     assert [sum(mult for _, _, mult in out) for out in outcomes[::2]] == [2, 2]
 
 
-# --- point-level pruning ----------------------------------------------------
-# fiber solves the point marks' rows once per assignment of the point marks,
-# cuts the line marks' subtree when they are inconsistent, and hands the
-# solve to the leaves; _search_tree with no points callback is the unpruned
-# search.
+# --- pruning in the search ---------------------------------------------------
+# fiber's search drops an assignment of mark 1 that leaves no order of marks
+# 0-3 on the ray, solves the point marks' rows at the first leaf under each
+# assignment of them, cuts the line marks' subtree when they are
+# inconsistent, and hands the solve to the leaves; _search_tree with no
+# points callback and no ray is the unpruned search.
 
 
 def leaf_key(td, where, cluster):
     return id(td), tuple(sorted(where.items())), cluster
 
 
+def has_ray_order(td, where, cluster, ray):
+    """Whether some order of marks 0-3 on their hosts pairs them as ray."""
+    quartet = td.quartets(tuple(where[m] for m in range(4)), cluster)
+    return any(entry[0] == ray for entry in quartet)
+
+
 def assert_pruning_cuts_only_inconsistent_leaves(kind, d, cfg, trees, monkeypatch):
     """Run fiber's pruned search and the unpruned one, _search_tree with no
-    points callback, on the map's trees or on the given ones, both with the
-    production leaf.  The pruned leaves are a subsequence of the unpruned
-    ones; every leaf cut has full-chart rows that are inconsistent without
-    the ft4 row, so no order of it could be kept or raise; the fibers, or
-    the GeneralPositionViolation messages, are equal."""
+    points callback and no ray, on the map's trees or on the given ones,
+    both with the production leaf.  The pruned leaves are exactly the
+    unpruned ones, in order, that leave an order of marks 0-3 on the ray
+    and have consistent point rows; so every leaf cut either has no such
+    order, or full-chart rows that are inconsistent without the ft4 row,
+    and no order of it could be kept or raise.  The fibers, or the
+    GeneralPositionViolation messages, are equal."""
     a = leaf_inputs(kind, d, cfg)
     trees = a.trees if trees is None else trees
     m4 = None if kind == EV else cfg.m4
@@ -1776,19 +1794,26 @@ def assert_pruning_cuts_only_inconsistent_leaves(kind, d, cfg, trees, monkeypatc
 
     want = outcome(unpruned_fiber)
     assert got == want
-    kept = set(pruned)
-    assert len(kept) == len(pruned)
-    assert pruned == [key for key, *_ in unpruned if key in kept]
-    cut = [leaf for leaf in unpruned if leaf[0] not in kept]
-    if kind == EV:
-        assert not cut
-    for _, td, where, cluster in cut:
-        seen = []
-        # ray None skips the quartet table, which would return before the solve
-        full_chart_leaf(td, where, cluster, d, a.which, None, a.rhs, a.scale, {}, seen.append)
-        assert seen == ["inconsistent"], (td.t, where, cluster)
-    if kind == PI and isinstance(want, list):
-        assert cut
+    if isinstance(want, str):
+        # both stop at the first leaf that raises
+        pruned_set = set(pruned)
+        assert pruned == [key for key, *_ in unpruned if key in pruned_set]
+        return
+    kept = []
+    for key, td, where, cluster in unpruned:
+        on_ray = kind == EV or has_ray_order(td, where, cluster, a.ray)
+        consistent = enumeration._point_family(td, where, a.marks[1], a.ipts) is not None
+        if on_ray and consistent:
+            kept.append(key)
+            continue
+        if on_ray:
+            seen = []
+            # ray None skips the quartet table, which would return before the solve
+            full_chart_leaf(td, where, cluster, d, a.which, None, a.rhs, a.scale, {}, seen.append)
+            assert seen == ["inconsistent"], (td.t, where, cluster)
+    assert pruned == kept
+    if kind == PI:
+        assert len(kept) < len(unpruned)
 
 
 @pytest.mark.parametrize("kind, d, cfg", CENSUS_D2_CASES + SPECIAL_POSITION_CASES)
@@ -1800,52 +1825,64 @@ def test_pruning_cuts_only_inconsistent_leaves_on_degree_3_factors(monkeypatch):
     assert_pruning_cuts_only_inconsistent_leaves(PI, 3, *degree_3_factor_trees(), monkeypatch)
 
 
-def solve_fields(res):
-    return res.status, res.numerators, res.denominator, res.det, res.kernel
-
-
 def test_leaves_reuse_the_point_solve_only_on_their_own_rows(monkeypatch):
-    # a leaf reuses the point marks' solve exactly when it has no cluster
-    # and reads both line marks' offsets back, so that its rows are the
-    # point rows; each time, the solve equals a fresh one on the rows the
-    # leaf builds when it is given none
+    # every leaf of fiber gets the solve of its point marks' rows, shared by
+    # the leaves under one assignment of them, and adds only its own rows:
+    # its step gives the full-chart leaf's outcome, whether it keeps
+    # solutions (with |det| as their multiplicities), finds its rows
+    # inconsistent, or raises the same GeneralPositionViolation
     real_leaf = enumeration._leaf
-    reused = []
+    kinds = []
 
-    def checking_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, point_solve):
-        assert point_solve is not None and point_solve.status != "inconsistent"
-        calls = []
+    def step_outcome(td, where, cluster, d, pins, ray, ipts, target, scale, family):
+        steps = []
 
         def recording(rows, rhs):
-            calls.append((rows, rhs))
-            return solve(rows, rhs)
+            steps.append(solve(rows, rhs))
+            return steps[-1]
 
         monkeypatch.setattr(enumeration, "solve", recording)
+        found = {}
         try:
-            real_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, {}, None)
-            own, calls[:] = calls[:], []
-            real_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, point_solve)
+            real_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, family)
+        except GeneralPositionViolation as exc:
+            return ("raise", str(exc))
         finally:
             monkeypatch.setattr(enumeration, "solve", solve)
-        if not own:
-            assert not calls  # the quartet table drops the leaf first
-            return
-        dirs = td.t.dirs
-        if cluster is None and dirs[where[0]][0] and dirs[where[1]][1]:
-            assert not calls
-            ((rows, rhs),) = own
-            fresh = solve(rows, rhs)
-            assert solve_fields(point_solve) == solve_fields(fresh)
-            reused.append(fresh.status)
-        else:
-            assert calls == own
+        assert len(steps) <= 1  # the point rows are not solved again
+        inconsistent = any(res.status == "inconsistent" for res in steps)
+        return ("return", inconsistent, found)
+
+    def full_outcome(td, where, cluster, d, ray, ipts, target, scale):
+        which = [(m, c) for m in range(len(ipts)) for c in (0, 1)] if ray is None else pi_which(len(ipts))
+        rhs = [ipts[m][c] for m, c in which] + ([] if ray is None else [target])
+        seen, found = [], {}
+        try:
+            full_chart_leaf(td, where, cluster, d, which, ray, rhs, scale, found, seen.append)
+        except GeneralPositionViolation as exc:
+            return ("raise", str(exc))
+        return ("return", seen == ["inconsistent"], found)
+
+    def checking_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, family):
+        assert family is not None
+        got = step_outcome(td, where, cluster, d, pins, ray, ipts, target, scale, family)
+        assert got == full_outcome(td, where, cluster, d, ray, ipts, target, scale), (td.t, where, cluster)
+        kinds.append(got[0] == "raise" or got[1] or bool(got[2]))
+        real_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, family)
 
     monkeypatch.setattr(enumeration, "_leaf", checking_leaf)
     for _, d, cfg in CENSUS_D2_CASES:
         enumeration._fiber(d, cfg, pi_which(3 * d), _pi_tree_data(d), cfg.m4)
     cfg, trees = degree_3_factor_trees()
     enumeration._fiber(3, cfg, pi_which(9), trees, cfg.m4)
-    assert len(reused) > 100
+    for seed in range(3):
+        fiber(EV, 2, ev_config(2, seed))
+    for kind, d, cfg in SPECIAL_POSITION_CASES:
+        try:
+            fiber(kind, d, cfg)
+        except GeneralPositionViolation:
+            pass
+    assert len(kinds) > 400 and any(kinds) and not all(kinds)
 
 
 def test_census_d2_leaf_and_solve_budget(monkeypatch):
@@ -1868,6 +1905,184 @@ def test_census_d2_leaf_and_solve_budget(monkeypatch):
     assert [sum(s.mult for s in fiber(PI, d, cfg)) for _, d, cfg in CENSUS_D2_CASES] == [2] * 6
     assert counts["leaf"] <= 1122
     assert counts["solve"] <= 392
+
+
+def test_census_d2_search_counts(monkeypatch):
+    # the counts of one pass over the census-d2 configurations of seed 0:
+    # 374 leaves reach _leaf (1,122 before the quartet masks), the point
+    # rows are solved at most once per assignment of the point marks (258),
+    # and a leaf's own solve has at most three unknowns
+    counts = {"leaf": 0, "point": 0}
+    inside, widths = [], []  # inside holds True while a leaf runs
+    real_leaf = enumeration._leaf
+
+    def counting_leaf(*args):
+        counts["leaf"] += 1
+        inside.append(True)
+        try:
+            return real_leaf(*args)
+        finally:
+            inside.pop()
+
+    def counting_solve(rows, rhs):
+        if inside:
+            widths.append(len(rows[0]))
+        else:
+            counts["point"] += 1
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(enumeration, "_leaf", counting_leaf)
+    monkeypatch.setattr(enumeration, "solve", counting_solve)
+    for _, d, cfg in CENSUS_D2_CASES:
+        assert sum(s.mult for s in fiber(PI, d, cfg)) == 2
+    assert counts["leaf"] == 374
+    assert counts["point"] <= 258
+    assert widths and max(widths) <= 3
+
+
+def plain_search_tree(td, marks, leaf):
+    """Oracle: the search without forward checking, each mark's hosts
+    tested against the marks already placed, as it ran before the domains."""
+    order, pins, classes, _, _ = marks
+    masks, ncls = td.hosts, len(td.classes.reps)
+    where, placed = {}, []
+
+    def rec(k, cluster):
+        if k == len(order):
+            leaf(td, where, cluster)
+            return
+        m = order[k]
+        mask = (1 << len(td.handles)) - 1
+        for m2, base in placed:
+            if classes[m][m2] is not None:
+                mask &= masks[base + classes[m][m2]]
+        for j, h in enumerate(td.handles):
+            if mask >> j & 1:
+                where[m] = h
+                placed.append((m, j * ncls))
+                rec(k + 1, cluster)
+                placed.pop()
+                del where[m]
+        if len(pins[m]) == 1 and not td.contracted:
+            for m2, base in list(placed):
+                if len(pins[m2]) == 1 and pins[m2] != pins[m]:
+                    where[m] = where[m2]
+                    placed.append((m, base))
+                    rec(k + 1, (m2, m))
+                    placed.pop()
+                    del where[m]
+
+    rec(0, None)
+
+
+@pytest.mark.parametrize(
+    "kind, d, cfg",
+    CENSUS_D2_CASES[::3] + [(PI, 2, pi_config(2, 2, "A")), (EV, 2, ev_config(2, 0))],
+)
+def test_forward_checking_keeps_every_leaf_in_order(kind, d, cfg):
+    # with no points callback and no ray the search visits every assignment
+    # that passes the pair test, in the order of the search without domains;
+    # on seed 2 some clusters (0, 1) sit under an empty domain of mark 1,
+    # whose node the search must not cut
+    a = leaf_inputs(kind, d, cfg)
+    for td in a.trees:
+        got, want = [], []
+        _search_tree(td, a.marks, lambda td, where, cluster: got.append(leaf_key(td, where, cluster)))
+        plain_search_tree(td, a.marks, lambda td, where, cluster: want.append(leaf_key(td, where, cluster)))
+        assert got == want
+
+
+def test_forward_checking_keeps_every_leaf_on_degree_3_factors():
+    cfg, trees = degree_3_factor_trees()
+    a = leaf_inputs(PI, 3, cfg)
+    for td in trees:
+        got, want = [], []
+        _search_tree(td, a.marks, lambda td, where, cluster: got.append(leaf_key(td, where, cluster)))
+        plain_search_tree(td, a.marks, lambda td, where, cluster: want.append(leaf_key(td, where, cluster)))
+        assert got == want and got
+
+
+def walk_quartets(td, hosts, cluster):
+    """Oracle: td.quartets as it was computed before the tree's sides were
+    kept, from the walks to each mark: the pairing i, j | k, l is the ray
+    when path(i, j) and path(k, l) share no piece and the central path,
+    path(i, k) ∩ path(j, l), is not empty.  add and sub come sorted."""
+    cols, paths, _, _ = td.chart()
+    off = 2 + len(cols)
+    at = [cluster[0] if cluster and m == cluster[1] else m for m in range(4)]
+    on = {}
+    for m in range(4):
+        on.setdefault(hosts[m], {})[at[m]] = None
+    table = []
+    for orders in itertools.product(*map(itertools.permutations, on.values())):
+        seq = dict(zip(on, orders))
+
+        def pieces(e, count=None):  # (column added, column subtracted) each
+            s = [off + p for p in seq.get(e, ())]
+            return set(list(zip(s + [cols.get(e)], [None] + s))[:count])
+
+        walks = []
+        for m in range(4):
+            h = hosts[m]
+            # xor: the walk to flag_vertex[h] crosses h if h points to the root
+            walk = set().union(*map(pieces, paths[td.t.graph.flag_vertex[h]]))
+            walk ^= pieces(h, seq[h].index(at[m]) + 1)
+            if cluster and m in cluster:
+                walk.add((off + cluster[1], None))
+            walks.append(walk)
+        ray, central = "D", ()
+        for r, (i, j), (k, l) in _PAIRINGS:
+            shared = (walks[i] ^ walks[k]) & (walks[j] ^ walks[l])
+            if shared and not (walks[i] ^ walks[j]) & (walks[k] ^ walks[l]):
+                ray, central = r, shared
+                break
+        ups = {up for up, _ in central}
+        lows = {low for _, low in central} - {None}
+        before = tuple(pair for s in orders for pair in zip(s, s[1:]))
+        table.append((ray, before, tuple(sorted(ups - lows)), tuple(sorted(lows - ups))))
+    return tuple(table)
+
+
+def test_quartet_tables_match_walk_oracle():
+    # four distinct hosts take the bit path, shared hosts and clusters the
+    # path over orders; both give the walks' tables
+    cases = [(td, 11) for td in _pi_tree_data(2)] + [(td, 97) for td in degree_3_factor_trees()[1]]
+    for td, stride in cases:
+        hosts4 = list(itertools.product(td.handles, repeat=4))[::stride]
+        assert any(len(set(hosts)) == 4 for hosts in hosts4)
+        for hosts in hosts4:
+            assert td.quartets(hosts, None) == walk_quartets(td, hosts, None), (td.t, hosts)
+            if hosts[0] == hosts[1] and not td.contracted:
+                assert td.quartets(hosts, (0, 1)) == walk_quartets(td, hosts, (0, 1)), (td.t, hosts)
+
+
+def assert_quartet_masks_match_tables(td, triples):
+    """For mark 0 on h0 and marks 2 and 3 on h2 and h3, over triples: bit j
+    of td.quartet_mask is set exactly when mark 1 on handles[j], or the
+    cluster (0, 1) for bit len(handles), leaves an order of marks 0-3 on
+    the ray in td.quartets; every other triple asked bit by bit, the rest
+    for all bits at once."""
+    hs = td.handles
+    for i, (h0, h2, h3) in enumerate(triples):
+        want = dict.fromkeys("ABC", 0)
+        for j in range(len(hs) + (not td.contracted)):
+            hosts, cluster = ((h0, hs[j], h2, h3), None) if j < len(hs) else ((h0, h0, h2, h3), (0, 1))
+            for ray, *_ in td.quartets(hosts, cluster):
+                if ray != "D":
+                    want[ray] |= 1 << j
+            if i % 2:
+                for ray in "ABC":
+                    assert td.quartet_mask(ray, h0, h2, h3, 1 << j) == want[ray] & 1 << j
+        everything = (1 << len(hs) + (not td.contracted)) - 1
+        for ray in "ABC":
+            assert td.quartet_mask(ray, h0, h2, h3, everything) == want[ray]
+
+
+def test_quartet_masks_match_quartet_tables():
+    for td in _pi_tree_data(2):
+        assert_quartet_masks_match_tables(td, list(itertools.product(td.handles, repeat=3))[::3])
+    for td in degree_3_factor_trees()[1]:
+        assert_quartet_masks_match_tables(td, list(itertools.product(td.handles, repeat=3))[::23])
 
 
 # --- host masks against the cone tests --------------------------------------
@@ -1894,7 +2109,7 @@ def assert_masks_match(td, deltas):
         for which in POINT_AND_LINES:
             if len(which) == 4 and delta == (0, 0):
                 continue  # coincident points are rejected before any search
-            _, _, classes = _mark_classes(td.classes, ipts, which)
+            classes = _mark_classes(td.classes, ipts, which)[2]
             _, pairs = pair_table(ipts, which)
             for i2, h2 in enumerate(hs):
                 expected = sum(
@@ -1960,7 +2175,7 @@ def test_mark_classes_class_every_ordered_pair(d, marks):
     cl = _classes(d)
     ipts = [p for p, _ in marks]
     which = [(m, c) for m, (_, cs) in enumerate(marks) for c in cs]
-    _, pins, classes = _mark_classes(cl, ipts, which)
+    _, pins, classes, _, _ = _mark_classes(cl, ipts, which)
     for m, m2 in itertools.product(range(len(marks)), repeat=2):
         shared = [c for c in pins[m] if c in pins[m2]]
         delta = (ipts[m][0] - ipts[m2][0], ipts[m][1] - ipts[m2][1])

@@ -1,7 +1,7 @@
 import functools
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,44 +149,66 @@ def test_bezout_on_sampled_curves():
         assert sum(m for _, m in hits) == da * db
 
 
-@functools.lru_cache(maxsize=16)
-def walked(c):
-    """image_by_walk(c), kept for the few curves a test crosses again and again."""
-    return image_by_walk(c)
+@functools.lru_cache(maxsize=64)
+def walked_from_origin(curve, dirs, root):
+    """image_by_walk's segments of the curve with its root at the origin,
+    kept per curve: a moved copy shares them."""
+    return image_by_walk(PlaneCurve(curve, dirs, root, (0, 0)))[1]
 
 
 def oracle_intersection(c1, c2):
-    """The Fraction kernel that tropical_intersection replaced: the oracle.
+    """The scan over segment pairs that tropical_intersection replaced,
+    once in Fractions: the oracle.
 
-    It walks both curves itself, so a wrong or stale image cache shows."""
+    It walks both curves itself, each from its root at the origin, and
+    adds the root position, so a wrong or stale image cache shows.  Its
+    tests run exactly in integers: every coordinate and segment length of
+    both curves times one common denominator, a crossing's parameters t
+    and s as numerators over cross(u, w) made positive.  Only a hit's
+    point is built as a Fraction."""
+    segs, scaled = [], []
+    for c in (c1, c2):
+        x0, y0 = c.root_pos
+        segs.append([((p[0] + x0, p[1] + y0), u, l) for p, u, l in walked_from_origin(c.curve, c.dirs, c.root)])
+    den_all = lcm(*(
+        v.denominator for side in segs for p, _, l in side for v in (*p, *(() if l is None else (l,)))
+    ))
+    for side in segs:
+        scaled.append([
+            ((int(p[0] * den_all), int(p[1] * den_all)), u, None if l is None else int(l * den_all))
+            for p, u, l in side
+        ])
     hits = {}
-    segs2 = walked(c2)[1]
-    for p, u, lu in walked(c1)[1]:
-        for q, w, lw in segs2:
+    for (p, u, lu), (pi, _, lui) in zip(segs[0], scaled[0]):
+        for (q, w, lw), (qi, _, lwi) in zip(segs[1], scaled[1]):
             den = cross(u, w)
-            dx = q[0] - p[0]
-            dy = q[1] - p[1]
+            dx = qi[0] - pi[0]
+            dy = qi[1] - pi[1]
             if den == 0:
                 if dx * u[1] - dy * u[0] == 0:
                     _collinear_overlap(p, u, lu, q, w, lw)
                 continue
-            t = Fraction(dx * w[1] - dy * w[0], den)
-            s = Fraction(dx * u[1] - dy * u[0], den)
-            if t < 0 or s < 0:
+            # t = tn / (den * den_all) along u, s = sn / (den * den_all) along w
+            tn = dx * w[1] - dy * w[0]
+            sn = dx * u[1] - dy * u[0]
+            if den < 0:
+                tn, sn, den = -tn, -sn, -den
+            if tn < 0 or sn < 0:
                 continue
-            if lu is not None and t > lu:
+            if lui is not None and tn > lui * den:
                 continue
-            if lw is not None and s > lw:
+            if lwi is not None and sn > lwi * den:
                 continue
             if (
-                t == 0
-                or s == 0
-                or (lu is not None and t == lu)
-                or (lw is not None and s == lw)
+                tn == 0
+                or sn == 0
+                or (lui is not None and tn == lui * den)
+                or (lwi is not None and sn == lwi * den)
             ):
                 raise NonTransverse("crossing at a vertex of one of the curves")
-            pt = (p[0] + t * u[0], p[1] + t * u[1])
-            hits[pt] = hits.get(pt, 0) + abs(den)
+            q_all = den * den_all
+            pt = (Fraction(pi[0] * den + tn * u[0], q_all), Fraction(pi[1] * den + tn * u[1], q_all))
+            hits[pt] = hits.get(pt, 0) + den
     return sorted(hits.items())
 
 
