@@ -561,10 +561,9 @@ class _TreeData:
         return _SHARED.setdefault(mask, mask)
 
     def chart(self):
-        """(cols, paths, rows, base) of the leaf's chart: the base columns
-        root x, root y and the length of each bounded edge e at cols[e],
-        then each mark's offset from flag_vertex[h] along dirs[h] on its
-        host h.  paths[v] lists the bounded edges from vertex 0 to v, and
+        """(cols, rows, base) of the leaf's chart: the base columns root x,
+        root y and the length of each bounded edge e at cols[e], then each
+        mark's offset from flag_vertex[h] along dirs[h] on its host h.
         rows[h][c] is coordinate c of flag_vertex[h] over the base columns.
         A point on h at offset t is rows[h][c]·x + dirs[h][c]·t in
         coordinate c, so base[h] = dy·rows[h][0] − dx·rows[h][1], for
@@ -586,14 +585,15 @@ class _TreeData:
                     rows[h].append(row)
                 dx, dy = dirs[h]
                 base[h] = [dy * a - dx * b for a, b in zip(*rows[h])]
-            paths = [[g.edge_of_flag(f) for f in walk] for walk in walks]
-            self._chart = (cols, paths, rows, base)
+            self._chart = (cols, rows, base)
         return self._chart
 
     def sides(self) -> dict:
-        """sides()[h], for each handle h, is the bitmask over the bounded
-        edges, bit i for the i-th of chart()'s columns, of those with h on
-        their flag_vertex side.  No point enters, so it is built once."""
+        """sides()[h], for each handle h, has bit 4i set when h lies on
+        the flag_vertex side of the i-th of chart()'s bounded edges, so
+        that the hosts of marks 0-3, shifted by 0-3 and ORed, give each
+        edge's marks on that side in a nibble.  No point enters, so it is
+        built once."""
         if self._sides is None:
             g = self.t.graph
             sides = dict.fromkeys(self.handles, 0)
@@ -601,97 +601,63 @@ class _TreeData:
                 near = g.component(g.flag_vertex[e], cut_edges=(e,))
                 for h in sides:
                     if h != e and g.flag_vertex[h] in near:
-                        sides[h] |= 1 << i
+                        sides[h] |= 1 << 4 * i
             self._sides = sides
         return self._sides
 
-    def _orders(self, hosts, cluster):
-        """Per order of marks 0-3 on hosts, those sharing a host nearest
-        its flag first: (the orders, the pieces of the tree they mark).  A
-        piece is (s, up, low): s the marks 0-3 on one side of it, as bits,
+    def _table(self, hosts, cluster):
+        """quartets' table for hosts and cluster.  Each order of the marks
+        sharing a host, nearest its flag first, cuts the tree into pieces
+        (s, up, low): s the marks 0-3 on the piece's flag side, as bits,
         and its length column up minus column low (None for none).  The
-        cluster's two marks sit at one point, past its contracted edge."""
+        central path is every piece that separates two marks from the
+        other two; in a tree all such pieces separate the same pairing,
+        the ray.  The cluster's two marks sit at one point, past its
+        contracted edge."""
         cols = self.chart()[0]
         off = 2 + len(cols)
-        sides = [self.sides()[h] for h in hosts]
+        sides = self.sides()
+        # nibble i: the marks on the flag side of the i-th bounded edge
+        near = sides[hosts[0]] | sides[hosts[1]] << 1 | sides[hosts[2]] << 2 | sides[hosts[3]] << 3
         at = [cluster[0] if cluster and m == cluster[1] else m for m in range(4)]
         bits = [1, 2, 4, 8]
         if cluster:
             bits[cluster[0]] |= bits[cluster[1]]
         on: Dict[int, dict] = {}
+        mine = dict.fromkeys(hosts, 0)
         for m in range(4):
             on.setdefault(hosts[m], {})[at[m]] = None
-
-        def near(i):  # the marks on the flag side of the i-th bounded edge
-            return (sides[0] >> i & 1) | (sides[1] >> i & 1) << 1 | (sides[2] >> i & 1) << 2 | (sides[3] >> i & 1) << 3
-
-        fixed = [(near(i), col, None) for i, (e, col) in enumerate(cols.items()) if e not in on]
+            mine[hosts[m]] |= 1 << m
+        # the pieces every order shares: unmarked edges and the cluster's edge
+        fixed = [(near >> 4 * (col - 2) & 15, col, None) for e, col in cols.items() if e not in on]
         if cluster:
             fixed.append((bits[cluster[0]], off + cluster[1], None))
+        fixed = [piece for piece in fixed if _SPLITS[piece[0]]]
         # an end's flag side holds every mark off it
         hosted = [
-            (near(cols[h] - 2) if h in cols else sum(1 << m for m, k in enumerate(hosts) if k != h), cols.get(h))
+            (near >> 4 * (cols[h] - 2) & 15, cols[h]) if h in cols else (15 ^ mine[h], None)
             for h in on
         ]
+        table = []
         for orders in itertools.product(*map(itertools.permutations, on.values())):
-            pieces = fixed[:]
+            central, before = fixed[:], []
             for (s, col), seq in zip(hosted, orders):
                 low = None
                 for a in seq:
-                    pieces.append((s, off + a, low))
+                    if low is not None:
+                        before.append((low - off, a))
+                    if _SPLITS[s]:
+                        central.append((s, off + a, low))
                     s |= bits[a]
                     low = off + a
-                if col is not None:  # past an end's last mark the piece is unbounded
-                    pieces.append((s, col, low))
-            yield orders, pieces
-
-    def _table(self, hosts, cluster):
-        """quartets' table for hosts and cluster, built.  On four distinct
-        hosts there is one order, and the ray and its central path come
-        from bit operations over the bounded edges: an unmarked edge
-        separates i, j from k, l when i and j lie on one side of it and k
-        and l on the other; the edge of mark i has a piece on either side
-        of i, so there i may take j's side, and the piece that does is the
-        central one."""
-        if cluster or len(set(hosts)) < 4:
-            table = []
-            for orders, pieces in self._orders(hosts, cluster):
-                ray = next((_SPLITS[s] for s, _, _ in pieces if s in _SPLITS), "D")
-                central = [(up, low) for s, up, low in pieces if _SPLITS.get(s) == ray]
-                # consecutive pieces share a column, which cancels
-                ups = {up for up, _ in central}
-                lows = {low for _, low in central} - {None}
-                before = tuple(pair for s in orders for pair in zip(s, s[1:]))
-                table.append((ray, before, tuple(sorted(ups - lows)), tuple(sorted(lows - ups))))
-            return tuple(table)
-        cols = self.chart()[0]
-        off = 2 + len(cols)
-        a = [self.sides()[h] for h in hosts]
-        own = [1 << cols[h] - 2 if h in cols else 0 for h in hosts]
-        for ray, (i, j), (k, l) in _PAIRINGS:
-            a_i = a[i] & ~own[i] | a[j] & own[i]
-            a_j = a[j] & ~own[j] | a[i] & own[j]
-            a_k = a[k] & ~own[k] | a[l] & own[k]
-            a_l = a[l] & ~own[l] | a[k] & own[l]
-            central = (a_i ^ a_k) & ~(a_i ^ a_j) & ~(a_k ^ a_l)
-            if central:
-                break
-        else:
-            return (("D", (), (), ()),)
-        add, sub = [], []
-        for m, partner in ((i, j), (j, i), (k, l), (l, k)):
-            if central & own[m]:
-                central ^= own[m]
-                if a[partner] & own[m]:  # the piece from m on, m at its flag side
-                    add.append(cols[hosts[m]])
-                    sub.append(off + m)
-                else:
-                    add.append(off + m)
-        while central:  # unmarked edges
-            low = central & -central
-            central ^= low
-            add.append(1 + low.bit_length())
-        return ((ray, (), tuple(sorted(add)), tuple(sorted(sub))),)
+                if col is not None and _SPLITS[s]:  # past an end's last mark the piece is unbounded
+                    central.append((s, col, low))
+            ray = _SPLITS[central[0][0]] if central else "D"
+            # consecutive pieces share a column, which cancels
+            ups = {up for _, up, _ in central}
+            lows = {low for _, _, low in central} - {None}
+            table.append((ray, tuple(before), tuple(sorted(ups - lows)), tuple(sorted(lows - ups))))
+        return tuple(table)
 
     def _decide(self, h0, h2, h3, candidates: int) -> list:
         """The entry [decided, A, B, C, tables] of mark 0 on h0 and marks
@@ -741,12 +707,12 @@ class _TreeData:
         return self._decide(h0, h2, h3, candidates)[_RAY_SLOT[ray]] & candidates
 
 
-# a piece that separates the pairing of a ray, by the marks on either side
-_SPLITS = {
-    side: ray
-    for ray, (i, j), _ in _PAIRINGS
-    for side in (1 << i | 1 << j, 15 ^ (1 << i | 1 << j))
-}
+# _SPLITS[s]: the ray whose pairing a piece separates, by the marks s on
+# one side of it, or None
+_SPLITS = tuple(
+    next((ray for ray, (i, j), _ in _PAIRINGS if side in (1 << i | 1 << j, 15 ^ (1 << i | 1 << j))), None)
+    for side in range(16)
+)
 _RAY_SLOT = {ray: 1 + k for k, (ray, _, _) in enumerate(_PAIRINGS)}
 
 _TREE_DATA: Dict[int, List[_TreeData]] = {}
@@ -1001,7 +967,7 @@ def _point_family(td: _TreeData, where, pins, ipts):
     point mark's factor cancels, makes every offset an integer over q, and
     a single kernel vector is ± the rows' maximal minors (linalg.solve);
     dependent rows are scaled by their factors first."""
-    cols, _, host_rows, base = td.chart()
+    cols, host_rows, base = td.chart()
     dirs = td.t.dirs
     off = 2 + len(cols)
     rows, rhs, back = [], [], []
@@ -1098,7 +1064,7 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
         if family is None:
             return
     y, q, kernel, square, npoint = family
-    cols, _, host_rows, base = td.chart()
+    cols, host_rows, base = td.chart()
     dirs = td.t.dirs
     n = len(where)
     off = 2 + len(cols)

@@ -1460,7 +1460,7 @@ def full_chart_leaf(td, where, cluster, d, which, ray, rhs, scale, found, record
     one offset column per mark.  record gets the solve's outcome, the
     kernel dimension or "inconsistent"; each solution kept goes to found
     with |det| as its multiplicity."""
-    cols, _, host_rows, _ = td.chart()
+    cols, host_rows, _ = td.chart()
     n = len(where)
     off = 2 + len(cols)
     at = [cluster[0] if cluster and m == cluster[1] else m for m in range(n)]
@@ -1669,7 +1669,7 @@ def test_corrupted_base_row_raises():
     cfg = PointConfig(((-4, 2), (1, -1)))
     assert [s.mult for s in fiber(EV, 1, cfg)] == [1]
     (td,) = _ev_tree_data(1)
-    base = td.chart()[3]
+    base = td.chart()[2]
     (h,) = [h for h in td.handles if td.t.dirs[h] == W]
     row = base[h]
     base[h] = [2 * v for v in row]
@@ -1794,11 +1794,8 @@ def assert_pruning_cuts_only_inconsistent_leaves(kind, d, cfg, trees, monkeypatc
 
     want = outcome(unpruned_fiber)
     assert got == want
-    if isinstance(want, str):
-        # both stop at the first leaf that raises
-        pruned_set = set(pruned)
-        assert pruned == [key for key, *_ in unpruned if key in pruned_set]
-        return
+    # when the input raises, both searches stop at the same first leaf that
+    # raises, so the rule holds on the prefix they share
     kept = []
     for key, td, where, cluster in unpruned:
         on_ray = kind == EV or has_ray_order(td, where, cluster, a.ray)
@@ -2007,7 +2004,8 @@ def walk_quartets(td, hosts, cluster):
     kept, from the walks to each mark: the pairing i, j | k, l is the ray
     when path(i, j) and path(k, l) share no piece and the central path,
     path(i, k) ∩ path(j, l), is not empty.  add and sub come sorted."""
-    cols, paths, _, _ = td.chart()
+    g = td.t.graph
+    cols = td.chart()[0]
     off = 2 + len(cols)
     at = [cluster[0] if cluster and m == cluster[1] else m for m in range(4)]
     on = {}
@@ -2025,7 +2023,8 @@ def walk_quartets(td, hosts, cluster):
         for m in range(4):
             h = hosts[m]
             # xor: the walk to flag_vertex[h] crosses h if h points to the root
-            walk = set().union(*map(pieces, paths[td.t.graph.flag_vertex[h]]))
+            path = [g.edge_of_flag(f) for f in g.path_flags(0, g.flag_vertex[h])]
+            walk = set().union(*map(pieces, path))
             walk ^= pieces(h, seq[h].index(at[m]) + 1)
             if cluster and m in cluster:
                 walk.add((off + cluster[1], None))

@@ -169,7 +169,8 @@ def oracle_intersection(c1, c2):
     segs, scaled = [], []
     for c in (c1, c2):
         x0, y0 = c.root_pos
-        segs.append([((p[0] + x0, p[1] + y0), u, l) for p, u, l in walked_from_origin(c.curve, c.dirs, c.root)])
+        walked = walked_from_origin(c.curve, c.dirs, c.root)
+        segs.append([((p[0] + x0, p[1] + y0), u, l) for p, u, l in walked])
     den_all = lcm(*(
         v.denominator for side in segs for p, _, l in side for v in (*p, *(() if l is None else (l,)))
     ))
