@@ -54,8 +54,9 @@ def _read_json(path: str, parse):
     with open(path) as fh:
         try:
             return parse(json.load(fh))
-        # json.JSONDecodeError is a ValueError
-        except (ValueError, KeyError, TypeError) as exc:
+        # json.JSONDecodeError is a ValueError; a deeply nested document
+        # raises RecursionError
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             kind = type(exc).__name__
             raise _BadInput(f"{path}: malformed input ({kind}: {exc})") from exc
 
@@ -278,7 +279,12 @@ def _svg_render(c) -> str:
 
 
 def cmd_render(ns: argparse.Namespace) -> int:
-    _emit(ns.svg, _svg_render(_read_json(ns.file, _curve_from_json)))
+    curve = _read_json(ns.file, _curve_from_json)
+    try:
+        svg = _svg_render(curve)
+    except OverflowError as exc:  # beyond float range
+        raise _BadInput(f"{ns.file}: coordinates too large to draw") from exc
+    _emit(ns.svg, svg)
     return EXIT_OK
 
 

@@ -32,9 +32,11 @@ point, a mark with one a line.  The work on each tree comes in this order.
 5. The leaf as a step.  A leaf adds only its own rows to the family: a line
    mark's row on a host that keeps its coordinate, a cluster's point row,
    and for the combined map the ft4 row of each order of marks 0-3, a
-   rank-one step.  It decides the order and the signs of the lengths in
-   integers, checks a solution against every row of the full chart, and
-   builds fractions and the marked type only for a solution.
+   rank-one step.  It decides the order of marks 0-3 in integers, then
+   sorts each edge's marks by offset: that one order gives the signs of the
+   lengths, and for a solution its placements and pieces.  It checks a
+   solution against every row of the full chart, and builds fractions and
+   the marked type only for a solution.
 
 Everything is exact; a degenerate input is reported as
 GeneralPositionViolation so the caller can resample.
@@ -45,8 +47,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from functools import cached_property, cmp_to_key
+from dataclasses import dataclass
+from functools import cache, cached_property, cmp_to_key
 from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Tuple
@@ -234,23 +236,19 @@ def pi_config(
 # combinatorial types
 
 
-_BASE_TREES: Dict[int, Tuple[PlaneType, ...]] = {}
-
-
+@cache
 def base_trees(d: int) -> Tuple[PlaneType, ...]:
     """Unmarked trivalent image trees of projective degree d, one per class.
 
     The ends are the grower's leaves, classed by direction, so the trees
     come in the order the labeled walk first reaches each class.
     """
-    if d not in _BASE_TREES:
-        classes = projective_degree(d)
-        trees = []
-        for g, leaves in trivalent_trees_on_leaves(classes):
-            dirs = derive_directions(g, (), dict(zip(leaves, classes)))
-            trees.append(PlaneType(AbstractType(g, ()), dirs))
-        _BASE_TREES[d] = tuple(trees)
-    return _BASE_TREES[d]
+    classes = projective_degree(d)
+    trees = []
+    for g, leaves in trivalent_trees_on_leaves(classes):
+        dirs = derive_directions(g, (), dict(zip(leaves, classes)))
+        trees.append(PlaneType(AbstractType(g, ()), dirs))
+    return tuple(trees)
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +458,9 @@ class _Classes:
         return self.between[i, i] | self.between[j, j]
 
 
-_CLASSES: Dict[int, _Classes] = {}
-
-
+@cache
 def _classes(d: int) -> _Classes:
-    if d not in _CLASSES:
-        _CLASSES[d] = _Classes(d)
-    return _CLASSES[d]
+    return _Classes(d)
 
 
 # ---------------------------------------------------------------------------
@@ -477,77 +471,64 @@ def _classes(d: int) -> _Classes:
 class _TreeData:
     t: PlaneType
     classes: _Classes
-    contracted: Tuple[int, ...] = ()
-    collinear: bool = False
-    handles: Tuple[int, ...] = ()
-    hosts: Optional[dict] = field(default=None, repr=False)
-    _cones: Optional[tuple] = field(default=None, repr=False)
-    _chart: Optional[tuple] = field(default=None, repr=False)
-    _sides: Optional[dict] = field(default=None, repr=False)
-    _quartets: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         g = self.t.graph
         dirs = self.t.dirs
         self.contracted = tuple(e for e in g.bounded_edges() if dirs[e] == ZERO)
-        self.collinear = self._has_collinear_vertex()
+        # a vertex whose nonzero directions are all parallel
+        self.collinear = any(
+            len(nz) >= 2 and all(cross(nz[0], w) == 0 for w in nz[1:])
+            for nz in ([dirs[f] for f in g.flags_at(v) if dirs[f] != ZERO] for v in range(g.num_vertices))
+        )
         self.handles = tuple(e for e in g.bounded_edges() if dirs[e] != ZERO) + g.end_flags()
         self.hosts = _Lazy(self._host_mask)
+        self._quartets = {}  # (h0, h2, h3) -> _decide's entry
 
-    def _has_collinear_vertex(self) -> bool:
-        g = self.t.graph
-        dirs = self.t.dirs
-        for v in range(g.num_vertices):
-            nz = [dirs[f] for f in g.flags_at(v) if dirs[f] != ZERO]
-            if len(nz) >= 2 and all(cross(nz[0], w) == 0 for w in nz[1:]):
-                return True
-        return False
-
+    @cached_property
     def cones(self) -> tuple:
-        """cones()[i][j] is the bitmask over classes of the displacements
+        """cones[i][j] is the bitmask over classes of the displacements
         from a mark on host handles[i] to one on handles[j] that pass the
         pair test.  A walk from each host, out by both ends of its edge,
         widens the arc of the path directions flag by flag and reads it off
-        at every later host, the host's own direction last; cones()[j][i]
-        is its point reflection.  Building it checks every flag direction
+        at every later host, the host's own direction last; cones[j][i] is
+        its point reflection.  Building it checks every flag direction
         against the class directions."""
-        if self._cones is None:
-            g = self.t.graph
-            cl = self.classes
-            n, half = len(cl.dirs), len(cl.dirs) // 2
-            at = [None if v == ZERO else cl.check(v) for v in self.t.dirs]
-            hs = self.handles
-            host = {h: j for j, h in enumerate(hs)}
-            arcs = [[None] * len(hs) for _ in hs]
-            for i, h in enumerate(hs):
-                # a mark on h leaves it by the end of either flag f, along -dirs[f]
-                stack = [
-                    (g.flag_vertex[f], f, ((at[f] + half) % n,) * 2)
-                    for f in g.edge_flags(h) if f is not None
-                ]
-                while stack:
-                    v, came, arc = stack.pop()
-                    for f in g.flags_at(v):
-                        if f == came:
-                            continue
-                        out = arc if at[f] is None else _widen(arc, at[f], n)
-                        j = host.get(g.edge_of_flag(f))
-                        # one walk per pair: the walk back from j may break
-                        # a tie of antiparallel directions the other way
-                        if j is not None and j > i:
-                            arcs[i][j] = out
-                            arcs[j][i] = None if out is None else tuple((k + half) % n for k in out)
-                        p = g.flag_partner[f]
-                        if p is not None:
-                            stack.append((g.flag_vertex[p], p, out))
-            self._cones = tuple(
-                tuple(
-                    cl.along[at[hs[i]]] if j == i else cl.between[arc]
-                    for j, arc in enumerate(row)
-                )
-                for i, row in enumerate(arcs)
+        g = self.t.graph
+        cl = self.classes
+        n, half = len(cl.dirs), len(cl.dirs) // 2
+        at = [None if v == ZERO else cl.check(v) for v in self.t.dirs]
+        hs = self.handles
+        host = {h: j for j, h in enumerate(hs)}
+        arcs = [[None] * len(hs) for _ in hs]
+        for i, h in enumerate(hs):
+            # a mark on h leaves it by the end of either flag f, along -dirs[f]
+            stack = [
+                (g.flag_vertex[f], f, ((at[f] + half) % n,) * 2)
+                for f in g.edge_flags(h) if f is not None
+            ]
+            while stack:
+                v, came, arc = stack.pop()
+                for f in g.flags_at(v):
+                    if f == came:
+                        continue
+                    out = arc if at[f] is None else _widen(arc, at[f], n)
+                    j = host.get(g.edge_of_flag(f))
+                    # one walk per pair: the walk back from j may break
+                    # a tie of antiparallel directions the other way
+                    if j is not None and j > i:
+                        arcs[i][j] = out
+                        arcs[j][i] = None if out is None else tuple((k + half) % n for k in out)
+                    p = g.flag_partner[f]
+                    if p is not None:
+                        stack.append((g.flag_vertex[p], p, out))
+        return tuple(
+            tuple(
+                cl.along[at[hs[i]]] if j == i else cl.between[arc]
+                for j, arc in enumerate(row)
             )
-        return self._cones
+            for i, row in enumerate(arcs)
+        )
 
     def _host_mask(self, key: int) -> int:
         """Bitmask over handles of the hosts a mark may take, for the key
@@ -556,11 +537,12 @@ class _TreeData:
         fills each key on first use and keeps it."""
         i, k = divmod(key, len(self.classes.reps))
         mask = 0
-        for j, classes in enumerate(self.cones()[i]):
+        for j, classes in enumerate(self.cones[i]):
             mask |= (classes >> k & 1) << j
         return _SHARED.setdefault(mask, mask)
 
-    def chart(self):
+    @cached_property
+    def chart(self) -> tuple:
         """(cols, rows, base) of the leaf's chart: the base columns root x,
         root y and the length of each bounded edge e at cols[e], then each
         mark's offset from flag_vertex[h] along dirs[h] on its host h.
@@ -568,42 +550,39 @@ class _TreeData:
         A point on h at offset t is rows[h][c]·x + dirs[h][c]·t in
         coordinate c, so base[h] = dy·rows[h][0] − dx·rows[h][1], for
         dirs[h] = (dx, dy), is the row it pins once t is eliminated."""
-        if self._chart is None:
-            g = self.t.graph
-            dirs = self.t.dirs
-            cols = {e: 2 + i for i, e in enumerate(g.bounded_edges())}
-            walks = [g.path_flags(0, v) for v in range(g.num_vertices)]
-            rows = {}
-            base = {}
-            for h in self.handles:
-                rows[h] = []
-                for c in (0, 1):
-                    row = [0] * (2 + len(cols))
-                    row[c] = 1
-                    for f in walks[g.flag_vertex[h]]:
-                        row[cols[g.edge_of_flag(f)]] = dirs[f][c]
-                    rows[h].append(row)
-                dx, dy = dirs[h]
-                base[h] = [dy * a - dx * b for a, b in zip(*rows[h])]
-            self._chart = (cols, rows, base)
-        return self._chart
+        g = self.t.graph
+        dirs = self.t.dirs
+        cols = {e: 2 + i for i, e in enumerate(g.bounded_edges())}
+        walks = [g.path_flags(0, v) for v in range(g.num_vertices)]
+        rows = {}
+        base = {}
+        for h in self.handles:
+            rows[h] = []
+            for c in (0, 1):
+                row = [0] * (2 + len(cols))
+                row[c] = 1
+                for f in walks[g.flag_vertex[h]]:
+                    row[cols[g.edge_of_flag(f)]] = dirs[f][c]
+                rows[h].append(row)
+            dx, dy = dirs[h]
+            base[h] = [dy * a - dx * b for a, b in zip(*rows[h])]
+        return cols, rows, base
 
+    @cached_property
     def sides(self) -> dict:
-        """sides()[h], for each handle h, has bit 4i set when h lies on
-        the flag_vertex side of the i-th of chart()'s bounded edges, so
+        """sides[h], for each handle h, has bit 4i set when h lies on the
+        flag_vertex side of the i-th of chart's bounded edges, so
         that the hosts of marks 0-3, shifted by 0-3 and ORed, give each
         edge's marks on that side in a nibble.  No point enters, so it is
         built once."""
-        if self._sides is None:
-            g = self.t.graph
-            sides = dict.fromkeys(self.handles, 0)
-            for i, e in enumerate(self.chart()[0]):
-                near = g.component(g.flag_vertex[e], cut_edges=(e,))
-                for h in sides:
-                    if h != e and g.flag_vertex[h] in near:
-                        sides[h] |= 1 << 4 * i
-            self._sides = sides
-        return self._sides
+        g = self.t.graph
+        sides = dict.fromkeys(self.handles, 0)
+        for i, e in enumerate(self.chart[0]):
+            near = g.component(g.flag_vertex[e], cut_edges=(e,))
+            for h in sides:
+                if h != e and g.flag_vertex[h] in near:
+                    sides[h] |= 1 << 4 * i
+        return sides
 
     def _table(self, hosts, cluster):
         """quartets' table for hosts and cluster.  Each order of the marks
@@ -614,9 +593,9 @@ class _TreeData:
         other two; in a tree all such pieces separate the same pairing,
         the ray.  The cluster's two marks sit at one point, past its
         contracted edge."""
-        cols = self.chart()[0]
+        cols = self.chart[0]
         off = 2 + len(cols)
-        sides = self.sides()
+        sides = self.sides
         # nibble i: the marks on the flag side of the i-th bounded edge
         near = sides[hosts[0]] | sides[hosts[1]] << 1 | sides[hosts[2]] << 2 | sides[hosts[3]] << 3
         at = [cluster[0] if cluster and m == cluster[1] else m for m in range(4)]
@@ -715,15 +694,13 @@ _SPLITS = tuple(
 )
 _RAY_SLOT = {ray: 1 + k for k, (ray, _, _) in enumerate(_PAIRINGS)}
 
-_TREE_DATA: Dict[int, List[_TreeData]] = {}
 _QUARTET_TABLES: Dict[tuple, tuple] = {}
 
 
+@cache
 def _tree_data(d: int) -> List[_TreeData]:
     """One _TreeData per degree-d base tree, shared by both fiber engines."""
-    if d not in _TREE_DATA:
-        _TREE_DATA[d] = [_TreeData(t, _classes(d)) for t in base_trees(d)]
-    return _TREE_DATA[d]
+    return [_TreeData(t, _classes(d)) for t in base_trees(d)]
 
 
 def _ev_tree_data(d: int) -> List[_TreeData]:
@@ -880,7 +857,6 @@ def _search_tree(td: _TreeData, marks, leaf, points=None, ray=None):
     # one ft4 row, and determinant zero
     partners = [()] * n if td.contracted else joins
     where: Dict[int, int] = {}
-    index: Dict[int, int] = {}  # mark -> index of its host in hosts
     consistent = None  # the point rows' verdict, once asked for
 
     def rec(k, domains, cluster):
@@ -909,7 +885,7 @@ def _search_tree(td: _TreeData, marks, leaf, points=None, ray=None):
             joined = cluster
             if j >= nh:
                 m2 = clusters[j - nh]
-                j, joined = index[m2], (m2, m)
+                j, joined = hosts.index(where[m2]), (m2, m)
             below = domains
             if ahead:
                 below = domains[:]
@@ -921,7 +897,7 @@ def _search_tree(td: _TreeData, marks, leaf, points=None, ray=None):
                         break
                 if below is None:
                     continue
-            where[m], index[m] = hosts[j], j
+            where[m] = hosts[j]
             rec(k + 1, below, joined)
             if consistent is False and k >= npoints:
                 break  # the point rows above are inconsistent
@@ -967,7 +943,7 @@ def _point_family(td: _TreeData, where, pins, ipts):
     point mark's factor cancels, makes every offset an integer over q, and
     a single kernel vector is ± the rows' maximal minors (linalg.solve);
     dependent rows are scaled by their factors first."""
-    cols, host_rows, base = td.chart()
+    cols, host_rows, base = td.chart
     dirs = td.t.dirs
     off = 2 + len(cols)
     rows, rhs, back = [], [], []
@@ -996,26 +972,26 @@ def _point_family(td: _TreeData, where, pins, ipts):
     )
 
 
-def _cell_sign(x, whole, spans) -> int:
+def _ordered_sign(x, hosted) -> int:
     """The sign of the cell x's smallest length: -1 when one is negative,
-    else 0 when one is zero, else 1.  whole lists the columns that are
-    lengths themselves; spans holds, per host, its length column (None
-    for an end) and the offset columns of the items on it, which cut it
-    into pieces: each offset must lie strictly between 0 and the host's
-    length, and apart from the others."""
+    else 0 when one is zero, else 1.  hosted holds (h, col, offsets) per
+    edge h: col its length column, None for an end, and offsets the offset
+    columns of the marks on it, which it sorts by their values in x, in
+    place.  The edge's lengths are the gaps from 0 through them to x[col]."""
     sign = 1
-    for c in whole:
-        if x[c] <= 0:
-            if x[c] < 0:
+    for _, col, offsets in hosted:
+        if len(offsets) > 1:
+            offsets.sort(key=x.__getitem__)
+        low = 0
+        for o in offsets:
+            if x[o] <= low:
+                if x[o] < low:
+                    return -1
+                sign = 0
+            low = x[o]
+        if col is not None and x[col] <= low:
+            if x[col] < low:
                 return -1
-            sign = 0
-    for col, offsets in spans:
-        ts = [x[o] for o in offsets]
-        lo, hi = min(ts), max(ts)
-        top = None if col is None else x[col]
-        if lo < 0 or top is not None and hi > top:
-            return -1
-        if lo == 0 or hi == top or len(set(ts)) < len(ts):
             sign = 0
     return sign
 
@@ -1031,7 +1007,7 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
     none the leaf solves them itself.  In a chart of base columns (root x,
     root y, the bounded edge lengths) and one offset column per mark along
     its host, a mark's offset column meets only its own rows, so it is
-    eliminated: a point mark keeps td.chart()'s point-independent base row
+    eliminated: a point mark keeps td.chart's point-independent base row
     of its host, and its offset is read back off one of its rows.  The
     leaf then adds only its own equations on the family: a line mark's row
     when its host does not move its coordinate, and the point row of a
@@ -1042,8 +1018,9 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
     contracted edge length, held in m's offset column, are free columns:
     unit kernel vectors, scaled by the step's determinant, which is ± the
     determinant of the point and leaf rows since the point kernel vector
-    is their maximal minors.  The rows read only the hosts, so the solution
-    orders the marks on each host, and the lengths are offset differences.
+    is their maximal minors.  The rows read only the hosts, so a solution
+    sorts each host's marks by offset, and that one order gives the signs
+    of the lengths (_ordered_sign), the placements and the pieces.
     For the combined map each order of marks 0-3 that pairs them as ray
     adds its ft4 row f (td.quartets): with the other rows' solution x0 and
     kernel vector k, the determinant is f·k and the solution x0 + t·k, and
@@ -1064,7 +1041,7 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
         if family is None:
             return
     y, q, kernel, square, npoint = family
-    cols, host_rows, base = td.chart()
+    cols, host_rows, base = td.chart
     dirs = td.t.dirs
     n = len(where)
     off = 2 + len(cols)
@@ -1128,7 +1105,7 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
         kernel.append([0] * width)
         kernel[-1][col] = 1 if square is None else square * p
     det0 = square * p if square is not None and not free else None
-    spans = None
+    hosted = None
     for before, add, sub in completions:
         # the solution is x / q, q > 0
         x, q, det = x0, q0, det0
@@ -1155,31 +1132,21 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
             raise GeneralPositionViolation(
                 "rank-deficient consistent system: input in special position"
             )
-        if spans is None:
-            # the items on each host, a cluster at its first mark, by offset column
+        if hosted is None:
+            # the marks on each bounded edge and marked end, a cluster at its
+            # first mark, and the cluster's contracted edge under None
             at = [cluster[0] if cluster and m == cluster[1] else m for m in range(n)]
-            on: Dict[int, list] = {}
+            on: Dict[int, list] = {e: [] for e in cols}
             for m in set(at):
                 on.setdefault(where[m], []).append(off + m)
-            spans = [(cols.get(h), offsets) for h, offsets in on.items()]
-            whole = [c for e, c in cols.items() if e not in on]
+            hosted = [(h, cols.get(h), offsets) for h, offsets in on.items()]
             if cluster:
-                whole.append(off + cluster[1])  # the contracted edge's length
-        sign = _cell_sign(x, whole, spans)
+                hosted.append((None, off + cluster[1], []))
+        sign = _ordered_sign(x, hosted)
         if sign < 0:
             continue
         if not sign:
             raise GeneralPositionViolation("solution on a cell boundary (zero edge length)")
-        items: Dict[int, list] = {}
-        for m in set(at):
-            item = ("cluster", cluster) if cluster and m == cluster[0] else ("mark", m)
-            items.setdefault(where[m], []).append((x[off + m], item))
-        pieces = {e: [x[c]] for e, c in cols.items()}
-        for h, its in items.items():
-            its.sort(key=lambda it: it[0])
-            ends = [0] + [v for v, _ in its] + ([x[cols[h]]] if h in cols else [])
-            pieces[h] = [b - a for a, b in zip(ends, ends[1:])]
-        contracted = [x[off + cluster[1]]] if cluster else []
         # the solution must meet every row of the full chart
         for m, cs in enumerate(pins):
             h = where[m]
@@ -1188,7 +1155,10 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
                     raise AssertionError(f"the leaf's solution misses coordinate {c} of mark {m}")
         if add is not None and sum(x[c] for c in add) - sum(x[c] for c in sub) != target * q:
             raise AssertionError("the leaf's solution misses the ft4 target")
-        placements = {h: [item for _, item in its] for h, its in items.items()}
+        placements = {
+            h: [("cluster", cluster) if cluster and o == off + cluster[0] else ("mark", o - off) for o in offsets]
+            for h, _, offsets in hosted if offsets
+        }
         mt, piece_ids = _subdivide(td.t, placements, n)
         key = canonical_plane_form(mt)
         if key in found:
@@ -1206,17 +1176,16 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
             raise AssertionError(f"multiplicity {mult} disagrees with the leaf determinant {det}")
         # an unsplit bounded edge keeps its id; the edge left is the cluster's
         length = {}
-        for h, ps in pieces.items():
-            length.update(zip(piece_ids.get(h, [h]), ps))
-        coords = [*x[:2], *(length.get(e, *contracted) for e in mt.graph.bounded_edges())]
+        for h, col, offsets in hosted:
+            ends = [0, *map(x.__getitem__, offsets), *(() if col is None else (x[col],))]
+            length.update(zip(piece_ids.get(h, [h]), [b - a for a, b in zip(ends, ends[1:])]))
+        coords = [*x[:2], *(length.get(e, length.get(None)) for e in mt.graph.bounded_edges())]
         sol = FiberSolution(mt, tuple(Fraction(v, q * scale) for v in coords), mult)
         if ray is None:
             # a cell's determinant is the product of its vertex multiplicities
             vertex_mult = curve_multiplicity(sol.curve())
             if vertex_mult != mult:
-                raise AssertionError(
-                    f"multiplicity {mult} disagrees with vertex product {vertex_mult}"
-                )
+                raise AssertionError(f"multiplicity {mult} disagrees with vertex product {vertex_mult}")
         found[key] = sol
 
 

@@ -23,7 +23,7 @@ from .enumeration import (
     fiber,
 )
 from .graph import MarkedAbstractCurve
-from .moduli_maps import forget_points
+from .moduli_maps import _PAIRINGS, forget_points
 from .plane import PlaneCurve, ZERO, cross, image_position, image_segments
 
 
@@ -277,7 +277,7 @@ def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
 # reducible census of a far-out fiber
 
 
-_RAY_PARTNER = {"A": 1, "B": 2, "C": 3}  # mark sharing a side with mark 0
+_RAY_PARTNER = {ray: j for ray, (_, j), _ in _PAIRINGS}  # mark sharing a side with mark 0
 
 
 @dataclass(frozen=True)
@@ -299,9 +299,6 @@ class Census:
     entries: Tuple[CensusEntry, ...]
     case_a_total: int
     b_totals: Tuple[Tuple[Tuple[int, int], int], ...]
-
-    def total(self) -> int:
-        return sum(e.mult for e in self.entries)
 
 
 def _nonzero_dir_at(c: PlaneCurve, v: int):

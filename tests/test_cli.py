@@ -169,7 +169,7 @@ def malformed_input_exit(capsys, path, text, argv):
     code = main(argv + [str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 COUNT_POINTS = ["count", "--d", "1", "--points"]
@@ -323,6 +323,25 @@ def test_render_boolean_mark(capsys, tmp_path):
     # true is not flag 1
     text = json.dumps(one_mark_line(True))
     malformed_input_exit(capsys, tmp_path / "line.json", text, ["render"])
+
+
+def test_render_coordinates_beyond_float_range(capsys, tmp_path):
+    # an SVG coordinate is printed through float(), which stops short of 10^309
+    curve = one_mark_line(1)
+    curve["root_pos"][0] = str(10**309)
+    malformed_input_exit(capsys, tmp_path / "line.json", json.dumps(curve), ["render"])
+    curve["root_pos"][0] = str(10**308)
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(curve))
+    assert run(capsys, ["render", str(path)])[0] == 0
+
+
+@pytest.mark.parametrize("argv", [COUNT_POINTS, ["render"], ["intersect", "NESTED"]])
+def test_deeply_nested_json_is_malformed(capsys, tmp_path, argv):
+    # json.load gives up on deep nesting with a RecursionError
+    nested = tmp_path / "nested.json"
+    argv = [str(nested) if a == "NESTED" else a for a in argv]
+    malformed_input_exit(capsys, nested, "[" * 1000 + "]" * 1000, argv)
 
 
 def test_count_degenerate_points_exit(capsys, tmp_path):

@@ -23,6 +23,7 @@ from tropcount.enumeration import (
     _ev_tree_data,
     _integer_points,
     _mark_classes,
+    _ordered_sign,
     _pi_tree_data,
     _search_tree,
     _subdivide,
@@ -295,7 +296,7 @@ def test_curve_multiplicity_accepts_types():
 
 # --- sector cone arithmetic --------------------------------------------------
 # The cone geometry the arcs of class indices replaced, kept as the oracle
-# of td.cones().  A sector is None (whole plane) or a pair (lo, hi) of
+# of td.cones.  A sector is None (whole plane) or a pair (lo, hi) of
 # integer vectors with angular span at most a half turn; it stands for all
 # positive combinations of the path directions between two host edges.
 
@@ -1460,7 +1461,7 @@ def full_chart_leaf(td, where, cluster, d, which, ray, rhs, scale, found, record
     one offset column per mark.  record gets the solve's outcome, the
     kernel dimension or "inconsistent"; each solution kept goes to found
     with |det| as its multiplicity."""
-    cols, host_rows, _ = td.chart()
+    cols, host_rows, _ = td.chart
     n = len(where)
     off = 2 + len(cols)
     at = [cluster[0] if cluster and m == cluster[1] else m for m in range(n)]
@@ -1669,7 +1670,7 @@ def test_corrupted_base_row_raises():
     cfg = PointConfig(((-4, 2), (1, -1)))
     assert [s.mult for s in fiber(EV, 1, cfg)] == [1]
     (td,) = _ev_tree_data(1)
-    base = td.chart()[2]
+    base = td.chart[2]
     (h,) = [h for h in td.handles if td.t.dirs[h] == W]
     row = base[h]
     base[h] = [2 * v for v in row]
@@ -1679,6 +1680,95 @@ def test_corrupted_base_row_raises():
     finally:
         base[h] = row
     assert [s.mult for s in fiber(EV, 1, cfg)] == [1]
+
+
+# --- the cell test -------------------------------------------------------
+# The leaf sorts each host's marks by offset once per candidate solution
+# (_ordered_sign); the oracle reads the same lengths through min, max and a
+# set of each host's offsets, as the leaf did before.
+
+
+def _cell_sign(x, whole, spans) -> int:
+    """Oracle: the sign of the cell x's smallest length: -1 when one is
+    negative, else 0 when one is zero, else 1.  whole lists the columns
+    that are lengths themselves; spans holds, per host, its length column
+    (None for an end) and the offset columns of the items on it, which cut
+    it into pieces: each offset must lie strictly between 0 and the host's
+    length, and apart from the others."""
+    sign = 1
+    for c in whole:
+        if x[c] <= 0:
+            if x[c] < 0:
+                return -1
+            sign = 0
+    for col, offsets in spans:
+        ts = [x[o] for o in offsets]
+        lo, hi = min(ts), max(ts)
+        top = None if col is None else x[col]
+        if lo < 0 or top is not None and hi > top:
+            return -1
+        if lo == 0 or hi == top or len(set(ts)) < len(ts):
+            sign = 0
+    return sign
+
+
+def assert_cell_verdicts_agree(x, hosts, whole):
+    """_ordered_sign and the oracle skip (-1), raise (0) or keep (1) the
+    cell x alike.  hosts lists (length column or None, offset columns) per
+    marked host, whole the columns of unmarked edges and of a cluster's
+    contracted edge, which the leaf hands over as hosts with no marks."""
+    want = _cell_sign(x, whole, [(col, list(offsets)) for col, offsets in hosts])
+    hosted = [(k, col, list(offsets)) for k, (col, offsets) in enumerate(hosts)]
+    hosted += [(None, c, []) for c in whole]
+    assert _ordered_sign(x, hosted) == want, (x, hosts, whole)
+    if want == 1:  # kept: each host's marks come in the order they sit
+        for _, col, offsets in hosted:
+            assert [x[o] for o in offsets] == sorted(x[o] for o in offsets)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_ordered_sign_matches_cell_oracle(data):
+    # small values, so that ties, zeros and an offset at its host's length
+    # all come up, and a negative length with a zero one elsewhere
+    value = st.integers(-1, 5)
+    bounded = data.draw(st.lists(st.integers(1, 3), max_size=3))  # marks per edge
+    ends = data.draw(st.lists(st.integers(1, 3), min_size=0 if bounded else 1, max_size=3))
+    nwhole = data.draw(st.integers(0, 3)) + data.draw(st.booleans())  # and a cluster's edge
+    x, hosts = [], []
+    for k, n in enumerate(bounded + ends):
+        col = None
+        if k < len(bounded):
+            col = len(x)
+            x.append(data.draw(value))
+        offsets = list(range(len(x), len(x) + n))
+        for _ in offsets:
+            at_top = col is not None and data.draw(st.booleans())
+            x.append(x[col] if at_top else data.draw(value))
+        hosts.append((col, offsets))
+    whole = list(range(len(x), len(x) + nwhole))
+    x += [data.draw(value) for _ in whole]
+    assert_cell_verdicts_agree(x, hosts, whole)
+
+
+@pytest.mark.parametrize(
+    "x, hosts, whole, verdict",
+    [
+        ([5, 1, 3, 2, 4], [(0, [1, 2, 3]), (None, [4])], [], 1),
+        ([5, 2, 2], [(0, [1, 2])], [], 0),  # two marks at one point
+        ([5, 0, 2], [(0, [1, 2])], [], 0),  # a mark at its edge's flag vertex
+        ([5, 5, 2], [(0, [1, 2])], [], 0),  # a mark at its edge's far end
+        ([3, 1, 0], [(None, [1])], [2], 0),  # a zero length, the cluster's
+        ([5, 0, 6], [(0, [1]), (None, [2])], [], 0),
+        ([5, 6, 0], [(0, [1]), (None, [2])], [], -1),  # negative past a zero
+        ([5, 0, -1], [(0, [1]), (None, [2])], [], -1),
+        ([2, 3, 0], [(None, [1, 0])], [2], 0),  # an end's marks out of order
+        ([0, 3, -1], [(None, [1])], [0, 2], -1),
+    ],
+)
+def test_ordered_sign_on_named_layouts(x, hosts, whole, verdict):
+    assert _cell_sign(x, whole, hosts) == verdict
+    assert_cell_verdicts_agree(x, hosts, whole)
 
 
 def full_chart_fiber(kind, d, cfg):
@@ -2005,7 +2095,7 @@ def walk_quartets(td, hosts, cluster):
     when path(i, j) and path(k, l) share no piece and the central path,
     path(i, k) ∩ path(j, l), is not empty.  add and sub come sorted."""
     g = td.t.graph
-    cols = td.chart()[0]
+    cols = td.chart[0]
     off = 2 + len(cols)
     at = [cluster[0] if cluster and m == cluster[1] else m for m in range(4)]
     on = {}
@@ -2234,7 +2324,7 @@ def test_arc_widening_matches_sector_tie_rule(d, data):
 
 
 def sector_cones(td):
-    """td.cones() from the sector oracle: each class's representative tested
+    """td.cones from the sector oracle: each class's representative tested
     against the sector between two hosts, or against the direction of the
     host both marks share."""
     cl = td.classes
@@ -2266,7 +2356,7 @@ def test_cones_match_sector_oracle_on_every_tree():
         cl = _Classes(d)
         for t in base_trees(d):
             td = _TreeData(t, cl)
-            assert td.cones() == sector_cones(td)
+            assert td.cones == sector_cones(td)
 
 
 def test_tree_directions_are_class_directions():
@@ -2276,12 +2366,12 @@ def test_tree_directions_are_class_directions():
     for d in (1, 2, 3):
         cl = _Classes(d)
         for t in base_trees(d):
-            _TreeData(t, cl).cones()
+            _TreeData(t, cl).cones
     with pytest.raises(AssertionError, match="class direction"):
         _Classes(1).check((2, 1))
     with pytest.raises(AssertionError, match="class direction"):
         for t in base_trees(2):
-            _TreeData(t, _Classes(1)).cones()
+            _TreeData(t, _Classes(1)).cones
 
 
 # --- splitting reducible curves ---------------------------------------------

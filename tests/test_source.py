@@ -118,18 +118,27 @@ def defined_names(node):
             yield from (sub.id for sub in ast.walk(target) if isinstance(sub, ast.Name))
 
 
+def methods(tree):
+    """Every name a class body of a module defines with def."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (sub.name for sub in node.body if isinstance(sub, ast.FunctionDef))
+
+
 def test_every_definition_has_a_caller():
     # a name is used when its word appears in the package, docstrings
-    # included, beyond its own definitions; a re-export in __init__ is not
+    # included, beyond its own definitions, and a method only when some
+    # module reads it as an attribute, .name; a re-export in __init__ is not
     texts = [path.read_text() for path in SOURCES if path.stem != "__init__"]
     words = Counter(word for text in texts for word in re.findall(r"\w+", text))
-    defined = Counter(
-        name for module, tree in parsed() if module != "__init__"
-        for name in definitions(tree)
-    )
+    trees = [tree for module, tree in parsed() if module != "__init__"]
+    defined = Counter(name for tree in trees for name in definitions(tree))
+    attributes = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    own = {name for tree in trees for name in methods(tree)}
     uncalled = sorted(
         name for name, sites in defined.items()
-        if words[name] <= sites and not name.startswith("__") and name not in UNCALLED
+        if (name not in attributes if name in own else words[name] <= sites)
+        and not name.startswith("__") and name not in UNCALLED
     )
     assert not uncalled, f"defined but never used in tropcount: {uncalled}"
     called = [name for name in UNCALLED if words[name] > defined[name]]
