@@ -1682,7 +1682,7 @@ def test_corrupted_base_row_raises():
     assert [s.mult for s in fiber(EV, 1, cfg)] == [1]
 
 
-# --- the cell test -------------------------------------------------------
+# --- the cell test -----------------------------------------------------------
 # The leaf sorts each host's marks by offset once per candidate solution
 # (_ordered_sign); the oracle reads the same lengths through min, max and a
 # set of each host's offsets, as the leaf did before.
@@ -1722,7 +1722,7 @@ def assert_cell_verdicts_agree(x, hosts, whole):
     hosted += [(None, c, []) for c in whole]
     assert _ordered_sign(x, hosted) == want, (x, hosts, whole)
     if want == 1:  # kept: each host's marks come in the order they sit
-        for _, col, offsets in hosted:
+        for _, _, offsets in hosted:
             assert [x[o] for o in offsets] == sorted(x[o] for o in offsets)
 
 
