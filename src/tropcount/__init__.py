@@ -25,7 +25,6 @@ from .enumeration import (
 )
 from .kontsevich import (
     Census,
-    NdTable,
     NonTransverse,
     StructuralViolation,
     recursion_nd,

@@ -61,6 +61,12 @@ def _read_json(path: str, parse):
             raise _BadInput(f"{path}: malformed input ({kind}: {exc})") from exc
 
 
+def _too_long(source: str) -> _BadInput:
+    """The error for a number of a result past str()'s digit limit, which guards the reader."""
+    digits = sys.get_int_max_str_digits()
+    return _BadInput(f"{source}: a number in the result has more than {digits} digits")
+
+
 def _usage(msg: str) -> SystemExit:
     sys.stderr.write(f"error: {msg}\n")
     return SystemExit(EXIT_USAGE)
@@ -179,13 +185,16 @@ def cmd_count(ns: argparse.Namespace) -> int:
                 f"degree {ns.d} needs {3 * ns.d - 1} points, file has {len(pc.points)}"
             )
         sols = fiber(EV, ns.d, pc)
-    report = {
-        "map": "ev",
-        "d": ns.d,
-        "points": pc.to_json()["points"],
-        "solutions": [_solution_json(s) for s in sols],
-        "total": sum(s.mult for s in sols),
-    }
+    try:
+        report = {
+            "map": "ev",
+            "d": ns.d,
+            "points": pc.to_json()["points"],
+            "solutions": [_solution_json(s) for s in sols],
+            "total": sum(s.mult for s in sols),
+        }
+    except ValueError as exc:  # str() of an int past the digit limit
+        raise _too_long(ns.points) from exc
     _emit(ns.out, _json_text(report))
     return EXIT_OK
 
@@ -212,11 +221,11 @@ def _curve_from_json(data):
 def cmd_intersect(ns: argparse.Namespace) -> int:
     c1, c2 = [_read_json(path, _curve_from_json) for path in ns.files]
     hits = tropical_intersection(c1, c2)
-    total = sum(m for _, m in hits)
-    lines = [
-        f"{fraction_str(p[0])}, {fraction_str(p[1])}: {m}" for p, m in hits
-    ]
-    lines.append(f"total = {total}")
+    try:
+        lines = [f"{fraction_str(p[0])}, {fraction_str(p[1])}: {m}" for p, m in hits]
+    except ValueError as exc:
+        raise _too_long(" and ".join(ns.files)) from exc
+    lines.append(f"total = {sum(m for _, m in hits)}")
     _emit(ns.out, "\n".join(lines))
     return EXIT_OK
 

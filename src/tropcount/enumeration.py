@@ -186,13 +186,13 @@ def _prime_list(count: int) -> Tuple[int, ...]:
 _PRIMES = _prime_list(64)
 
 
-def _rng(seed: int, attempt: int, salt: int) -> random.Random:
-    return random.Random((seed * 1_000_003 + attempt) * 65_537 + salt)
+def _rng(seed: int, attempt: int) -> random.Random:
+    return random.Random((seed * 1_000_003 + attempt) * 65_537)
 
 
 def sample_points(n: int, seed: int, attempt: int = 0) -> Tuple[Point, ...]:
     """n random rational points, one distinct prime denominator per coordinate."""
-    rng = _rng(seed, attempt, 0)
+    rng = _rng(seed, attempt)
     pts = []
     for i in range(n):
         coords = []
@@ -351,8 +351,9 @@ class _Lazy(dict):
         return value
 
 
-# one object per value that the point-independent tables keep as a key or a
-# host mask: the ints above 256 are objects of their own otherwise
+# one object per value that the point-independent tables keep as a key, a
+# host mask or a quartets table: the ints above 256, and equal tables built
+# for different trees, are objects of their own otherwise
 _SHARED: dict = {}
 
 
@@ -658,7 +659,7 @@ class _TreeData:
                 table = self._table((h0, hs[j], h2, h3), None)
             else:
                 table = self._table((h0, h0, h2, h3), (0, 1))
-            entry[4][j] = _QUARTET_TABLES.setdefault(table, table)
+            entry[4][j] = _SHARED.setdefault(table, table)
             for ray, *_ in table:
                 if ray != "D":
                     entry[_RAY_SLOT[ray]] |= low
@@ -693,8 +694,6 @@ _SPLITS = tuple(
     for side in range(16)
 )
 _RAY_SLOT = {ray: 1 + k for k, (ray, _, _) in enumerate(_PAIRINGS)}
-
-_QUARTET_TABLES: Dict[tuple, tuple] = {}
 
 
 @cache

@@ -35,25 +35,6 @@ class StructuralViolation(RuntimeError):
     """A fiber solution contradicts the reducible-census bookkeeping."""
 
 
-@dataclass(frozen=True)
-class NdTable:
-    """counts[d] = number of rational degree-d curves through 3d-1 points."""
-
-    counts: Tuple[int, ...]
-
-    @property
-    def d_max(self) -> int:
-        return len(self.counts) - 1
-
-    def __getitem__(self, d: int) -> int:
-        if not 1 <= d <= self.d_max:
-            raise KeyError(f"degree {d} outside table range 1..{self.d_max}")
-        return self.counts[d]
-
-    def items(self):
-        return [(d, self.counts[d]) for d in range(1, len(self.counts))]
-
-
 def _trade_term(ray: str, d: int, d1: int) -> Tuple[int, int]:
     """(coefficient, binomial) of the split d = d1 + d2 on one side of the
     trade.  Ray A puts both line-constrained marks on the first curve, ray
@@ -70,23 +51,23 @@ def _trade_term(ray: str, d: int, d1: int) -> Tuple[int, int]:
     return d1 * d1 * d2 * d2, comb(3 * d - 4, 3 * d1 - 2)
 
 
-def recursion_nd(d_max: int) -> NdTable:
-    """Table of curve counts for degrees 1..d_max via the quadratic recursion."""
+def recursion_nd(d_max: int) -> Dict[int, int]:
+    """{d: N_d} in order of d = 1..d_max: N_d rational degree-d curves
+    pass through 3d-1 general points, counted by the quadratic recursion."""
     if d_max < 1:
         raise ValueError("d_max must be at least 1")
-    n = [0] * (d_max + 1)
-    n[1] = 1
+    nd = {1: 1}
     for d in range(2, d_max + 1):
         total = 0
         for d1 in range(1, d):
             coeff_a, choose_a = _trade_term("A", d, d1)
             coeff_b, choose_b = _trade_term("B", d, d1)
-            total += (coeff_b * choose_b - coeff_a * choose_a) * n[d1] * n[d - d1]
-        n[d] = total
-    return NdTable(tuple(n))
+            total += (coeff_b * choose_b - coeff_a * choose_a) * nd[d1] * nd[d - d1]
+        nd[d] = total
+    return nd
 
 
-def wdvv_sides(d: int, nd: NdTable) -> Tuple[int, int]:
+def wdvv_sides(d: int, nd: Dict[int, int]) -> Tuple[int, int]:
     """The two reducible-census totals whose equality is the recursion.
 
     Side A counts the fiber over a far point on ray A (irreducible term
@@ -110,41 +91,36 @@ def wdvv_sides(d: int, nd: NdTable) -> Tuple[int, int]:
 # stable intersection of two plane curves
 
 
-def _collinear_overlap(p, u, lu, q, w, lw) -> None:
-    """Raise if two collinear segments share more than nothing."""
-    # parameters of the second segment measured in t-units of the first
-    if u[0] != 0:
-        t0 = Fraction(q[0] - p[0], u[0])
-        lam = Fraction(w[0], u[0])
-    else:
-        t0 = Fraction(q[1] - p[1], u[1])
-        lam = Fraction(w[1], u[1])
-    t1 = None if lw is None else t0 + lam * lw
-    if lam > 0:
-        a2, b2 = t0, t1  # b2 None = +inf
-    else:
-        a2, b2 = t1, t0  # a2 None = -inf
-    lo = Fraction(0) if a2 is None else max(Fraction(0), a2)
-    if lu is None and b2 is None:
-        hi = None
-    elif lu is None:
-        hi = b2
-    elif b2 is None:
-        hi = Fraction(lu)
-    else:
-        hi = min(Fraction(lu), b2)
-    if hi is None or lo < hi:
+def _collinear_overlap(seg1, seg2) -> None:
+    """Raise if two collinear segments (u, X, Y, L) share more than nothing.
+
+    Both are compared in one coordinate that the first's direction u moves
+    in, each as its span (low, high) there on the common scale, None
+    standing for unbounded that way."""
+    i = 0 if seg1[0][0] else 1
+    lows, highs = [], []
+    for u, x, y, n in (seg1, seg2):
+        start = (x, y)[i]
+        end = None if n is None else start + n * u[i]
+        low, high = (start, end) if u[i] > 0 else (end, start)
+        if low is not None:
+            lows.append(low)
+        if high is not None:
+            highs.append(high)
+    # two spans unbounded the same way share a ray
+    if not lows or not highs or max(lows) < min(highs):
         raise NonTransverse("curves share a segment")
-    if lo == hi:
+    if max(lows) == min(highs):
         raise NonTransverse("collinear pieces touch at a point")
 
 
 def _on_scale(c: PlaneCurve, k: int) -> list:
-    """Each segment (p, u, l) of c as (p, u, l, X, Y, L), (X, Y, L) its
-    cached integers rescaled k times."""
+    """Each segment of c as (u, X, Y, L): its direction u, and its start
+    (X, Y) and length L (None if unbounded) as c's cached integers
+    rescaled k times."""
     return [
-        (p, u, l, k * x, k * y, None if n is None else k * n)
-        for (p, u, l), (x, y, n) in zip(image_segments(c), c.image.scaled)
+        (u, k * x, k * y, None if n is None else k * n)
+        for (_, u, _), (x, y, n) in zip(image_segments(c), c.image.scaled)
     ]
 
 
@@ -163,15 +139,15 @@ def _runs_on_scale(c: PlaneCurve, k: int):
 def _piece_contact(seg1, seg2) -> None:
     """Raise NonTransverse if two segments, on the common scale, meet other
     than in a crossing strictly inside both."""
-    p, u, lu, px, py, ilu = seg1
-    q, w, lw, qx, qy, ilw = seg2
+    u, px, py, lu = seg1
+    w, qx, qy, lw = seg2
     den = cross(u, w)
     dx = qx - px
     dy = qy - py
     sn = dx * u[1] - dy * u[0]
     if den == 0:
         if sn == 0:
-            _collinear_overlap(p, u, lu, q, w, lw)
+            _collinear_overlap(seg1, seg2)
         return
     # the crossing sits at tn / (a * big) along the first segment
     # and at sn / (a * big) along the second
@@ -181,15 +157,15 @@ def _piece_contact(seg1, seg2) -> None:
         a, tn, sn = -a, -tn, -sn
     if tn < 0 or sn < 0:
         return
-    if ilu is not None and tn > ilu * a:
+    if lu is not None and tn > lu * a:
         return
-    if ilw is not None and sn > ilw * a:
+    if lw is not None and sn > lw * a:
         return
     if (
         tn == 0
         or sn == 0
-        or (ilu is not None and tn == ilu * a)
-        or (ilw is not None and sn == ilw * a)
+        or (lu is not None and tn == lu * a)
+        or (lw is not None and sn == lw * a)
     ):
         raise NonTransverse("crossing at a vertex of one of the curves")
 
@@ -309,8 +285,7 @@ def _nonzero_dir_at(c: PlaneCurve, v: int):
 
 
 def _line_factor(c: PlaneCurve, mark_pos: int, axis: int) -> int:
-    d = _nonzero_dir_at(c, c.mark_vertex(mark_pos))
-    return abs(d[axis])
+    return abs(_nonzero_dir_at(c, c.mark_vertex(mark_pos))[axis])
 
 
 def _case_a_expected(c: PlaneCurve) -> int:
@@ -325,29 +300,21 @@ def _case_a_expected(c: PlaneCurve) -> int:
     return curve_multiplicity(flattened)
 
 
-def _census_case_b(s: FiberSolution, c: PlaneCurve, ray: str, d: int):
+def _census_case_b(s: FiberSolution, c: PlaneCurve, edge: int, ray: str, d: int):
+    """The case-(b) entry of s, whose curve c the contracted bounded edge
+    splits in two; the first side is the one that carries mark 0.  Raise
+    StructuralViolation where the split, its degrees, its glue point or
+    the multiplicity's factors break the books of the ray."""
     g = c.graph
-    edge = s.type.contracted_bounded_edges()[0]
-    side_verts = g.component(g.flag_vertex[edge], cut_edges=(edge,))
-    on_first = tuple(
-        i for i in range(len(c.marks)) if g.flag_vertex[c.marks[i]] in side_verts
-    )
-    if 0 not in on_first:
-        on_first = tuple(
-            i for i in range(len(c.marks)) if i not in set(on_first)
-        )
-
-    partner = _RAY_PARTNER[ray]
-    quartet_first = {0, partner}
-    quartet_second = {1, 2, 3} - {partner}
+    first = g.component(c.mark_vertex(0), cut_edges=(edge,))
+    on_first = tuple(i for i, m in enumerate(c.marks) if g.flag_vertex[m] in first)
+    quartet_first = {0, _RAY_PARTNER[ray]}
     got_first = set(on_first) & {0, 1, 2, 3}
     if got_first != quartet_first:
         raise StructuralViolation(
             f"ray {ray} needs marks {sorted(quartet_first)} on the first side, "
             f"got {sorted(got_first)}"
         )
-    if set(range(4)) - set(on_first) != quartet_second:
-        raise StructuralViolation("quartet marks split wrongly across the sides")
 
     c1, c2 = decompose_reducible(c)
     d1 = len(c1.degree()) // 3
@@ -401,22 +368,21 @@ def _census_case_b(s: FiberSolution, c: PlaneCurve, ray: str, d: int):
 def reducible_census(d: int, cfg: PointConfig) -> Census:
     """Classify every solution of the far-out fiber and check the books.
 
-    Every solution must have exactly one contracted bounded edge.  Case (a):
-    the two line-constrained marks share a vertex; only ray A admits it, and
-    the multiplicity must match the count through the resulting double
-    point.  Case (b): the edge splits the curve into two components whose
-    quartet marks, point-mark counts, and multiplicity factorization are
-    all forced by the ray.  Totals must match the recursion terms.
+    fiber raises ValueError unless cfg aims along ray A, B or C.  Every
+    solution must have exactly one contracted bounded edge.  Case (a): the
+    two line-constrained marks share a vertex; only ray A admits it, and the
+    multiplicity must match the count through the resulting double point.
+    Case (b): the edge splits the curve in two, read by `_census_case_b`.
+    Totals must match the recursion terms.
     """
-    if cfg.m4 is None or cfg.m4.ray not in _RAY_PARTNER:
-        raise ValueError("census needs a configuration aimed along ray A, B, or C")
-    ray = cfg.m4.ray
     sols = fiber(PI, d, cfg)
+    ray = cfg.m4.ray
     nd = recursion_nd(d)
 
     entries: List[CensusEntry] = []
     for s in sols:
-        if len(s.type.contracted_bounded_edges()) != 1:
+        contracted = s.type.contracted_bounded_edges()
+        if len(contracted) != 1:
             raise StructuralViolation(
                 "a far-out solution must contract exactly one bounded edge"
             )
@@ -433,7 +399,7 @@ def reducible_census(d: int, cfg: PointConfig) -> Census:
                 )
             entries.append(CensusEntry("a", s.mult, s))
         else:
-            entries.append(_census_case_b(s, c, ray, d))
+            entries.append(_census_case_b(s, c, contracted[0], ray, d))
 
     case_a_total = sum(e.mult for e in entries if e.case == "a")
     expected_a = nd[d] if ray == "A" else 0

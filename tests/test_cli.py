@@ -344,6 +344,41 @@ def test_deeply_nested_json_is_malformed(capsys, tmp_path, argv):
     malformed_input_exit(capsys, nested, "[" * 1000 + "]" * 1000, argv)
 
 
+# Each number read stays under Python's limit on the digits str() writes
+# of an int; a number computed from them, or one written "1e5000", need not.
+LONG = [f"{k}/{10**4001 + k}" for k in (7, 9, 13, 19)]  # 4,002-digit denominators
+
+
+def long_result_exit(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "a number in the result has more than" in err
+
+
+def test_count_points_with_long_result(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"points": [LONG[:2], LONG[2:]]}))
+    long_result_exit(capsys, COUNT_POINTS + [str(path)])
+
+
+def test_count_points_in_exponent_form(capsys, tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"points": [["1e5000", "2"], ["3", "4"]]}))
+    long_result_exit(capsys, COUNT_POINTS + [str(path)])
+
+
+def test_intersect_with_long_result(capsys, tmp_path):
+    paths = []
+    for name, root in (("a", LONG[:2]), ("b", LONG[2:])):
+        curve = one_mark_line(1)
+        curve["root_pos"] = root
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(curve))
+    long_result_exit(capsys, ["intersect"] + [str(p) for p in paths])
+
+
 def test_count_degenerate_points_exit(capsys, tmp_path):
     # all points on one line: a direction of the ends, or the line y = x
     for d, pts in [

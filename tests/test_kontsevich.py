@@ -17,7 +17,6 @@ from tropcount.enumeration import (
 from tropcount.graph import AbstractType, Graph
 from tropcount.kontsevich import (
     Census,
-    NdTable,
     NonTransverse,
     _collinear_overlap,
     recursion_nd,
@@ -57,12 +56,12 @@ def test_recursion_small_values():
     assert nd[4] == 620
     assert nd[5] == 87304
     assert nd[6] == 26312976
-    assert nd.items()[:2] == [(1, 1), (2, 1)]
+    assert list(nd.items())[:2] == [(1, 1), (2, 1)]
 
 
 def test_recursion_table_bounds():
     nd = recursion_nd(3)
-    assert nd.d_max == 3
+    assert max(nd) == 3
     with pytest.raises(KeyError):
         nd[0]
     with pytest.raises(KeyError):
@@ -156,6 +155,37 @@ def walked_from_origin(curve, dirs, root):
     return image_by_walk(PlaneCurve(curve, dirs, root, (0, 0)))[1]
 
 
+def collinear_contact_by_fractions(p, u, lu, q, w, lw):
+    """Raise NonTransverse if two collinear segments (start, direction,
+    length or None) share more than nothing, in Fractions: the oracle of
+    the kernel's integer test."""
+    # parameters of the second segment measured in t-units of the first
+    if u[0] != 0:
+        t0 = Fraction(q[0] - p[0], u[0])
+        lam = Fraction(w[0], u[0])
+    else:
+        t0 = Fraction(q[1] - p[1], u[1])
+        lam = Fraction(w[1], u[1])
+    t1 = None if lw is None else t0 + lam * lw
+    if lam > 0:
+        a2, b2 = t0, t1  # b2 None = +inf
+    else:
+        a2, b2 = t1, t0  # a2 None = -inf
+    lo = Fraction(0) if a2 is None else max(Fraction(0), a2)
+    if lu is None and b2 is None:
+        hi = None
+    elif lu is None:
+        hi = b2
+    elif b2 is None:
+        hi = Fraction(lu)
+    else:
+        hi = min(Fraction(lu), b2)
+    if hi is None or lo < hi:
+        raise NonTransverse("curves share a segment")
+    if lo == hi:
+        raise NonTransverse("collinear pieces touch at a point")
+
+
 def oracle_intersection(c1, c2):
     """The scan over segment pairs that tropical_intersection replaced,
     once in Fractions: the oracle.
@@ -187,7 +217,7 @@ def oracle_intersection(c1, c2):
             dy = qi[1] - pi[1]
             if den == 0:
                 if dx * u[1] - dy * u[0] == 0:
-                    _collinear_overlap(p, u, lu, q, w, lw)
+                    collinear_contact_by_fractions(p, u, lu, q, w, lw)
                 continue
             # t = tn / (den * den_all) along u, s = sn / (den * den_all) along w
             tn = dx * w[1] - dy * w[0]
@@ -417,7 +447,52 @@ def test_weight_two_curve_matches_oracle():
     assert sum(m for _, m in hits) == 2 * 2 * 1
 
 
-def census_checks(census: Census, nd: NdTable):
+def contact_by(test, *args) -> str:
+    """The NonTransverse message test raises on args, or "" if none."""
+    try:
+        test(*args)
+    except NonTransverse as exc:
+        return str(exc)
+    return ""
+
+
+WEIGHTED = st.tuples(st.integers(1, 3), st.sampled_from([1, -1]))
+LENGTH = st.one_of(st.none(), st.fractions(Fraction(1, 6), 6, max_denominator=6))
+COORD = st.fractions(-8, 8, max_denominator=6)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.data(),
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -2), (2, 1), (3, -1)]),
+    WEIGHTED,
+    WEIGHTED,
+    LENGTH,
+    LENGTH,
+    st.tuples(COORD, COORD),
+)
+def test_collinear_overlap_matches_fraction_oracle(data, v, first, second, lu, lw, p):
+    # both segments lie on the line through p along v, of weights 1-3, the
+    # same way as v or opposite; None is an unbounded length
+    k1, k2 = first[0] * first[1], second[0] * second[1]
+    u, w = (k1 * v[0], k1 * v[1]), (k2 * v[0], k2 * v[1])
+    # the second starts at p + t0 v: anywhere, or where an end of it meets
+    # an end of the first
+    ends1 = [0] + ([] if lu is None else [k1 * lu])
+    ends2 = [0] + ([] if lw is None else [k2 * lw])
+    t0 = data.draw(st.one_of(COORD, st.sampled_from([a - b for a in ends1 for b in ends2])))
+    q = along(p, v, t0)
+    den = lcm(*(x.denominator for x in (*p, *q, *(l for l in (lu, lw) if l is not None))))
+
+    def on_scale(start, direction, length):
+        X, Y = (int(x * den) for x in start)
+        return direction, X, Y, None if length is None else int(length * den)
+
+    got = contact_by(_collinear_overlap, on_scale(p, u, lu), on_scale(q, w, lw))
+    assert got == contact_by(collinear_contact_by_fractions, p, u, lu, q, w, lw)
+
+
+def census_checks(census: Census, nd: dict):
     for e in census.entries:
         assert e.case in ("a", "b")
         if e.case == "b":

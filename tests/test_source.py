@@ -71,6 +71,21 @@ def test_no_float_outside_svg_render():
         assert not stray, f"{module} line {stray[0].lineno} uses a float"
 
 
+def test_contact_test_stays_integer():
+    # the intersection's contact tests decide in integers on the pair's
+    # common scale; only tropical_intersection builds Fractions, its hits'
+    (tree,) = [tree for module, tree in parsed() if module == "kontsevich"]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names = ("_collinear_overlap", "_piece_contact", "_on_scale", "_runs_on_scale",
+             "tropical_intersection")
+    naming = {
+        name for name in names for sub in ast.walk(functions[name])
+        if isinstance(sub, ast.Name) and sub.id == "Fraction"
+        or isinstance(sub, ast.Attribute) and sub.attr == "Fraction"
+    }
+    assert naming == {"tropical_intersection"}, f"{sorted(naming)} name Fraction"
+
+
 def test_no_assert_statements():
     # invariants raise, so they survive python -O
     for module, tree in parsed():
