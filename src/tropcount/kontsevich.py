@@ -302,9 +302,8 @@ def _case_a_expected(c: PlaneCurve) -> int:
 
 def _census_case_b(s: FiberSolution, c: PlaneCurve, edge: int, ray: str, d: int):
     """The case-(b) entry of s, whose curve c the contracted bounded edge
-    splits in two; the first side is the one that carries mark 0.  Raise
-    StructuralViolation where the split, its degrees, its glue point or
-    the multiplicity's factors break the books of the ray."""
+    splits in two, the first side being the one with mark 0; raises
+    StructuralViolation where the split breaks the books of the ray."""
     g = c.graph
     first = g.component(c.mark_vertex(0), cut_edges=(edge,))
     on_first = tuple(i for i, m in enumerate(c.marks) if g.flag_vertex[m] in first)
@@ -372,8 +371,9 @@ def reducible_census(d: int, cfg: PointConfig) -> Census:
     solution must have exactly one contracted bounded edge.  Case (a): the
     two line-constrained marks share a vertex; only ray A admits it, and the
     multiplicity must match the count through the resulting double point.
-    Case (b): the edge splits the curve in two, read by `_census_case_b`.
-    Totals must match the recursion terms.
+    Case (b): the edge splits the curve in two, and the ray forces the
+    quartet marks, point-mark counts and multiplicity factors of the sides
+    (`_census_case_b`).  Totals must match the recursion terms.
     """
     sols = fiber(PI, d, cfg)
     ray = cfg.m4.ray

@@ -195,7 +195,7 @@ def oracle_intersection(c1, c2):
     tests run exactly in integers: every coordinate and segment length of
     both curves times one common denominator, a crossing's parameters t
     and s as numerators over cross(u, w) made positive.  Only a hit's
-    point is built as a Fraction."""
+    point, and collinear_contact_by_fractions, work in Fractions."""
     segs, scaled = [], []
     for c in (c1, c2):
         x0, y0 = c.root_pos
