@@ -149,10 +149,14 @@ def cmd_nd(ns: argparse.Namespace) -> int:
     if ns.dmax < 1:
         raise _usage("--dmax must be at least 1")
     nd = recursion_nd(ns.dmax)
-    if ns.json:
-        text = json.dumps({str(d): n for d, n in nd.items()}, sort_keys=True)
-    else:
-        text = "\n".join(f"{d}: {n}" for d, n in nd.items())
+    try:
+        if ns.json:
+            text = json.dumps({str(d): n for d, n in nd.items()}, sort_keys=True)
+        else:
+            text = "\n".join(f"{d}: {n}" for d, n in nd.items())
+    except ValueError as exc:  # str() of an int past the digit limit
+        digits = sys.get_int_max_str_digits()
+        raise _usage(f"--dmax {ns.dmax} gives an N_d of more than {digits} digits") from exc
     _emit(ns.out, text)
     return EXIT_OK
 

@@ -28,7 +28,9 @@ point, a mark with one a line.  The work on each tree comes in this order.
    solve.  The point marks' rows are solved once per assignment of them, at
    its first leaf: when they are inconsistent every assignment of the line
    marks below is cut, and otherwise their solutions, a family in the base
-   columns, serve every leaf below.
+   columns, serve every leaf below.  The solves and the mark classes are
+   the point stage, kept for the last point set and row spec: fibers over
+   several targets on one point set share it.
 5. The leaf as a step.  A leaf adds only its own rows to the family: a line
    mark's row on a host that keeps its coordinate, a cluster's point row,
    and for the combined map the ft4 row of each order of marks 0-3, a
@@ -48,7 +50,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import cache, cached_property, cmp_to_key
+from functools import cache, cached_property, cmp_to_key, lru_cache
 from fractions import Fraction
 from operator import mul
 from typing import Dict, List, Optional, Tuple
@@ -468,7 +470,8 @@ def _classes(d: int) -> _Classes:
 # per-tree search structures
 
 
-@dataclass
+# eq=False: a tree hashes by identity, as the key of its point families
+@dataclass(eq=False)
 class _TreeData:
     t: PlaneType
     classes: _Classes
@@ -844,6 +847,8 @@ def _search_tree(td: _TreeData, marks, leaf, points=None, ray=None):
     points(td, where) is called at the first leaf below each assignment of
     the point marks, before that leaf: a false return, for point rows that
     are inconsistent, cuts every assignment of the line marks below.
+    _fiber's points looks the assignment's solve up in the point stage and
+    solves it only on a miss.
     """
     order, pins, _, later, joins = marks
     n = len(order)
@@ -1002,12 +1007,14 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
     solution.
 
     family is _point_family's solve of the point rows, which the search
-    shares among every leaf under one assignment of the point marks; with
-    none the leaf solves them itself.  In a chart of base columns (root x,
-    root y, the bounded edge lengths) and one offset column per mark along
-    its host, a mark's offset column meets only its own rows, so it is
-    eliminated: a point mark keeps td.chart's point-independent base row
-    of its host, and its offset is read back off one of its rows.  The
+    shares among every leaf under one assignment of the point marks, and
+    the point stage with later fibers, so the leaf builds new lists and
+    never changes it; with none the leaf solves them itself.  In a chart
+    of base columns (root x, root y, the bounded edge lengths) and one
+    offset column per mark along its host, a mark's offset column meets
+    only its own rows, so it is eliminated: a point mark keeps td.chart's
+    point-independent base row of its host, and its offset is read back
+    off one of its rows.  The
     leaf then adds only its own equations on the family: a line mark's row
     when its host does not move its coordinate, and the point row of a
     cluster (m2, m); their unknowns are one τ per kernel vector, at most
@@ -1188,27 +1195,46 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
         found[key] = sol
 
 
+@lru_cache(maxsize=1)
+def _point_stage(d: int, which, ipts):
+    """The point stage of one point set: (marks, families).  marks is
+    _mark_classes' reading of the row spec which on the integer points
+    ipts, and families maps (td, the point marks' hosts in mark order) to
+    _point_family's solve of their rows, None when they are inconsistent;
+    the fibers fill it as their searches ask.  Those are all the inputs
+    either reads, so no ray, target or scale makes an entry stale, and
+    every fiber on the same points and row spec shares it.  Only the last
+    point set is kept.  A leaf never mutates a family."""
+    return _mark_classes(_classes(d), ipts, which), {}
+
+
 def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
     """Search every tree with the shared leaf.  which is the map's row
     spec; m4 is None for the evaluation map and the target of the ft4 row
-    for the combined map.  The mark pairs are classed once per point set.
-    The point marks' rows are solved at the first leaf under each
-    assignment of them, and family holds that solve only until the next
-    assignment replaces it; for the evaluation map it is the leaf's own."""
+    for the combined map.  The mark classes and the solve of the point
+    marks' rows per assignment of them come from _point_stage, so a fiber
+    on the point set and row spec of the fiber before reuses its solves;
+    a solve it lacks runs at the first leaf under its assignment and is
+    kept."""
     extra = () if m4 is None else (m4.length.denominator,)
     scale, ipts = _integer_points(cfg.points, *extra)
     target = None if m4 is None else int(m4.length * scale)
     ray = None if m4 is None else m4.ray
-    marks = _mark_classes(_classes(d), ipts, which)
+    marks, families = _point_stage(d, tuple(which), tuple(ipts))
     pins = marks[1]
+    point_marks = [m for m, cs in enumerate(pins) if len(cs) == 2]
     family = None
     found: dict = {}
 
     def points(td, where):
         # every leaf below holds these rows: cut them all when they are
-        # inconsistent, and keep the solve for this assignment's leaves
+        # inconsistent, and hand the solve, kept or new, to the leaves
         nonlocal family
-        family = _point_family(td, where, pins, ipts)
+        key = (td, *[where[m] for m in point_marks])
+        try:
+            family = families[key]
+        except KeyError:
+            family = families[key] = _point_family(td, where, pins, ipts)
         return family is not None
 
     def leaf(td, where, cluster):

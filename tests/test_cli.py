@@ -1,6 +1,7 @@
 """Command-line entry points, exercised through main(argv)."""
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,6 +46,25 @@ def test_nd_rejects_dmax_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nd", "--dmax", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", ([], ["--json"]))
+def test_nd_past_the_digit_limit(capsys, tmp_path, flags):
+    # N_120 has 654 digits: past a limit of 640, a usage error that names
+    # --dmax and the limit, with nothing written
+    target = tmp_path / "table.txt"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["nd", "--dmax", "120", "--out", str(target)] + flags)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not target.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--dmax 120" in err and "640 digits" in err
 
 
 def test_count_line(capsys):

@@ -25,6 +25,7 @@ from tropcount.enumeration import (
     _mark_classes,
     _ordered_sign,
     _pi_tree_data,
+    _point_stage,
     _search_tree,
     _subdivide,
     _tree_data,
@@ -45,6 +46,7 @@ from tropcount.enumeration import (
 import tropcount
 from tropcount import enumeration
 from tropcount.graph import AbstractType, Graph, trivalent_trees_on_leaves
+from tropcount.kontsevich import reducible_census
 from tropcount.linalg import det, solve
 from tropcount.moduli_maps import (
     _PAIRINGS,
@@ -1667,6 +1669,8 @@ def test_corrupted_base_row_raises():
     # direction (-1, 0), the second on (0, -1), the vertex at (1, 2).  With
     # the first end's base row doubled the solve puts the vertex at (1, 1),
     # both read-back offsets stay positive, and the first point's y row fails.
+    # The point stage keeps the solves of the last point set, made from the
+    # rows as they were, so each in-place edit of a row clears it.
     cfg = PointConfig(((-4, 2), (1, -1)))
     assert [s.mult for s in fiber(EV, 1, cfg)] == [1]
     (td,) = _ev_tree_data(1)
@@ -1674,11 +1678,13 @@ def test_corrupted_base_row_raises():
     (h,) = [h for h in td.handles if td.t.dirs[h] == W]
     row = base[h]
     base[h] = [2 * v for v in row]
+    _point_stage.cache_clear()
     try:
         with pytest.raises(AssertionError, match="misses coordinate 1 of mark 0"):
             fiber(EV, 1, cfg)
     finally:
         base[h] = row
+        _point_stage.cache_clear()
     assert [s.mult for s in fiber(EV, 1, cfg)] == [1]
 
 
@@ -1821,6 +1827,73 @@ def test_coordinate_sharing_sweep():
     outcomes = [fiber_or_message(PI, 2, sharing(0, ray, 2, 0, 0)) for ray in "ABC"]
     assert isinstance(outcomes[1], str)
     assert [sum(mult for _, _, mult in out) for out in outcomes[::2]] == [2, 2]
+
+
+# --- the shared point stage ---------------------------------------------------
+# _point_stage keeps the mark classes and the point marks' solves of the last
+# point set and row spec; every fiber on them reuses the solves, whatever its
+# ray, target or scale, and a fiber on other points or another row spec
+# starts anew.
+
+
+def census_or_message(cfg):
+    try:
+        return repr(reducible_census(2, cfg))
+    except GeneralPositionViolation as exc:
+        return str(exc)
+
+
+def cold(run, *args):
+    _point_stage.cache_clear()
+    return run(*args)
+
+
+def stored_families(cfg):
+    """The families _point_stage holds for the combined map on cfg's points."""
+    _, ipts = _integer_points(cfg.points, cfg.m4.length.denominator)
+    return _point_stage(2, tuple(pi_which(6)), tuple(ipts))[1]
+
+
+def nudged(cfg):
+    """cfg with point 0 moved right by 1/101."""
+    (x, y), *rest = cfg.points
+    return PointConfig(((x + Fraction(1, 101), y), *rest), cfg.m4)
+
+
+@pytest.mark.parametrize("seed", (0, 1, 3))
+def test_census_targets_share_the_point_stage(seed):
+    # the six targets of one point set in sequence share one table of
+    # families, and no family changes once stored; a combined-map fiber on
+    # nudged points and an evaluation fiber on the same sampled points,
+    # run before each target, replace it.  Every outcome equals its cold one.
+    cases = [pi_config(2, seed, ray, scale) for ray in "ABC" for scale in (1, 2)]
+    assert len({tuple(_integer_points(c.points, c.m4.length.denominator)[1]) for c in cases}) == 1
+    others = [(PI, 2, nudged(cases[0])), (EV, 2, PointConfig(cases[0].points[:5]))]
+    want = [cold(census_or_message, cfg) for cfg in cases]
+    want_others = [cold(fiber_or_message, *case) for case in others]
+    _point_stage.cache_clear()
+    got = [census_or_message(cases[0])]
+    families = stored_families(cases[0])
+    before = {key: copy.deepcopy(family) for key, family in families.items()}
+    assert None in before.values() and any(before.values())
+    got += [census_or_message(cfg) for cfg in cases[1:]]
+    assert got == want
+    assert stored_families(cases[0]) is families
+    assert families.items() >= before.items()
+    for cfg, census in zip(cases, want):
+        assert [fiber_or_message(*case) for case in others] == want_others
+        assert census_or_message(cfg) == census
+    assert stored_families(cases[0]) is not families
+
+
+@pytest.mark.parametrize("rays", ("ABC", "BAC"))
+def test_special_position_outcomes_keep_across_rays(rays):
+    # a point on the vertical line through point 0, run on the three rays
+    # in sequence: ray B raises with its cold message, rays A and C total 2
+    out = {ray: fiber_or_message(PI, 2, sharing(0, ray, 2, 0, 0)) for ray in rays}
+    assert out["B"] == cold(fiber_or_message, PI, 2, sharing(0, "B", 2, 0, 0))
+    assert isinstance(out["B"], str)
+    assert [sum(mult for _, _, mult in out[ray]) for ray in "AC"] == [2, 2]
 
 
 # --- pruning in the search ---------------------------------------------------

@@ -107,6 +107,39 @@ def test_no_indent_in_json_dumps():
         assert not stray, f"{module} line {stray[0].lineno} passes indent= to json.dumps"
 
 
+def decorator_name(node):
+    """The name a decorator calls or is: cache for @cache, @functools.cache
+    and @lru_cache(...)'s lru_cache."""
+    func = node.func if isinstance(node, ast.Call) else node
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_input_keyed_caches_stay_bounded():
+    # an unbounded cache is keyed by a degree alone; one keyed by an input
+    # keeps at most a literal number of entries, so a process that sees
+    # many point sets does not keep every point set's work
+    cached = []
+    for module, tree in parsed():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for dec in fn.decorator_list:
+                name, where = decorator_name(dec), f"{module}.{fn.name}"
+                if name == "cache":
+                    params = [a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+                    assert params == ["d"] and not fn.args.vararg and not fn.args.kwarg, where
+                    cached.append(where)
+                elif name == "lru_cache":
+                    assert isinstance(dec, ast.Call), f"{where} needs an explicit maxsize"
+                    sizes = dec.args[:1] + [kw.value for kw in dec.keywords if kw.arg == "maxsize"]
+                    assert len(sizes) == 1, f"{where} needs an explicit maxsize"
+                    (size,) = sizes
+                    assert isinstance(size, ast.Constant) and type(size.value) is int, (
+                        f"{where} has maxsize {ast.unparse(size)}, not an integer literal"
+                    )
+    assert cached
+
+
 # Definitions the package itself never uses, each kept for its reason.
 UNCALLED = {
     "m4_point": "a curve's point of M_4, the reference combined-map fibers are checked on",
