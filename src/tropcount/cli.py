@@ -206,6 +206,8 @@ def cmd_count(ns: argparse.Namespace) -> int:
 def cmd_invariance(ns: argparse.Namespace) -> int:
     if ns.d < 2:
         raise _usage("--d must be at least 2")
+    if ns.d > 3:
+        raise _usage("the combined-map fiber is limited to --d 3")
     if ns.trials < 1:
         raise _usage("--trials must be at least 1")
     report = invariance_check(ns.d, ns.trials, _seed(ns))

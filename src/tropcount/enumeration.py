@@ -479,7 +479,7 @@ class _TreeData:
     def __post_init__(self):
         g = self.t.graph
         dirs = self.t.dirs
-        self.contracted = tuple(e for e in g.bounded_edges() if dirs[e] == ZERO)
+        self.contracted = self.t.contracted_bounded_edges()
         # a vertex whose nonzero directions are all parallel
         self.collinear = any(
             len(nz) >= 2 and all(cross(nz[0], w) == 0 for w in nz[1:])
@@ -1278,16 +1278,12 @@ def sampled_fiber(
 ):
     """Sample a configuration and compute its fiber, resampling on
     degeneracy up to _ATTEMPT_CAP times.  Returns (cfg, solutions)."""
-    kind = map_kind.lower()
+    ev = map_kind.lower() == EV
     last = None
     for attempt in range(_ATTEMPT_CAP):
-        cfg = (
-            ev_config(d, seed, attempt)
-            if kind == EV
-            else pi_config(d, seed, ray, scale, attempt)
-        )
+        cfg = ev_config(d, seed, attempt) if ev else pi_config(d, seed, ray, scale, attempt)
         try:
-            return cfg, fiber(kind, d, cfg)
+            return cfg, fiber(map_kind, d, cfg)
         except GeneralPositionViolation as exc:
             last = exc
     raise GeneralPositionViolation(
@@ -1341,9 +1337,7 @@ def decompose_reducible(c: PlaneCurve):
     side carrying the lowest original mark index comes first.
     """
     g = c.graph
-    contracted = [
-        e for e in g.bounded_edges() if c.dirs[e] == ZERO
-    ]
+    contracted = c.contracted_bounded_edges()
     if len(contracted) != 1:
         raise ValueError(
             f"expected exactly one contracted bounded edge, found {len(contracted)}"

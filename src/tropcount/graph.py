@@ -135,9 +135,13 @@ class Graph:
 
     def path_vertices(self, u: int, w: int):
         """Vertices along the unique path u..w in a tree, inclusive."""
-        if u == w:
-            return (u,)
-        parent = {u: None}
+        return (u, *(self.flag_vertex[self.flag_partner[f]] for f in self.path_flags(u, w)))
+
+    def path_flags(self, u: int, w: int):
+        """Flags traversed away from u along the unique path u..w in a
+        tree, one per edge: one walk out of u records the flag each vertex
+        is reached by, and the path is read back from w."""
+        reached_by = {u: None}
         stack = [u]
         while stack:
             v = stack.pop()
@@ -145,33 +149,17 @@ class Graph:
                 break
             for f in self._flags_at[v]:
                 p = self.flag_partner[f]
-                if p is not None:
-                    nxt = self.flag_vertex[p]
-                    if nxt not in parent:
-                        parent[nxt] = v
-                        stack.append(nxt)
-        if w not in parent:
+                if p is not None and self.flag_vertex[p] not in reached_by:
+                    reached_by[self.flag_vertex[p]] = f
+                    stack.append(self.flag_vertex[p])
+        if w not in reached_by:
             raise ValueError("no path (disconnected input)")
-        path = [w]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return tuple(path)
-
-    def path_flags(self, u: int, w: int):
-        """Flags traversed away from u along the path u..w, one per edge."""
-        verts = self.path_vertices(u, w)
-        out = []
-        for a, b in zip(verts, verts[1:]):
-            for f in self._flags_at[a]:
-                p = self.flag_partner[f]
-                if p is not None and self.flag_vertex[p] == b:
-                    out.append(f)
-                    break
-        return tuple(out)
-
-    def without_lengths(self) -> "Graph":
-        return Graph(self.flag_vertex, self.flag_partner, None)
+        path = []
+        while w != u:
+            f = reached_by[w]
+            path.append(f)
+            w = self.flag_vertex[f]
+        return tuple(reversed(path))
 
 
 def _check_curve_shape(graph: Graph, marks) -> None:
@@ -201,9 +189,6 @@ class MarkedAbstractCurve:
         _check_curve_shape(self.graph, self.marks)
         if self.graph.lengths is None:
             raise ValueError("marked curve needs edge lengths")
-
-    def forget_lengths(self) -> "AbstractType":
-        return AbstractType(self.graph.without_lengths(), self.marks)
 
 
 @dataclass(frozen=True)

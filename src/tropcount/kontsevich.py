@@ -115,12 +115,12 @@ def _collinear_overlap(seg1, seg2) -> None:
 
 
 def _on_scale(c: PlaneCurve, k: int) -> list:
-    """Each segment of c as (u, X, Y, L): its direction u, and its start
-    (X, Y) and length L (None if unbounded) as c's cached integers
-    rescaled k times."""
+    """Each segment i of c as a run with no breaks, (u0, u1, X, Y, L, (),
+    (i,)): its direction, and its start (X, Y) and length L (None if
+    unbounded) as c's cached integers rescaled k times."""
     return [
-        (u, k * x, k * y, None if n is None else k * n)
-        for (_, u, _), (x, y, n) in zip(image_segments(c), c.image.scaled)
+        (*u, k * x, k * y, None if n is None else k * n, (), (i,))
+        for i, ((_, u, _), (x, y, n)) in enumerate(zip(image_segments(c), c.image.scaled))
     ]
 
 
@@ -136,62 +136,13 @@ def _runs_on_scale(c: PlaneCurve, k: int):
     ]
 
 
-def _piece_contact(seg1, seg2) -> None:
-    """Raise NonTransverse if two segments, on the common scale, meet other
-    than in a crossing strictly inside both."""
-    u, px, py, lu = seg1
-    w, qx, qy, lw = seg2
-    den = cross(u, w)
-    dx = qx - px
-    dy = qy - py
-    sn = dx * u[1] - dy * u[0]
-    if den == 0:
-        if sn == 0:
-            _collinear_overlap(seg1, seg2)
-        return
-    # the crossing sits at tn / (a * big) along the first segment
-    # and at sn / (a * big) along the second
-    tn = dx * w[1] - dy * w[0]
-    a = den
-    if a < 0:
-        a, tn, sn = -a, -tn, -sn
-    if tn < 0 or sn < 0:
-        return
-    if lu is not None and tn > lu * a:
-        return
-    if lw is not None and sn > lw * a:
-        return
-    if (
-        tn == 0
-        or sn == 0
-        or (lu is not None and tn == lu * a)
-        or (lw is not None and sn == lw * a)
-    ):
-        raise NonTransverse("crossing at a vertex of one of the curves")
-
-
-def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
-    """Transverse crossings of two curves as [(point, multiplicity)].
-
-    Each crossing contributes |det| of the two edge directions, and the
-    crossings at one point add up.  Any shared segment, endpoint contact,
-    or crossing at a vertex of either curve raises NonTransverse.
-
-    The scan runs over pairs of straight runs (`CurveImage.runs`), in
-    integers over one common denominator.  A crossing strictly inside both
-    runs and off their breaks is a hit.  Every other pair of runs that
-    meets, or is collinear, hands its segment pairs to a segment-level
-    test, in the order a scan over all segment pairs would reach them, so
-    the first NonTransverse raised is the one that scan would raise.
-    """
-    # one common denominator, big, scales both curves' starts and lengths
-    big = lcm(c1.image.denominator, c2.image.denominator)
-    k1 = big // c1.image.denominator
-    k2 = big // c2.image.denominator
-    hits: Dict[tuple, int] = {}
-    pending = []  # segment pairs of runs that meet at a vertex or are collinear
-    runs2 = _runs_on_scale(c2, k2)
-    for u0, u1, px, py, lu, breaks1, pieces1 in _runs_on_scale(c1, k1):
+def _scan(runs1, runs2, k1, k2, hits, pending) -> None:
+    """The integer crossing test over every pair of runs, the first from
+    runs1 and rescaled k1 times to the common scale, the second from runs2
+    and rescaled k2 times.  A crossing strictly inside both runs and off
+    their breaks adds its |det| to hits; a pair that is collinear, or meets
+    anywhere else, appends (pieces1, pieces2, collinear) to pending."""
+    for u0, u1, px, py, lu, breaks1, pieces1 in runs1:
         for w0, w1, qx, qy, lw, breaks2, pieces2 in runs2:
             den = u0 * w1 - u1 * w0
             dx = qx - px
@@ -199,7 +150,7 @@ def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
             sn = dx * u1 - dy * u0
             if den == 0:
                 if sn == 0:
-                    pending += [(i, j) for i in pieces1 for j in pieces2]
+                    pending.append((pieces1, pieces2, True))
                 continue
             # the runs cross at tn / (a * big) along the first and at
             # sn / (a * big) along the second
@@ -224,7 +175,7 @@ def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
                 or (tn % ka1 == 0 and tn // ka1 in breaks1)
                 or (sn % ka2 == 0 and sn // ka2 in breaks2)
             ):
-                pending += [(i, j) for i in pieces1 for j in pieces2]
+                pending.append((pieces1, pieces2, False))
                 continue
             # the hit is (x, y) / (a * big), keyed by (x, y, a) in lowest
             # terms so that the hits of several run pairs at one point add up
@@ -233,13 +184,42 @@ def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
             g = gcd(x, y, a)
             key = (x // g, y // g, a // g)
             hits[key] = hits.get(key, 0) + a
+
+
+def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
+    """Transverse crossings of two curves as [(point, multiplicity)].
+
+    Each crossing contributes |det| of the two edge directions, and the
+    crossings at one point add up.  Any shared segment, endpoint contact,
+    or crossing at a vertex of either curve raises NonTransverse.
+
+    `_scan` runs over pairs of straight runs (`CurveImage.runs`), in
+    integers over one common denominator.  Every pair of runs it leaves
+    pending has its segment pairs rescanned, each segment a run with no
+    breaks, in the order a scan over all segment pairs would reach them, so
+    the first NonTransverse raised is the one that scan would raise.
+    """
+    # one common denominator, big, scales both curves' starts and lengths
+    big = lcm(c1.image.denominator, c2.image.denominator)
+    k1 = big // c1.image.denominator
+    k2 = big // c2.image.denominator
+    hits: Dict[tuple, int] = {}
+    pending: list = []  # run pairs that meet at a vertex or are collinear
+    _scan(_runs_on_scale(c1, k1), _runs_on_scale(c2, k2), k1, k2, hits, pending)
     if pending:
         # Two collinear runs hold no crossing; two others meet at one point,
         # here a vertex of one curve, so their segment pairs can only raise.
         segs1 = _on_scale(c1, k1)
         segs2 = _on_scale(c2, k2)
-        for i, j in sorted(pending):
-            _piece_contact(segs1[i], segs2[j])
+        pairs = sorted((i, j) for pieces1, pieces2, _ in pending for i in pieces1 for j in pieces2)
+        for i, j in pairs:
+            contact: list = []
+            _scan([segs1[i]], [segs2[j]], k1, k2, {}, contact)
+            for _, _, collinear in contact:
+                if not collinear:
+                    raise NonTransverse("crossing at a vertex of one of the curves")
+                # as (u, X, Y, L), the form _collinear_overlap reads
+                _collinear_overlap(*((s[:2], *s[2:5]) for s in (segs1[i], segs2[j])))
     # order the points in integers over one denominator, then build the
     # fractions of each once
     den = lcm(*(a for _, _, a in hits))

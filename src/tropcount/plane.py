@@ -89,8 +89,23 @@ def _check_directions(c) -> None:
         raise ValueError(f"balancing fails at vertex {v}")
 
 
+class _Ends:
+    """What a plane type and a plane curve alike read off the graph, marks
+    and directions they hold."""
+
+    def degree(self):
+        """The directions of the unmarked ends, sorted."""
+        return tuple(sorted(self.dirs[f] for f in self.unmarked_ends()))
+
+    def unmarked_ends(self):
+        return tuple(f for f in self.graph.end_flags() if f not in self.marks)
+
+    def contracted_bounded_edges(self):
+        return tuple(e for e in self.graph.bounded_edges() if self.dirs[e] == ZERO)
+
+
 @dataclass(frozen=True)
-class PlaneType:
+class PlaneType(_Ends):
     """Combinatorial type of a plane curve: marked tree + directions."""
 
     abstract: AbstractType
@@ -111,17 +126,6 @@ class PlaneType:
     def codim(self) -> int:
         return self.abstract.codim()
 
-    def degree(self):
-        g = self.graph
-        unmarked = [f for f in g.end_flags() if f not in self.marks]
-        return tuple(sorted(self.dirs[f] for f in unmarked))
-
-    def unmarked_ends(self):
-        return tuple(f for f in self.graph.end_flags() if f not in self.marks)
-
-    def contracted_bounded_edges(self):
-        return tuple(e for e in self.graph.bounded_edges() if self.dirs[e] == ZERO)
-
     @cached_property
     def canonical(self):
         """The type's canonical key, computed on first use; not a dataclass
@@ -141,7 +145,7 @@ class PlaneType:
 
 
 @dataclass(frozen=True)
-class PlaneCurve:
+class PlaneCurve(_Ends):
     """Plane tropical curve: marked curve + directions + root position."""
 
     curve: MarkedAbstractCurve
@@ -166,12 +170,6 @@ class PlaneCurve:
     @property
     def marks(self):
         return self.curve.marks
-
-    def combinatorial_type(self) -> PlaneType:
-        return PlaneType(self.curve.forget_lengths(), self.dirs)
-
-    def degree(self):
-        return self.combinatorial_type().degree()
 
     def mark_vertex(self, i: int) -> int:
         """Vertex of the i-th mark (0-based index into the mark order)."""

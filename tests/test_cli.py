@@ -6,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropcount import enumeration
 from tropcount.cli import _json_text, main
 from tropcount.enumeration import PointConfig
 
@@ -185,8 +186,12 @@ def test_count_points_file_missing(capsys, tmp_path):
 
 
 def malformed_input_exit(capsys, path, text, argv):
+    # a flag out of range raises SystemExit(2) before the file is read
     path.write_text(text)
-    code = main(argv + [str(path)])
+    try:
+        code = main(argv + [str(path)])
+    except SystemExit as exc:
+        code = exc.code
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
@@ -284,6 +289,19 @@ def boolean_flag_partner(curve):
     next(r for r in curve["graph"]["flags"] if r["partner"] == 1)["partner"] = True
 
 
+def flag_ids_with_a_gap(curve):
+    # ids 0..k-2 and k: not 0..k-1
+    curve["graph"]["flags"][-1]["id"] += 1
+
+
+def root_out_of_range(curve):
+    curve["root"] = len(curve["graph"]["vertices"])
+
+
+def one_direction_short(curve):
+    curve["directions"].pop()
+
+
 @pytest.mark.parametrize(
     "spoil",
     [
@@ -296,6 +314,9 @@ def boolean_flag_partner(curve):
         float_flag_id,
         boolean_flag_vertex,
         boolean_flag_partner,
+        flag_ids_with_a_gap,
+        root_out_of_range,
+        one_direction_short,
         *ROOT_POS_SPOILS,
     ],
 )
@@ -337,6 +358,54 @@ def test_render_one_mark_line(capsys, tmp_path):
     assert code == 0
     assert out.count('class="ray"') == 3
     assert out.count('class="mark"') == 1
+
+
+def star_pair(partners):
+    """Two 3-valent vertices, flags 0-2 at vertex 0 and 3-5 at vertex 1,
+    with the given partners and every bounded edge of length 1."""
+    flags = [{"id": f, "vertex": f // 3, "partner": partners[f]} for f in range(6)]
+    return {
+        "graph": {
+            "flags": flags,
+            "lengths": {str(f): "1" for f, p in enumerate(partners) if p is not None and f < p},
+        },
+        "marks": [],
+        "directions": [[-1, 0], [0, -1], [1, 1]] * 2,
+        "root": 0,
+        "root_pos": ["0", "0"],
+    }
+
+
+@pytest.mark.parametrize(
+    "partners",
+    [
+        [None] * 6,  # two stars: disconnected
+        [3, 4, None, 0, 1, None],  # two bounded edges between them: a cycle
+    ],
+)
+def test_render_curve_of_wrong_shape(capsys, tmp_path, partners):
+    text = json.dumps(star_pair(partners))
+    malformed_input_exit(capsys, tmp_path / "c.json", text, ["render"])
+
+
+def test_count_rejects_degree_zero(capsys, tmp_path):
+    text = '{"points": []}'
+    malformed_input_exit(capsys, tmp_path / "p.json", text, ["count", "--d", "0", "--points"])
+
+
+def test_invariance_rejects_zero_trials(capsys, tmp_path):
+    path = tmp_path / "out.txt"
+    malformed_input_exit(capsys, path, "", ["invariance", "--d", "2", "--trials", "0", "--out"])
+    assert path.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [["render"], ["intersect", "GOOD"]])
+def test_fiber_report_with_no_solutions(capsys, tmp_path, argv):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(conic_curve(capsys, tmp_path)))
+    report = {"map": "ev", "d": 1, "points": [], "solutions": [], "total": 0}
+    argv = [str(good) if a == "GOOD" else a for a in argv]
+    malformed_input_exit(capsys, tmp_path / "empty.json", json.dumps(report), argv)
 
 
 def test_render_boolean_mark(capsys, tmp_path):
@@ -428,6 +497,17 @@ def test_invariance_rejects_d1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["invariance", "--d", "1"])
     assert exc.value.code == 2
+
+
+def test_invariance_refuses_degree_4_before_building_trees(capsys):
+    # a degree-4 combined-map fiber would run for hours
+    before = enumeration.base_trees.cache_info()
+    with pytest.raises(SystemExit) as exc:
+        main(["invariance", "--d", "4", "--trials", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert enumeration.base_trees.cache_info() == before
 
 
 def test_intersect_two_lines(capsys, tmp_path):

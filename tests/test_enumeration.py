@@ -2045,6 +2045,34 @@ def test_leaves_reuse_the_point_solve_only_on_their_own_rows(monkeypatch):
     assert len(kinds) > 400 and any(kinds) and not all(kinds)
 
 
+@pytest.mark.parametrize("kind", (EV, PI))
+def test_leaf_skips_a_type_found_before(kind, monkeypatch):
+    # every tree listed twice: the second visit of a solution's tree reads
+    # its canonical form, finds it kept, and goes no further, so the fiber
+    # is that of the single list and no multiplicity is computed again
+    cfg, _ = sampled_fiber(kind, 2, 0, "A")
+    if kind == EV:
+        which, trees = [(m, c) for m in range(5) for c in (0, 1)], _ev_tree_data(2)
+    else:
+        which, trees = pi_which(6), _pi_tree_data(2)
+    counts = {"canonical": 0, "multiplicity": 0}
+
+    def counting(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(enumeration, "canonical_plane_form", counting("canonical", canonical_plane_form))
+    monkeypatch.setattr(enumeration, "multiplicity", counting("multiplicity", multiplicity))
+    once = enumeration._fiber(2, cfg, which, trees, cfg.m4)
+    single = dict(counts)
+    twice = enumeration._fiber(2, cfg, which, trees + trees, cfg.m4)
+    assert repr(twice) == repr(once)
+    assert single == {"canonical": len(once), "multiplicity": len(once)}
+    assert counts == {"canonical": 3 * len(once), "multiplicity": 2 * len(once)}
+
+
 def test_census_d2_leaf_and_solve_budget(monkeypatch):
     # regression guard: one pass over the census-d2 configurations runs at
     # most 1,122 leaves and 392 solves (2,058 and 694 before the point marks'

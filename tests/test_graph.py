@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropcount.enumeration import base_trees, pi_config
 from tropcount.graph import (
     AbstractType,
     Graph,
@@ -14,6 +15,7 @@ from tropcount.graph import (
     parse_fraction,
     trivalent_trees_on_leaves,
 )
+from tropcount.kontsevich import reducible_census
 
 
 def star3():
@@ -96,13 +98,62 @@ def test_path_flags_oriented_away_from_start():
     assert g.path_flags(0, 0) == ()
 
 
+def path_by_distances(g, u, w):
+    """(vertices, flags) of the path u..w in a tree: a breadth-first walk
+    out of w gives every vertex its distance to w, and the path steps from
+    u to the one neighbour nearer to w until it gets there."""
+    dist = {w: 0}
+    queue = [w]
+    for v in queue:
+        for f in g.flags_at(v):
+            p = g.flag_partner[f]
+            if p is not None and g.flag_vertex[p] not in dist:
+                dist[g.flag_vertex[p]] = dist[v] + 1
+                queue.append(g.flag_vertex[p])
+    verts, flags = [u], []
+    while verts[-1] != w:
+        v = verts[-1]
+        (f,) = [
+            f for f in g.flags_at(v)
+            if g.flag_partner[f] is not None
+            and dist[g.flag_vertex[g.flag_partner[f]]] == dist[v] - 1
+        ]
+        flags.append(f)
+        verts.append(g.flag_vertex[g.flag_partner[f]])
+    return tuple(verts), tuple(flags)
+
+
+def test_paths_match_distance_oracle():
+    # every vertex pair of the base trees of degree 1 and 2 and of the
+    # degree-2 census curves
+    graphs = [t.graph for d in (1, 2) for t in base_trees(d)]
+    graphs += [
+        e.solution.curve().graph
+        for seed in (0, 1, 3) for ray in "ABC"
+        for e in reducible_census(2, pi_config(2, seed, ray)).entries
+    ]
+    assert len(graphs) == 42
+    for g in graphs:
+        for u in range(g.num_vertices):
+            for w in range(g.num_vertices):
+                verts, flags = path_by_distances(g, u, w)
+                assert g.path_flags(u, w) == flags
+                assert g.path_vertices(u, w) == verts
+
+
+def test_path_across_components_raises():
+    g = Graph([0, 0, 0, 1, 1, 1], [None] * 6)
+    for walk in (g.path_flags, g.path_vertices):
+        with pytest.raises(ValueError, match="no path"):
+            walk(0, 1)
+
+
 def test_marked_curve_requires_lengths_and_shape():
     g = two_vertex_path()
     with pytest.raises(ValueError):
         MarkedAbstractCurve(g, (0, 1, 4, 5))
     gl = Graph(g.flag_vertex, g.flag_partner, {2: 1})
-    c = MarkedAbstractCurve(gl, (0, 1, 4, 5))
-    assert c.forget_lengths().graph.lengths is None
+    MarkedAbstractCurve(gl, (0, 1, 4, 5))  # with lengths, accepted
     with pytest.raises(ValueError):
         AbstractType(gl, (0, 1, 4, 5))
     with pytest.raises(ValueError):

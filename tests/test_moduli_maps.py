@@ -400,8 +400,10 @@ def forget_points_by_pruning(c, m):
 
 def forgetting_record(c):
     """What forgetting keeps, whatever the flag and vertex numbering."""
+    g = c.graph
+    t = PlaneType(AbstractType(Graph(g.flag_vertex, g.flag_partner), c.marks), c.dirs)
     return (
-        canonical_plane_form(c.combinatorial_type()),
+        canonical_plane_form(t),
         sorted(c.graph.lengths.values()),
         [image_position(c, c.mark_vertex(i)) for i in range(len(c.marks))],
         curve_multiplicity(c),

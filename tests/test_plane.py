@@ -202,6 +202,24 @@ def census_curves():
     return curves
 
 
+def test_curve_reads_its_ends_as_its_type_does():
+    # a solution's curve and its type read the same degree and contracted
+    # bounded edges off the same graph, marks and directions
+    solutions = [
+        s for d, seeds in ((1, range(5)), (2, range(5)), (3, [0])) for seed in seeds
+        for s in sampled_fiber(EV, d, seed)[1]
+    ]
+    solutions += [
+        s for seed in (0, 1, 3) for ray in "ABC" for k in (1, 2)
+        for s in fiber(PI, 2, pi_config(2, seed, ray, k))
+    ]
+    assert any(s.type.contracted_bounded_edges() for s in solutions)
+    for s in solutions:
+        c = s.curve()
+        assert c.degree() == s.type.degree()
+        assert c.contracted_bounded_edges() == s.type.contracted_bounded_edges()
+
+
 def test_image_position_without_a_cached_image():
     # image_position sums along the path from the root: it leaves the cache
     # empty, and agrees with the walk before and after the walk is cached
