@@ -27,7 +27,7 @@ from .enumeration import (
     sampled_fiber,
 )
 from .graph import fraction_str
-from .kontsevich import NonTransverse, StructuralViolation, recursion_nd, tropical_intersection
+from .kontsevich import NonTransverse, StructuralViolation, _recursion_terms, tropical_intersection
 from .plane import (
     canonical_plane_form,
     image_positions,
@@ -148,15 +148,17 @@ def _json_text(o) -> str:
 def cmd_nd(ns: argparse.Namespace) -> int:
     if ns.dmax < 1:
         raise _usage("--dmax must be at least 1")
-    nd = recursion_nd(ns.dmax)
-    try:
-        if ns.json:
-            text = json.dumps({str(d): n for d, n in nd.items()}, sort_keys=True)
-        else:
-            text = "\n".join(f"{d}: {n}" for d, n in nd.items())
-    except ValueError as exc:  # str() of an int past the digit limit
-        digits = sys.get_int_max_str_digits()
-        raise _usage(f"--dmax {ns.dmax} gives an N_d of more than {digits} digits") from exc
+    # stop at the first N_d that str() would refuse, past the digit limit
+    digits = sys.get_int_max_str_digits()
+    nd = {}
+    for d, n in _recursion_terms(ns.dmax):
+        if digits and n >= 10**digits:
+            raise _usage(f"--dmax {ns.dmax} gives an N_d of more than {digits} digits")
+        nd[d] = n
+    if ns.json:
+        text = json.dumps({str(d): n for d, n in nd.items()}, sort_keys=True)
+    else:
+        text = "\n".join(f"{d}: {n}" for d, n in nd.items())
     _emit(ns.out, text)
     return EXIT_OK
 

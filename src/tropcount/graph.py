@@ -107,10 +107,12 @@ class Graph:
     def edge_flags(self, e: int):
         return e, self.flag_partner[e]
 
-    def component(self, start: int, cut_edges=(), blocked=()) -> set:
-        """Vertices reachable from start along bounded edges, crossing no
-        edge in cut_edges and entering no vertex in blocked."""
-        seen = {start}
+    def component(self, start: int, cut_edges=(), blocked=()) -> dict:
+        """The vertices reachable from start along bounded edges, crossing
+        no edge in cut_edges and entering no vertex in blocked, one walk
+        out of start: each maps to the flag it was first reached by (start
+        to None), a flag at a vertex that comes before it."""
+        reached_by = {start: None}
         stack = [start]
         while stack:
             v = stack.pop()
@@ -119,10 +121,10 @@ class Graph:
                 if p is None or min(f, p) in cut_edges:
                     continue
                 w = self.flag_vertex[p]
-                if w not in seen and w not in blocked:
-                    seen.add(w)
+                if w not in reached_by and w not in blocked:
+                    reached_by[w] = f
                     stack.append(w)
-        return seen
+        return reached_by
 
     def is_connected(self) -> bool:
         return self.num_vertices == 0 or len(self.component(0)) == self.num_vertices

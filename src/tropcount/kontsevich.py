@@ -51,20 +51,25 @@ def _trade_term(ray: str, d: int, d1: int) -> Tuple[int, int]:
     return d1 * d1 * d2 * d2, comb(3 * d - 4, 3 * d1 - 2)
 
 
-def recursion_nd(d_max: int) -> Dict[int, int]:
-    """{d: N_d} in order of d = 1..d_max: N_d rational degree-d curves
-    pass through 3d-1 general points, counted by the quadratic recursion."""
-    if d_max < 1:
-        raise ValueError("d_max must be at least 1")
-    nd = {1: 1}
-    for d in range(2, d_max + 1):
-        total = 0
+def _recursion_terms(d_max: int):
+    """(d, N_d) for d = 1..d_max in order, each from those before it."""
+    nd = {}
+    for d in range(1, d_max + 1):
+        total = 1 if d == 1 else 0
         for d1 in range(1, d):
             coeff_a, choose_a = _trade_term("A", d, d1)
             coeff_b, choose_b = _trade_term("B", d, d1)
             total += (coeff_b * choose_b - coeff_a * choose_a) * nd[d1] * nd[d - d1]
         nd[d] = total
-    return nd
+        yield d, total
+
+
+def recursion_nd(d_max: int) -> Dict[int, int]:
+    """{d: N_d} in order of d = 1..d_max: N_d rational degree-d curves
+    pass through 3d-1 general points, counted by the quadratic recursion."""
+    if d_max < 1:
+        raise ValueError("d_max must be at least 1")
+    return dict(_recursion_terms(d_max))
 
 
 def wdvv_sides(d: int, nd: Dict[int, int]) -> Tuple[int, int]:
@@ -91,15 +96,16 @@ def wdvv_sides(d: int, nd: Dict[int, int]) -> Tuple[int, int]:
 # stable intersection of two plane curves
 
 
-def _collinear_overlap(seg1, seg2) -> None:
-    """Raise if two collinear segments (u, X, Y, L) share more than nothing.
+def _collinear_overlap(run1, run2) -> None:
+    """Raise if two collinear runs (u0, u1, X, Y, L, breaks, pieces) share
+    more than nothing.
 
-    Both are compared in one coordinate that the first's direction u moves
+    Both are compared in one coordinate that the first's direction moves
     in, each as its span (low, high) there on the common scale, None
     standing for unbounded that way."""
-    i = 0 if seg1[0][0] else 1
+    i = 0 if run1[0] else 1
     lows, highs = [], []
-    for u, x, y, n in (seg1, seg2):
+    for *u, x, y, n, _, _ in (run1, run2):
         start = (x, y)[i]
         end = None if n is None else start + n * u[i]
         low, high = (start, end) if u[i] > 0 else (end, start)
@@ -218,8 +224,7 @@ def tropical_intersection(c1: PlaneCurve, c2: PlaneCurve):
             for _, _, collinear in contact:
                 if not collinear:
                     raise NonTransverse("crossing at a vertex of one of the curves")
-                # as (u, X, Y, L), the form _collinear_overlap reads
-                _collinear_overlap(*((s[:2], *s[2:5]) for s in (segs1[i], segs2[j])))
+                _collinear_overlap(segs1[i], segs2[j])
     # order the points in integers over one denominator, then build the
     # fractions of each once
     den = lcm(*(a for _, _, a in hits))

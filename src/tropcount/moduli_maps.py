@@ -67,26 +67,20 @@ def ev_matrix(t: PlaneType, which=None) -> list:
     return rows
 
 
-def _median(g: Graph, a: int, b: int, c: int) -> int:
-    common = (
-        set(g.path_vertices(a, b))
-        & set(g.path_vertices(a, c))
-        & set(g.path_vertices(b, c))
-    )
-    (m,) = common
-    return m
-
-
 def _quartet(t):
-    """Pairing of the first four marks plus the central-path endpoints."""
+    """Pairing of the first four marks plus the central-path endpoints.
+
+    For the split pairing {i, j | k, l} the path from i to k runs along
+    path(i, j) to u, then along the central path to w on path(k, l)."""
     g = t.graph
     vs = [g.flag_vertex[t.marks[i]] for i in range(4)]
     for ray, (i, j), (k, l) in _PAIRINGS:
         left = set(g.path_vertices(vs[i], vs[j]))
         right = set(g.path_vertices(vs[k], vs[l]))
         if not (left & right):
-            u = _median(g, vs[i], vs[j], vs[k])
-            w = _median(g, vs[k], vs[l], vs[i])
+            path = g.path_vertices(vs[i], vs[k])
+            u = [v for v in path if v in left][-1]
+            w = next(v for v in path if v in right)
             return ray, u, w
     return "D", None, None
 
@@ -168,28 +162,18 @@ def restrict(c: PlaneCurve, ends, marks=()) -> PlaneCurve:
         raise ValueError("marks must be among the ends")
     g = c.graph
     fv, fp = g.flag_vertex, g.flag_partner
-    # one walk from the first end's vertex, crossing no flag in ends; up[v]
-    # is the flag at v that leads back towards the start
+    # one walk from the first end's vertex, crossing no edge of an end
     start = fv[ends[0]]
-    up = {start: None}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for f in g.flags_at(v):
-            p = fp[f]
-            if p is None or f in is_end or p in is_end or fv[p] in up:
-                continue
-            up[fv[p]] = p
-            stack.append(fv[p])
-    # the span: every vertex on the way up from an end's vertex
+    reached_by = g.component(start, cut_edges={g.edge_of_flag(f) for f in ends})
+    # the span: every vertex on the way back from an end's vertex
     span = {start}
     for f in ends:
         v = fv[f]
-        if v not in up:
+        if v not in reached_by:
             raise ValueError("the ends do not span one connected part")
         while v not in span:
             span.add(v)
-            v = fv[fp[up[v]]]
+            v = fv[reached_by[v]]
     # a live flag is an end, or leads to another span vertex
     live = {}
     for v in span:

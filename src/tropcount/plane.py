@@ -229,20 +229,15 @@ class CurveImage:
 
 def _walk_image(c: PlaneCurve) -> CurveImage:
     g = c.graph
-    pos = {c.root: c.root_pos}
-    stack = [c.root]
-    while stack:
-        v = stack.pop()
-        x, y = pos[v]
-        for f in g.flags_at(v):
-            p = g.flag_partner[f]
-            if p is None or g.flag_vertex[p] in pos:
-                continue
-            l = g.lengths[g.edge_of_flag(f)]
-            d = c.dirs[f]
-            w = g.flag_vertex[p]
-            pos[w] = (x + l * d[0], y + l * d[1])
-            stack.append(w)
+    pos = {}
+    for v, f in g.component(c.root).items():
+        if f is None:
+            pos[v] = c.root_pos
+            continue
+        x, y = pos[g.flag_vertex[f]]
+        l = g.lengths[g.edge_of_flag(f)]
+        d = c.dirs[f]
+        pos[v] = (x + l * d[0], y + l * d[1])
 
     # marked ends are contracted; a segment is named by its edge id
     edges = [f for f in g.end_flags() if c.dirs[f] != ZERO]
@@ -298,43 +293,27 @@ def derive_directions(graph: Graph, marks, end_dirs: dict):
     """Directions for every flag of a tree from its end directions.
 
     end_dirs maps unmarked end flags to directions; marked ends get zero;
-    bounded-edge directions are forced by balancing: the flag pointing into
-    a side S carries minus the sum of end directions in S.
+    bounded-edge directions are forced by balancing: a flag carries the sum
+    of the end directions on the side of the edge it points into.
     """
     marks = set(marks)
     dirs = [None] * graph.num_flags()
-    total = (0, 0)
+    # side[v]: the end directions at v, then those of everything below v
+    side = [ZERO] * graph.num_vertices
     for f in graph.end_flags():
-        if f in marks:
-            dirs[f] = ZERO
-        else:
-            d = tuple(end_dirs[f])
-            dirs[f] = d
-            total = vadd(total, d)
-    if total != ZERO:
+        d = ZERO if f in marks else tuple(end_dirs[f])
+        dirs[f] = d
+        side[graph.flag_vertex[f]] = vadd(side[graph.flag_vertex[f]], d)
+    reached_by = graph.component(0)
+    # every vertex after the one it is reached from, so children first
+    for v in reversed(reached_by):
+        f = reached_by[v]
+        if f is not None:
+            dirs[f] = side[v]
+            dirs[graph.flag_partner[f]] = vneg(side[v])
+            side[graph.flag_vertex[f]] = vadd(side[graph.flag_vertex[f]], side[v])
+    if side[0] != ZERO:
         raise ValueError("end directions must sum to zero")
-
-    # subtree end-sums below each downward flag, rooted at vertex 0
-    def below(flag) -> tuple:
-        # flag points from parent down into the subtree
-        p = graph.flag_partner[flag]
-        v = graph.flag_vertex[p]
-        s = (0, 0)
-        for f in graph.flags_at(v):
-            if f == p:
-                continue
-            q = graph.flag_partner[f]
-            if q is None:
-                s = vadd(s, dirs[f])
-            else:
-                s = vadd(s, below(f))
-        return s
-
-    for e in graph.bounded_edges():
-        f, p = graph.edge_flags(e)
-        s = below(f)  # end-sum on the side of p's vertex
-        dirs[f] = s
-        dirs[p] = vneg(s)
     return tuple(dirs)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropcount import enumeration
 from tropcount.cli import _json_text, main
-from tropcount.enumeration import PointConfig
+from tropcount.enumeration import GeneralPositionViolation, PointConfig, pi_config
 
 
 def run(capsys, argv):
@@ -66,6 +66,24 @@ def test_nd_past_the_digit_limit(capsys, tmp_path, flags):
     assert out == "" and not target.exists()
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--dmax 120" in err and "640 digits" in err
+
+
+@pytest.mark.parametrize("flags", ([], ["--json"]))
+def test_nd_stops_at_the_first_number_past_the_digit_limit(capsys, tmp_path, flags):
+    # the table is not built out to --dmax: it stops at the first N_d
+    # past the limit, in the time degree 120 takes
+    target = tmp_path / "table.txt"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["nd", "--dmax", "100000", "--out", str(target)] + flags)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not target.exists()
+    assert err == "error: --dmax 100000 gives an N_d of more than 640 digits\n"
 
 
 def test_count_line(capsys):
@@ -351,6 +369,12 @@ def one_mark_line(mark):
     }
 
 
+def test_render_negative_vertex_id(capsys, tmp_path):
+    curve = one_mark_line(1)
+    curve["graph"]["flags"][0]["vertex"] = -1
+    malformed_input_exit(capsys, tmp_path / "c.json", json.dumps(curve), ["render"])
+
+
 def test_render_one_mark_line(capsys, tmp_path):
     path = tmp_path / "line.json"
     path.write_text(json.dumps(one_mark_line(1)))
@@ -481,6 +505,17 @@ def test_count_degenerate_points_exit(capsys, tmp_path):
         assert main(["count", "--d", str(d), "--points", path]) == 3
 
 
+def test_count_without_a_general_position_sample(capsys, monkeypatch):
+    def fiber(*args):
+        raise GeneralPositionViolation("forced")
+
+    monkeypatch.setattr(enumeration, "fiber", fiber)
+    assert main(["count", "--d", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no general-position sample in 20 attempts: forced\n"
+
+
 def test_count_large_degree_needs_points(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["count", "--d", "9"])
@@ -491,6 +526,22 @@ def test_invariance_output(capsys):
     code, out = run(capsys, ["invariance", "--d", "2", "--trials", "1"])
     assert code == 0
     assert out == "degree = 2, invariant: yes\n"
+
+
+def test_invariance_violation_exit(capsys, monkeypatch):
+    # the first of the six sampled degrees disagrees with the rest
+    calls = []
+
+    def sampled_degree(kind, d, seed, ray, scale):
+        calls.append(ray)
+        return 3 if len(calls) == 1 else 2, pi_config(d, seed, ray, scale)
+
+    monkeypatch.setattr(enumeration, "sampled_degree", sampled_degree)
+    assert main(["invariance", "--d", "2", "--trials", "1"]) == 4
+    out, err = capsys.readouterr()
+    assert len(calls) == 6
+    assert out == "invariant: no\n"
+    assert err.startswith("error: fiber degree of the combined map varies") and err.count("\n") == 1
 
 
 def test_invariance_rejects_d1(capsys):

@@ -981,6 +981,13 @@ def test_fiber_rejects_unknown_map():
         fiber("nope", 1, ev_config(1, 0))
 
 
+def test_fiber_rejects_wrong_number_of_points():
+    with pytest.raises(ValueError, match="evaluation fiber at degree 1 needs 2 points"):
+        fiber(EV, 1, ev_config(2, 0))
+    with pytest.raises(ValueError, match="combined-map fiber at degree 2 needs 6 points"):
+        fiber(PI, 2, pi_config(3, 0, "A"))
+
+
 # --- combined-map fibers -----------------------------------------------------
 
 

@@ -141,6 +141,48 @@ def test_paths_match_distance_oracle():
                 assert g.path_vertices(u, w) == verts
 
 
+def component_by_sets(g, start, cut_edges, blocked):
+    """The vertices reachable from start, as a set grown across uncut
+    bounded edges into unblocked vertices until it stops growing."""
+    seen = {start}
+    grew = True
+    while grew:
+        grew = False
+        for e in g.bounded_edges():
+            a, b = g.flag_vertex[e], g.flag_vertex[g.flag_partner[e]]
+            for v, w in ((a, b), (b, a)):
+                if e not in cut_edges and v in seen and w not in seen | set(blocked):
+                    seen.add(w)
+                    grew = True
+    return seen
+
+
+def test_component_matches_set_oracle_and_records_its_walk():
+    # from every vertex of the base trees of degree 1 and 2 and of the
+    # degree-2 census curves: uncut, cut at each bounded edge, and blocked
+    # at each other vertex
+    graphs = [t.graph for d in (1, 2) for t in base_trees(d)]
+    graphs += [
+        e.solution.curve().graph
+        for seed in (0, 1, 3) for ray in "ABC"
+        for e in reducible_census(2, pi_config(2, seed, ray)).entries
+    ]
+    for g in graphs:
+        for start in range(g.num_vertices):
+            cases = [((), ())] + [((e,), ()) for e in g.bounded_edges()]
+            cases += [((), (v,)) for v in range(g.num_vertices) if v != start]
+            for cut_edges, blocked in cases:
+                reached_by = g.component(start, cut_edges, blocked)
+                assert set(reached_by) == component_by_sets(g, start, cut_edges, blocked)
+                order = list(reached_by)
+                assert order[0] == start and reached_by[start] is None
+                for i, v in enumerate(order[1:], 1):
+                    f = reached_by[v]
+                    assert g.flag_vertex[g.flag_partner[f]] == v
+                    assert g.flag_vertex[f] in order[:i]
+                    assert g.edge_of_flag(f) not in cut_edges
+
+
 def test_path_across_components_raises():
     g = Graph([0, 0, 0, 1, 1, 1], [None] * 6)
     for walk in (g.path_flags, g.path_vertices):

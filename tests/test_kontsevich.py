@@ -486,7 +486,7 @@ def test_collinear_overlap_matches_fraction_oracle(data, v, first, second, lu, l
 
     def on_scale(start, direction, length):
         X, Y = (int(x * den) for x in start)
-        return direction, X, Y, None if length is None else int(length * den)
+        return (*direction, X, Y, None if length is None else int(length * den), (), (0,))
 
     got = contact_by(_collinear_overlap, on_scale(p, u, lu), on_scale(q, w, lw))
     assert got == contact_by(collinear_contact_by_fractions, p, u, lu, q, w, lw)

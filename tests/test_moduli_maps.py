@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from tropcount.enumeration import EV, PI, curve_multiplicity, sampled_fiber
+from tropcount.enumeration import EV, PI, curve_multiplicity, fiber, pi_config, sampled_fiber
 from tropcount.graph import AbstractType, Graph, MarkedAbstractCurve
 from tropcount.linalg import det
 from tropcount.moduli_maps import (
+    _PAIRINGS,
     M4Point,
+    _quartet,
     ev_matrix,
     forget_points,
     four_valent_resolutions,
@@ -160,6 +162,34 @@ def test_ft4_needs_four_marks():
     t = plane_type([], [0, 0, 0, 0], [3], {0: W, 1: S, 2: NE})
     with pytest.raises(ValueError):
         ft4_coordinate(t)
+
+
+def quartet_by_medians(t):
+    """Oracle: the pairing of the first four marks whose two paths are
+    disjoint, and the central path's ends, each the one vertex that the
+    three paths among its pair and one mark of the other pair share."""
+    g = t.graph
+    vs = [g.flag_vertex[t.marks[i]] for i in range(4)]
+
+    def median(a, b, c):
+        (m,) = set(g.path_vertices(a, b)) & set(g.path_vertices(a, c)) & set(g.path_vertices(b, c))
+        return m
+
+    for ray, (i, j), (k, l) in _PAIRINGS:
+        if not set(g.path_vertices(vs[i], vs[j])) & set(g.path_vertices(vs[k], vs[l])):
+            return ray, median(vs[i], vs[j], vs[k]), median(vs[k], vs[l], vs[i])
+    return "D", None, None
+
+
+def test_quartet_matches_median_oracle():
+    # every curve of the degree-2 censuses on seeds 0, 1, 3 and of the
+    # degree-3 censuses on seed 0, rays A, B and C
+    configs = [(2, seed, ray) for seed in (0, 1, 3) for ray in "ABC"]
+    configs += [(3, 0, ray) for ray in "ABC"]
+    curves = [s.curve() for d, seed, ray in configs for s in fiber(PI, d, pi_config(d, seed, ray))]
+    assert {_quartet(c)[0] for c in curves} == {"A", "B", "C"}
+    for c in curves:
+        assert _quartet(c) == quartet_by_medians(c)
 
 
 def test_m4_point_validation():

@@ -5,7 +5,15 @@ from math import lcm
 
 import pytest
 
-from tropcount.enumeration import EV, PI, decompose_reducible, fiber, pi_config, sampled_fiber
+from tropcount.enumeration import (
+    EV,
+    PI,
+    base_trees,
+    decompose_reducible,
+    fiber,
+    pi_config,
+    sampled_fiber,
+)
 from tropcount.graph import AbstractType, Graph
 from tropcount.plane import (
     PlaneCurve,
@@ -20,6 +28,7 @@ from tropcount.plane import (
     plane_curve_from_json,
     plane_curve_to_json,
     projective_degree,
+    vadd,
 )
 
 W, S, NE = (-1, 0), (0, -1), (1, 1)
@@ -119,6 +128,33 @@ def test_derive_directions_rejects_unbalanced_ends():
     g, leaves = make_tree([], [0, 0, 0])
     with pytest.raises(ValueError):
         derive_directions(g, (), {0: W, 1: S, 2: (1, 2)})
+
+
+def directions_by_sides(g, marks, end_dirs):
+    """Oracle: a bounded flag carries the sum of the directions of the
+    ends beyond it, those whose path from the flag's vertex leaves by it."""
+    beyond = {}
+    for v in range(g.num_vertices):
+        for e, d in end_dirs.items():
+            for f in g.path_flags(v, g.flag_vertex[e])[:1]:
+                beyond[f] = vadd(beyond.get(f, (0, 0)), d)
+    return tuple(
+        (0, 0) if f in marks else end_dirs[f] if p is None else beyond.get(f, (0, 0))
+        for f, p in enumerate(g.flag_partner)
+    )
+
+
+def test_derive_directions_matches_sides_oracle():
+    # every base tree of degree 1-3, and the marked trees of the
+    # evaluation fibers of degree 1-3 and of the degree-2 census fibers
+    types = [t for d in (1, 2, 3) for t in base_trees(d)]
+    types += [s.type for d in (1, 2, 3) for s in sampled_fiber(EV, d, 0)[1]]
+    types += [s.type for ray in "ABC" for s in fiber(PI, 2, pi_config(2, 0, ray))]
+    assert sum(1 for t in types if t.marks) == 17
+    for t in types:
+        end_dirs = {f: t.dirs[f] for f in t.unmarked_ends()}
+        assert derive_directions(t.graph, t.marks, end_dirs) == t.dirs
+        assert directions_by_sides(t.graph, t.marks, end_dirs) == t.dirs
 
 
 def test_degree_of_line():
