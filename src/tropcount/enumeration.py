@@ -30,7 +30,10 @@ point, a mark with one a line.  The work on each tree comes in this order.
    marks below is cut, and otherwise their solutions, a family in the base
    columns, serve every leaf below.  The solves and the mark classes are
    the point stage, kept for the last point set and row spec: fibers over
-   several targets on one point set share it.
+   several targets on one point set share it.  It also keeps the leaves of
+   each ray's search that reached the ft4 row, the first work that reads
+   the target, so a further target on that ray runs no search and only
+   those leaves.
 5. The leaf as a step.  A leaf adds only its own rows to the family: a line
    mark's row on a host that keeps its coordinate, a cluster's point row,
    and for the combined map the ft4 row of each order of marks 0-3, a
@@ -353,6 +356,31 @@ class _Lazy(dict):
         return value
 
 
+class _built:
+    """A table built on first use and kept in the instance's attribute
+    "_" + its name, which the instance sets to None when it is made.  So
+    every instance sets the same attributes in the same order, and CPython
+    keeps their names in one table shared by the class, not in a dict per
+    instance, which functools.cached_property gives each instance once
+    that shared table is full."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = "_" + name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = getattr(instance, self.name)
+        if value is None:
+            value = self.build(instance)
+            setattr(instance, self.name, value)
+        return value
+
+
 # one object per value that the point-independent tables keep as a key, a
 # host mask or a quartets table: the ints above 256, and equal tables built
 # for different trees, are objects of their own otherwise
@@ -488,8 +516,9 @@ class _TreeData:
         self.handles = tuple(e for e in g.bounded_edges() if dirs[e] != ZERO) + g.end_flags()
         self.hosts = _Lazy(self._host_mask)
         self._quartets = {}  # (h0, h2, h3) -> _decide's entry
+        self._cones = self._chart = self._sides = None  # _built on first use
 
-    @cached_property
+    @_built
     def cones(self) -> tuple:
         """cones[i][j] is the bitmask over classes of the displacements
         from a mark on host handles[i] to one on handles[j] that pass the
@@ -545,7 +574,7 @@ class _TreeData:
             mask |= (classes >> k & 1) << j
         return _SHARED.setdefault(mask, mask)
 
-    @cached_property
+    @_built
     def chart(self) -> tuple:
         """(cols, rows, base) of the leaf's chart: the base columns root x,
         root y and the length of each bounded edge e at cols[e], then each
@@ -572,7 +601,7 @@ class _TreeData:
             base[h] = [dy * a - dx * b for a, b in zip(*rows[h])]
         return cols, rows, base
 
-    @cached_property
+    @_built
     def sides(self) -> dict:
         """sides[h], for each handle h, has bit 4i set when h lies on the
         flag_vertex side of the i-th of chart's bounded edges, so
@@ -1035,17 +1064,21 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
     scale.  Every test runs on integer numerators over a positive common
     denominator; a solution kept is checked against every row of the full
     chart, and only then are fractions built.
+
+    Returns whether the leaf reached the loop over the orders of marks 0-3,
+    its first work that reads the target; a leaf that stops before it
+    returns False and never raises.
     """
     completions = [((), None, None)]
     if ray is not None:
         quartet = td.quartets((where[0], where[1], where[2], where[3]), cluster)
         completions = [entry[1:] for entry in quartet if entry[0] == ray]
         if not completions:
-            return
+            return False
     if family is None:
         family = _point_family(td, where, pins, ipts)
         if family is None:
-            return
+            return False
     y, q, kernel, square, npoint = family
     cols, host_rows, base = td.chart
     dirs = td.t.dirs
@@ -1086,7 +1119,7 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
             [b * q - sum(map(mul, row, y)) for row, b in zip(rows, rhs)],
         )
         if step.status == "inconsistent":
-            return
+            return False
         y = [v * step.denominator for v in y]
         for u, k in zip(step.numerators, kernel):
             if u:
@@ -1193,19 +1226,23 @@ def _leaf(td: _TreeData, where, cluster, d: int, pins, ray, ipts, target, scale,
             if vertex_mult != mult:
                 raise AssertionError(f"multiplicity {mult} disagrees with vertex product {vertex_mult}")
         found[key] = sol
+    return True
 
 
 @lru_cache(maxsize=1)
 def _point_stage(d: int, which, ipts):
-    """The point stage of one point set: (marks, families).  marks is
-    _mark_classes' reading of the row spec which on the integer points
+    """The point stage of one point set: (marks, families, reached).  marks
+    is _mark_classes' reading of the row spec which on the integer points
     ipts, and families maps (td, the point marks' hosts in mark order) to
     _point_family's solve of their rows, None when they are inconsistent;
-    the fibers fill it as their searches ask.  Those are all the inputs
-    either reads, so no ray, target or scale makes an entry stale, and
-    every fiber on the same points and row spec shares it.  Only the last
-    point set is kept.  A leaf never mutates a family."""
-    return _mark_classes(_classes(d), ipts, which), {}
+    the fibers fill it as their searches ask.  reached maps (ray, trees),
+    for each search over the tree list trees that ended, to the leaves
+    that reached the ft4 row, as (td, hosts in mark order, cluster) in
+    search order.  Those are all the inputs any of them reads, so no
+    target or scale makes an entry stale, and every fiber on the same
+    points and row spec shares them.  Only the last point set is kept.  A
+    leaf never mutates a family."""
+    return _mark_classes(_classes(d), ipts, which), {}, {}
 
 
 def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
@@ -1215,16 +1252,21 @@ def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
     marks' rows per assignment of them come from _point_stage, so a fiber
     on the point set and row spec of the fiber before reuses its solves;
     a solve it lacks runs at the first leaf under its assignment and is
-    kept."""
+    kept.  A fiber whose ray and trees the point stage has searched
+    before runs no search: it replays the leaves that reached the ft4
+    row, in order.  A leaf's work up to that row reads no target, and a
+    leaf that stops before it neither keeps a solution nor raises, so the
+    replay finds the same solutions, or raises at the same first leaf."""
     extra = () if m4 is None else (m4.length.denominator,)
     scale, ipts = _integer_points(cfg.points, *extra)
     target = None if m4 is None else int(m4.length * scale)
     ray = None if m4 is None else m4.ray
-    marks, families = _point_stage(d, tuple(which), tuple(ipts))
+    marks, families, reached = _point_stage(d, tuple(which), tuple(ipts))
     pins = marks[1]
     point_marks = [m for m, cs in enumerate(pins) if len(cs) == 2]
     family = None
     found: dict = {}
+    leaves = []
 
     def points(td, where):
         # every leaf below holds these rows: cut them all when they are
@@ -1238,10 +1280,18 @@ def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
         return family is not None
 
     def leaf(td, where, cluster):
-        _leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, family)
+        if _leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, family):
+            leaves.append((td, tuple(where[m] for m in range(len(pins))), cluster))
 
-    for td in trees:
-        _search_tree(td, marks, leaf, points, ray)
+    search = (ray, tuple(trees))
+    if search in reached:
+        for td, hosts, cluster in reached[search]:
+            family = families[(td, *[hosts[m] for m in point_marks])]
+            _leaf(td, hosts, cluster, d, pins, ray, ipts, target, scale, found, family)
+    else:
+        for td in trees:
+            _search_tree(td, marks, leaf, points, ray)
+        reached[search] = leaves
     return [found[k] for k in sorted(found, key=repr)]
 
 

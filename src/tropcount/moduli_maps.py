@@ -68,21 +68,26 @@ def ev_matrix(t: PlaneType, which=None) -> list:
 
 
 def _quartet(t):
-    """Pairing of the first four marks plus the central-path endpoints.
+    """(ray, central path): the pairing of the first four marks and the
+    flags of the path between its two branch vertices, away from the
+    first; ray D, the one-vertex quartet, has no such path.
 
     For the split pairing {i, j | k, l} the path from i to k runs along
-    path(i, j) to u, then along the central path to w on path(k, l)."""
+    path(i, j) to u, then along the central path to w on path(k, l), so
+    one walk from i to k holds it."""
     g = t.graph
     vs = [g.flag_vertex[t.marks[i]] for i in range(4)]
     for ray, (i, j), (k, l) in _PAIRINGS:
         left = set(g.path_vertices(vs[i], vs[j]))
         right = set(g.path_vertices(vs[k], vs[l]))
         if not (left & right):
-            path = g.path_vertices(vs[i], vs[k])
-            u = [v for v in path if v in left][-1]
-            w = next(v for v in path if v in right)
-            return ray, u, w
-    return "D", None, None
+            flags = g.path_flags(vs[i], vs[k])
+            path = (vs[i], *(g.flag_vertex[g.flag_partner[f]] for f in flags))
+            # path[a] is u and path[b] is w
+            a = max(n for n, v in enumerate(path) if v in left)
+            b = next(n for n, v in enumerate(path) if v in right)
+            return ray, flags[a:b]
+    return "D", ()
 
 
 def ft4_coordinate(t: PlaneType):
@@ -97,10 +102,9 @@ def ft4_coordinate(t: PlaneType):
     g = t.graph
     edges = g.bounded_edges()
     row = [0] * (2 + len(edges))
-    ray, u, w = _quartet(t)
-    if ray != "D":
-        for f in g.path_flags(u, w):
-            row[2 + edges.index(g.edge_of_flag(f))] = 1
+    ray, central = _quartet(t)
+    for f in central:
+        row[2 + edges.index(g.edge_of_flag(f))] = 1
     return ray, row
 
 
@@ -108,13 +112,9 @@ def m4_point(c: PlaneCurve) -> M4Point:
     """Image of a curve with >= 4 marks under forgetting down to four."""
     if len(c.marks) < 4:
         raise ValueError("need at least 4 marks")
-    ray, u, w = _quartet(c)
-    if ray == "D":
-        return M4Point("D", 0)
+    ray, central = _quartet(c)
     g = c.graph
-    total = Fraction(0)
-    for f in g.path_flags(u, w):
-        total += g.lengths[g.edge_of_flag(f)]
+    total = sum((g.lengths[g.edge_of_flag(f)] for f in central), Fraction(0))
     if total == 0:
         return M4Point("D", 0)
     return M4Point(ray, total)

@@ -1840,7 +1840,9 @@ def test_coordinate_sharing_sweep():
 # _point_stage keeps the mark classes and the point marks' solves of the last
 # point set and row spec; every fiber on them reuses the solves, whatever its
 # ray, target or scale, and a fiber on other points or another row spec
-# starts anew.
+# starts anew.  It also keeps, per ray and tree list whose search ended, the
+# leaves that reached the ft4 row: a later fiber on them replays those
+# leaves and runs no search.
 
 
 def census_or_message(cfg):
@@ -1861,6 +1863,32 @@ def stored_families(cfg):
     return _point_stage(2, tuple(pi_which(6)), tuple(ipts))[1]
 
 
+def stored_leaves(cfg, trees=None):
+    """The leaves _point_stage holds for the combined map on cfg's points,
+    ray and trees (the map's own by default), or None."""
+    _, ipts = _integer_points(cfg.points, cfg.m4.length.denominator)
+    reached = _point_stage(2, tuple(pi_which(6)), tuple(ipts))[2]
+    return reached.get((cfg.m4.ray, tuple(_pi_tree_data(2) if trees is None else trees)))
+
+
+def counting_searches(monkeypatch):
+    """A list that counts, from now on, every tree _search_tree searches."""
+    searched = []
+    real = enumeration._search_tree
+
+    def search(td, *args):
+        searched.append(td)
+        return real(td, *args)
+
+    monkeypatch.setattr(enumeration, "_search_tree", search)
+    return searched
+
+
+def doubled(cfg):
+    """cfg with its ft4 target twice as far out on its ray."""
+    return PointConfig(cfg.points, M4Point(cfg.m4.ray, 2 * cfg.m4.length))
+
+
 def nudged(cfg):
     """cfg with point 0 moved right by 1/101."""
     (x, y), *rest = cfg.points
@@ -1868,29 +1896,136 @@ def nudged(cfg):
 
 
 @pytest.mark.parametrize("seed", (0, 1, 3))
-def test_census_targets_share_the_point_stage(seed):
+def test_census_targets_share_the_point_stage(seed, monkeypatch):
     # the six targets of one point set in sequence share one table of
-    # families, and no family changes once stored; a combined-map fiber on
-    # nudged points and an evaluation fiber on the same sampled points,
-    # run before each target, replace it.  Every outcome equals its cold one.
+    # families, and no family changes once stored; the first census on each
+    # ray searches every tree and keeps its leaves, the second searches none
+    # and replays them, leaving the kept list as it was.  A combined-map
+    # fiber on nudged points and an evaluation fiber on the same sampled
+    # points, run before each target, replace the stage.  Every outcome
+    # equals its cold one.
     cases = [pi_config(2, seed, ray, scale) for ray in "ABC" for scale in (1, 2)]
     assert len({tuple(_integer_points(c.points, c.m4.length.denominator)[1]) for c in cases}) == 1
     others = [(PI, 2, nudged(cases[0])), (EV, 2, PointConfig(cases[0].points[:5]))]
     want = [cold(census_or_message, cfg) for cfg in cases]
     want_others = [cold(fiber_or_message, *case) for case in others]
     _point_stage.cache_clear()
+    searched = counting_searches(monkeypatch)
     got = [census_or_message(cases[0])]
     families = stored_families(cases[0])
     before = {key: copy.deepcopy(family) for key, family in families.items()}
     assert None in before.values() and any(before.values())
-    got += [census_or_message(cfg) for cfg in cases[1:]]
+    searches = [len(searched)]
+    for first, second in zip(cases[::2], cases[1::2]):
+        if first is not cases[0]:
+            got.append(census_or_message(first))
+            searches.append(len(searched))
+        leaves = stored_leaves(first)
+        kept = list(leaves)
+        assert kept and len(set(kept)) == len(kept)
+        got.append(census_or_message(second))
+        searches.append(len(searched))
+        assert stored_leaves(second) is leaves and leaves == kept
     assert got == want
+    assert searches == [len(_pi_tree_data(2)) * k for k in (1, 1, 2, 2, 3, 3)]
     assert stored_families(cases[0]) is families
     assert families.items() >= before.items()
     for cfg, census in zip(cases, want):
         assert [fiber_or_message(*case) for case in others] == want_others
         assert census_or_message(cfg) == census
     assert stored_families(cases[0]) is not families
+
+
+def test_a_replay_runs_the_leaves_that_reached_the_ft4_row_in_order(monkeypatch):
+    # the first fiber on a ray calls _leaf on every leaf of its search; the
+    # second, at twice the length on the same points and ray, calls it on
+    # exactly those that reached the ft4 row, in the same order and with
+    # the same families, and each reaches the row again
+    calls = []
+    real_leaf = enumeration._leaf
+
+    def recording_leaf(td, where, cluster, *args):
+        reached = real_leaf(td, where, cluster, *args)
+        calls.append(((td, tuple(where[m] for m in range(len(where))), cluster, args[-1]), reached))
+        return reached
+
+    monkeypatch.setattr(enumeration, "_leaf", recording_leaf)
+    _point_stage.cache_clear()
+    skipped = 0
+    for ray in "ABC":
+        fiber(PI, 2, pi_config(2, 0, ray, 1))
+        searched, calls[:] = calls[:], []
+        fiber(PI, 2, pi_config(2, 0, ray, 2))
+        replayed, calls[:] = calls[:], []
+        assert [leaf for leaf, reached in searched if reached] == [leaf for leaf, _ in replayed]
+        assert all(reached for _, reached in replayed)
+        skipped += len(searched) - len(replayed)
+    assert skipped
+
+
+def test_a_search_that_raises_keeps_no_leaves(monkeypatch):
+    # a point on the vertical line through point 0 on ray B: the search
+    # raises at scale 1, keeps no leaves, and scale 2 searches again and
+    # raises its own cold message
+    cases = [sharing(0, "B", 2, 0, 0)]
+    cases.append(doubled(cases[0]))
+    assert len({tuple(_integer_points(c.points, c.m4.length.denominator)[1]) for c in cases}) == 1
+    want = [cold(fiber_or_message, PI, 2, cfg) for cfg in cases]
+    assert all(isinstance(message, str) for message in want)
+    _point_stage.cache_clear()
+    searched = counting_searches(monkeypatch)
+    for cfg, message in zip(cases, want):
+        before = len(searched)
+        assert fiber_or_message(PI, 2, cfg) == message
+        assert len(searched) > before
+    assert stored_leaves(cases[0]) is None
+
+
+def test_kept_leaves_are_keyed_by_the_tree_list():
+    # a fiber on every other tree, which holds none of the solutions, then
+    # on all of them, on the same points and ray: the second searches and
+    # finds the whole fiber, and each list, run again, replays its own leaves
+    cfg = pi_config(2, 0, "A")
+    trees = _pi_tree_data(2)
+    part = trees[::2]
+    want_part = cold(enumeration._fiber, 2, cfg, pi_which(6), part, cfg.m4)
+    want = cold(enumeration._fiber, 2, cfg, pi_which(6), trees, cfg.m4)
+    assert want and not want_part
+    _point_stage.cache_clear()
+    assert repr(enumeration._fiber(2, cfg, pi_which(6), part, cfg.m4)) == repr(want_part)
+    for _ in range(2):
+        assert repr(enumeration._fiber(2, cfg, pi_which(6), trees, cfg.m4)) == repr(want)
+        assert repr(enumeration._fiber(2, cfg, pi_which(6), part, cfg.m4)) == repr(want_part)
+    assert len(stored_leaves(cfg)) > len(stored_leaves(cfg, part)) > 0
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_targets_along_a_ray_replay_to_their_cold_fibers(seed):
+    # targets from length 1 out past large_length on each ray, in sequence
+    # on one point set: the fiber's cells change along the ray, so leaves
+    # with no solution at the first target hold one at a later, and every
+    # fiber equals its cold one
+    for ray in "ABC":
+        cfg = pi_config(2, seed, ray)
+        lengths = [10**k for k in range(6)] + [cfg.m4.length, 2 * cfg.m4.length]
+        cases = [PointConfig(cfg.points, M4Point(ray, length)) for length in lengths]
+        assert len({tuple(_integer_points(c.points, c.m4.length.denominator)[1]) for c in cases}) == 1
+        want = [cold(fiber_or_message, PI, 2, c) for c in cases]
+        assert len({frozenset(t for t, _, _ in out) for out in want}) > 1
+        _point_stage.cache_clear()
+        assert [fiber_or_message(PI, 2, c) for c in cases] == want
+
+
+def test_second_target_keeps_every_sweep_outcome():
+    # every combined-map input of the coordinate-sharing sweep, at scale 2
+    # right after scale 1 on the same points: the cold outcome or message
+    for kind, d, cfg in SHARING_SWEEP:
+        if kind != PI:
+            continue
+        far = doubled(cfg)
+        want = cold(fiber_or_message, kind, d, far)
+        fiber_or_message(kind, d, cfg)
+        assert fiber_or_message(kind, d, far) == want, cfg
 
 
 @pytest.mark.parametrize("rays", ("ABC", "BAC"))
@@ -1949,7 +2084,8 @@ def assert_pruning_cuts_only_inconsistent_leaves(kind, d, cfg, trees, monkeypatc
         return real_leaf(td, where, cluster, *args)
 
     monkeypatch.setattr(enumeration, "_leaf", recording_leaf)
-    got = outcome(lambda: enumeration._fiber(d, cfg, a.which, trees, m4))
+    # cold: a fiber on points searched before replays that search's leaves
+    got = outcome(lambda: cold(enumeration._fiber, d, cfg, a.which, trees, m4))
 
     unpruned, found = [], {}
 
@@ -2035,7 +2171,7 @@ def test_leaves_reuse_the_point_solve_only_on_their_own_rows(monkeypatch):
         got = step_outcome(td, where, cluster, d, pins, ray, ipts, target, scale, family)
         assert got == full_outcome(td, where, cluster, d, ray, ipts, target, scale), (td.t, where, cluster)
         kinds.append(got[0] == "raise" or got[1] or bool(got[2]))
-        real_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, family)
+        return real_leaf(td, where, cluster, d, pins, ray, ipts, target, scale, found, family)
 
     monkeypatch.setattr(enumeration, "_leaf", checking_leaf)
     for _, d, cfg in CENSUS_D2_CASES:
@@ -2103,10 +2239,11 @@ def test_census_d2_leaf_and_solve_budget(monkeypatch):
 
 
 def test_census_d2_search_counts(monkeypatch):
-    # the counts of one pass over the census-d2 configurations of seed 0:
-    # 374 leaves reach _leaf (1,122 before the quartet masks), the point
-    # rows are solved at most once per assignment of the point marks (258),
-    # and a leaf's own solve has at most three unknowns
+    # the counts of the searches of the census-d2 configurations of seed 0,
+    # each run cold so that none replays another's leaves: 374 leaves reach
+    # _leaf (1,122 before the quartet masks), the point rows are solved at
+    # most once per assignment of the point marks (258), and a leaf's own
+    # solve has at most three unknowns
     counts = {"leaf": 0, "point": 0}
     inside, widths = [], []  # inside holds True while a leaf runs
     real_leaf = enumeration._leaf
@@ -2129,7 +2266,7 @@ def test_census_d2_search_counts(monkeypatch):
     monkeypatch.setattr(enumeration, "_leaf", counting_leaf)
     monkeypatch.setattr(enumeration, "solve", counting_solve)
     for _, d, cfg in CENSUS_D2_CASES:
-        assert sum(s.mult for s in fiber(PI, d, cfg)) == 2
+        assert sum(s.mult for s in cold(fiber, PI, d, cfg)) == 2
     assert counts["leaf"] == 374
     assert counts["point"] <= 258
     assert widths and max(widths) <= 3
