@@ -21,19 +21,19 @@ point, a mark with one a line.  The work on each tree comes in this order.
 3. Forward checking.  Placing a mark ANDs its pair masks into the domain of
    every later mark, and a node that empties one is cut.  The marks keep a
    static order, point marks first, so the leaves come in a fixed order.
-4. A lazy point solve.  In a chart of edge lengths and mark offsets along
+4. The point solve.  In a chart of edge lengths and mark offsets along
    their hosts the map's rows depend on the hosts only.  A mark's offset
    meets only its own rows, so a point mark brings one point-independent
    row per host, kept on the tree, and its offset is read back after the
-   solve.  The point marks' rows are solved once per assignment of them, at
-   its first leaf: when they are inconsistent every assignment of the line
-   marks below is cut, and otherwise their solutions, a family in the base
-   columns, serve every leaf below.  The solves and the mark classes are
-   the point stage, kept for the last point set and row spec: fibers over
-   several targets on one point set share it.  It also keeps the leaves of
-   each ray's search that reached the ft4 row, the first work that reads
-   the target, so a further target on that ray runs no search and only
-   those leaves.
+   solve.  The point marks' rows are solved once per assignment of them,
+   as the last point mark is placed: when they are inconsistent every
+   assignment of the line marks below is cut, and otherwise their
+   solutions, a family in the base columns, serve every leaf below.  The
+   solves and the mark classes are the point stage, kept for the last
+   point set and row spec: fibers over several targets on one point set
+   share it.  It also keeps the leaves of each ray's search that reached
+   the ft4 row, the first work that reads the target, so a further target
+   on that ray runs no search and only those leaves.
 5. The leaf as a step.  A leaf adds only its own rows to the family: a line
    mark's row on a host that keeps its coordinate, a cluster's point row,
    and for the combined map the ft4 row of each order of marks 0-3, a
@@ -68,6 +68,7 @@ from .graph import (
 from .linalg import solve
 from .moduli_maps import (
     _PAIRINGS,
+    _SPLITS,
     M4Point,
     ev_matrix,
     ft4_coordinate,
@@ -719,12 +720,6 @@ class _TreeData:
         return self._decide(h0, h2, h3, candidates)[_RAY_SLOT[ray]] & candidates
 
 
-# _SPLITS[s]: the ray whose pairing a piece separates, by the marks s on
-# one side of it, or None
-_SPLITS = tuple(
-    next((ray for ray, (i, j), _ in _PAIRINGS if side in (1 << i | 1 << j, 15 ^ (1 << i | 1 << j))), None)
-    for side in range(16)
-)
 _RAY_SLOT = {ray: 1 + k for k, (ray, _, _) in enumerate(_PAIRINGS)}
 
 
@@ -873,11 +868,11 @@ def _search_tree(td: _TreeData, marks, leaf, points=None, ray=None):
     whose last mark is mark 1), mark 1's domain and its cluster with mark
     0 are also ANDed with td.quartet_mask: the assignments that leave no
     order of marks 0-3 on the ray never reach a leaf.  With points given,
-    points(td, where) is called at the first leaf below each assignment of
-    the point marks, before that leaf: a false return, for point rows that
-    are inconsistent, cuts every assignment of the line marks below.
-    _fiber's points looks the assignment's solve up in the point stage and
-    solves it only on a miss.
+    points(td, where) is called once per assignment of the point marks,
+    as the last of them is placed: a false return, for point rows that are
+    inconsistent, cuts every assignment of the line marks below.  _fiber's
+    points looks the assignment's solve up in the point stage and solves
+    it only on a miss.
     """
     order, pins, _, later, joins = marks
     n = len(order)
@@ -890,18 +885,11 @@ def _search_tree(td: _TreeData, marks, leaf, points=None, ray=None):
     # one ft4 row, and determinant zero
     partners = [()] * n if td.contracted else joins
     where: Dict[int, int] = {}
-    consistent = None  # the point rows' verdict, once asked for
 
     def rec(k, domains, cluster):
-        nonlocal consistent
-        if k == npoints:
-            consistent = None
+        if k == npoints and points is not None and not points(td, where):
+            return  # the point rows are inconsistent
         if k == n:
-            if points is not None:
-                if consistent is None:
-                    consistent = points(td, where)
-                if not consistent:
-                    return
             leaf(td, where, cluster)
             return
         m = order[k]
@@ -932,8 +920,6 @@ def _search_tree(td: _TreeData, marks, leaf, points=None, ray=None):
                     continue
             where[m] = hosts[j]
             rec(k + 1, below, joined)
-            if consistent is False and k >= npoints:
-                break  # the point rows above are inconsistent
         where.pop(m, None)
 
     rec(0, [(1 << nh) - 1] * n, None)
@@ -1251,8 +1237,8 @@ def _fiber(d: int, cfg: PointConfig, which, trees, m4) -> List[FiberSolution]:
     for the combined map.  The mark classes and the solve of the point
     marks' rows per assignment of them come from _point_stage, so a fiber
     on the point set and row spec of the fiber before reuses its solves;
-    a solve it lacks runs at the first leaf under its assignment and is
-    kept.  A fiber whose ray and trees the point stage has searched
+    a solve it lacks runs as its assignment's last point mark is placed
+    and is kept.  A fiber whose ray and trees the point stage has searched
     before runs no search: it replays the leaves that reached the ft4
     row, in order.  A leaf's work up to that row reads no target, and a
     leaf that stops before it neither keeps a solution nor raises, so the

@@ -135,10 +135,6 @@ class Graph:
             raise ValueError("genus of a disconnected graph")
         return len(self.bounded_edges()) - self.num_vertices + 1
 
-    def path_vertices(self, u: int, w: int):
-        """Vertices along the unique path u..w in a tree, inclusive."""
-        return (u, *(self.flag_vertex[self.flag_partner[f]] for f in self.path_flags(u, w)))
-
     def path_flags(self, u: int, w: int):
         """Flags traversed away from u along the unique path u..w in a
         tree, one per edge: one walk out of u records the flag each vertex

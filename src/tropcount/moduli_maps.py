@@ -21,6 +21,12 @@ from .plane import PlaneCurve, PlaneType, image_position, projective_degree, vad
 
 # quartet pairings by mark position: A = {1,2|3,4}, B = {1,3|2,4}, C = {1,4|2,3}
 _PAIRINGS = (("A", (0, 1), (2, 3)), ("B", (0, 2), (1, 3)), ("C", (0, 3), (1, 2)))
+# _SPLITS[s]: the ray whose pairing a piece separates, by the marks s on
+# one side of it, or None
+_SPLITS = tuple(
+    next((ray for ray, (i, j), _ in _PAIRINGS if side in (1 << i | 1 << j, 15 ^ (1 << i | 1 << j))), None)
+    for side in range(16)
+)
 
 
 @dataclass(frozen=True, order=True)
@@ -68,43 +74,41 @@ def ev_matrix(t: PlaneType, which=None) -> list:
 
 
 def _quartet(t):
-    """(ray, central path): the pairing of the first four marks and the
-    flags of the path between its two branch vertices, away from the
-    first; ray D, the one-vertex quartet, has no such path.
-
-    For the split pairing {i, j | k, l} the path from i to k runs along
-    path(i, j) to u, then along the central path to w on path(k, l), so
-    one walk from i to k holds it."""
+    """(ray, central edges): the pairing of the first four marks and the
+    bounded edges that split them two and two, the central path; in a tree
+    they all split the same pairing.  Ray D, the one-vertex quartet, has
+    none.  One walk out of vertex 0, read in reverse, ORs the marks at and
+    below each vertex into the vertex it is reached from."""
     g = t.graph
-    vs = [g.flag_vertex[t.marks[i]] for i in range(4)]
-    for ray, (i, j), (k, l) in _PAIRINGS:
-        left = set(g.path_vertices(vs[i], vs[j]))
-        right = set(g.path_vertices(vs[k], vs[l]))
-        if not (left & right):
-            flags = g.path_flags(vs[i], vs[k])
-            path = (vs[i], *(g.flag_vertex[g.flag_partner[f]] for f in flags))
-            # path[a] is u and path[b] is w
-            a = max(n for n, v in enumerate(path) if v in left)
-            b = next(n for n, v in enumerate(path) if v in right)
-            return ray, flags[a:b]
-    return "D", ()
+    below = [0] * g.num_vertices
+    for i in range(4):
+        below[g.flag_vertex[t.marks[i]]] |= 1 << i
+    reached_by = g.component(0)
+    ray, central = "D", []
+    for v in reversed(reached_by):
+        f = reached_by[v]
+        if f is not None:
+            if _SPLITS[below[v]]:
+                ray = _SPLITS[below[v]]
+                central.append(g.edge_of_flag(f))
+            below[g.flag_vertex[f]] |= below[v]
+    return ray, central
 
 
 def ft4_coordinate(t: PlaneType):
     """(ray, row) of the forget-to-four-marks coordinate on this cell.
 
-    The row has a 1 at each bounded edge of the central path between the
-    quartet's two branch vertices, in ev_matrix's columns; ray D
-    (one-vertex quartet) gives the zero row.
+    The row has a 1 at each bounded edge that splits the quartet two and
+    two, in ev_matrix's columns; ray D (one-vertex quartet) gives the zero
+    row.
     """
     if len(t.marks) < 4:
         raise ValueError("need at least 4 marks")
-    g = t.graph
-    edges = g.bounded_edges()
+    edges = t.graph.bounded_edges()
     row = [0] * (2 + len(edges))
     ray, central = _quartet(t)
-    for f in central:
-        row[2 + edges.index(g.edge_of_flag(f))] = 1
+    for e in central:
+        row[2 + edges.index(e)] = 1
     return ray, row
 
 
@@ -113,8 +117,7 @@ def m4_point(c: PlaneCurve) -> M4Point:
     if len(c.marks) < 4:
         raise ValueError("need at least 4 marks")
     ray, central = _quartet(c)
-    g = c.graph
-    total = sum((g.lengths[g.edge_of_flag(f)] for f in central), Fraction(0))
+    total = sum((c.graph.lengths[e] for e in central), Fraction(0))
     if total == 0:
         return M4Point("D", 0)
     return M4Point(ray, total)

@@ -2040,9 +2040,9 @@ def test_special_position_outcomes_keep_across_rays(rays):
 
 # --- pruning in the search ---------------------------------------------------
 # fiber's search drops an assignment of mark 1 that leaves no order of marks
-# 0-3 on the ray, solves the point marks' rows at the first leaf under each
-# assignment of them, cuts the line marks' subtree when they are
-# inconsistent, and hands the solve to the leaves; _search_tree with no
+# 0-3 on the ray, solves the point marks' rows once per assignment of them,
+# as the last point mark is placed, cuts the line marks' subtree when they
+# are inconsistent, and hands the solve to the leaves; _search_tree with no
 # points callback and no ray is the unpruned search.
 
 
@@ -2126,6 +2126,74 @@ def test_pruning_cuts_only_inconsistent_leaves(kind, d, cfg, monkeypatch):
 
 def test_pruning_cuts_only_inconsistent_leaves_on_degree_3_factors(monkeypatch):
     assert_pruning_cuts_only_inconsistent_leaves(PI, 3, *degree_3_factor_trees(), monkeypatch)
+
+
+def test_points_is_asked_once_per_assignment_as_its_point_marks_are_placed(monkeypatch):
+    # every search of a cold fiber asks points with exactly the point marks
+    # placed, once per assignment of them, and the leaves below it follow
+    # that call, before the next, only when it returned True
+    real_search = enumeration._search_tree
+    asked, leaves = {}, []
+    last = []  # the assignment points was last asked about
+
+    def search(td, marks, leaf, points, ray):
+        point_marks = {m for m, cs in enumerate(marks[1]) if len(cs) == 2}
+
+        def checking_points(td, where):
+            assert set(where) == point_marks
+            key = (td, *sorted(where.items()))
+            assert key not in asked
+            asked[key] = points(td, where)
+            last[:] = [key]
+            return asked[key]
+
+        def checking_leaf(td, where, cluster):
+            key = (td, *sorted((m, where[m]) for m in point_marks))
+            assert last == [key] and asked[key] is True
+            leaves.append(key)
+            return leaf(td, where, cluster)
+
+        return real_search(td, marks, checking_leaf, checking_points, ray)
+
+    monkeypatch.setattr(enumeration, "_search_tree", search)
+    cases = [(PI, 2, pi_config(2, seed, ray)) for seed in (0, 1, 3) for ray in "ABC"]
+    cases += [(EV, d, ev_config(d, 0)) for d in (1, 2)]
+    for kind, d, cfg in cases:
+        asked.clear()
+        leaves.clear()
+        cold(fiber_or_message, kind, d, cfg)
+        assert leaves and True in asked.values(), (kind, d, cfg)
+        if kind == PI:
+            assert False in asked.values(), cfg
+
+
+def test_census_d2_point_solves_and_quartet_tables(monkeypatch):
+    # the six census-d2 configurations of seed 0 in one process, on a new
+    # point stage and empty quartet tables: the point stage solves the 43
+    # assignments of the point marks once in all, and the searches build at
+    # most 145 quartet tables (268 when the point rows were solved at the
+    # first leaf, so that inconsistent assignments still asked for mark 1's
+    # quartet masks)
+    counts = {"point": 0, "table": 0}
+    real_family, real_table = enumeration._point_family, _TreeData._table
+
+    def counting_family(*args):
+        counts["point"] += 1
+        return real_family(*args)
+
+    def counting_table(*args):
+        counts["table"] += 1
+        return real_table(*args)
+
+    monkeypatch.setattr(enumeration, "_point_family", counting_family)
+    monkeypatch.setattr(_TreeData, "_table", counting_table)
+    for td in _pi_tree_data(2):
+        monkeypatch.setattr(td, "_quartets", {})
+    _point_stage.cache_clear()
+    for _, _, cfg in CENSUS_D2_CASES:
+        reducible_census(2, cfg)
+    assert counts["point"] == 43
+    assert counts["table"] <= 145
 
 
 def test_leaves_reuse_the_point_solve_only_on_their_own_rows(monkeypatch):

@@ -99,9 +99,9 @@ def test_path_flags_oriented_away_from_start():
 
 
 def path_by_distances(g, u, w):
-    """(vertices, flags) of the path u..w in a tree: a breadth-first walk
-    out of w gives every vertex its distance to w, and the path steps from
-    u to the one neighbour nearer to w until it gets there."""
+    """The flags of the path u..w in a tree: a breadth-first walk out of w
+    gives every vertex its distance to w, and the path steps from u to the
+    one neighbour nearer to w until it gets there."""
     dist = {w: 0}
     queue = [w]
     for v in queue:
@@ -110,17 +110,16 @@ def path_by_distances(g, u, w):
             if p is not None and g.flag_vertex[p] not in dist:
                 dist[g.flag_vertex[p]] = dist[v] + 1
                 queue.append(g.flag_vertex[p])
-    verts, flags = [u], []
-    while verts[-1] != w:
-        v = verts[-1]
+    v, flags = u, []
+    while v != w:
         (f,) = [
             f for f in g.flags_at(v)
             if g.flag_partner[f] is not None
             and dist[g.flag_vertex[g.flag_partner[f]]] == dist[v] - 1
         ]
         flags.append(f)
-        verts.append(g.flag_vertex[g.flag_partner[f]])
-    return tuple(verts), tuple(flags)
+        v = g.flag_vertex[g.flag_partner[f]]
+    return tuple(flags)
 
 
 def test_paths_match_distance_oracle():
@@ -136,9 +135,7 @@ def test_paths_match_distance_oracle():
     for g in graphs:
         for u in range(g.num_vertices):
             for w in range(g.num_vertices):
-                verts, flags = path_by_distances(g, u, w)
-                assert g.path_flags(u, w) == flags
-                assert g.path_vertices(u, w) == verts
+                assert g.path_flags(u, w) == path_by_distances(g, u, w)
 
 
 def component_by_sets(g, start, cut_edges, blocked):
@@ -185,9 +182,8 @@ def test_component_matches_set_oracle_and_records_its_walk():
 
 def test_path_across_components_raises():
     g = Graph([0, 0, 0, 1, 1, 1], [None] * 6)
-    for walk in (g.path_flags, g.path_vertices):
-        with pytest.raises(ValueError, match="no path"):
-            walk(0, 1)
+    with pytest.raises(ValueError, match="no path"):
+        g.path_flags(0, 1)
 
 
 def test_marked_curve_requires_lengths_and_shape():

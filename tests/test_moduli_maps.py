@@ -171,27 +171,33 @@ def quartet_by_medians(t):
     g = t.graph
     vs = [g.flag_vertex[t.marks[i]] for i in range(4)]
 
+    def path(a, b):
+        return {a, *(g.flag_vertex[g.flag_partner[f]] for f in g.path_flags(a, b))}
+
     def median(a, b, c):
-        (m,) = set(g.path_vertices(a, b)) & set(g.path_vertices(a, c)) & set(g.path_vertices(b, c))
+        (m,) = path(a, b) & path(a, c) & path(b, c)
         return m
 
     for ray, (i, j), (k, l) in _PAIRINGS:
-        if not set(g.path_vertices(vs[i], vs[j])) & set(g.path_vertices(vs[k], vs[l])):
+        if not path(vs[i], vs[j]) & path(vs[k], vs[l]):
             return ray, median(vs[i], vs[j], vs[k]), median(vs[k], vs[l], vs[i])
     return "D", None, None
 
 
 def test_quartet_matches_median_oracle():
     # every curve of the degree-2 censuses on seeds 0, 1, 3 and of the
-    # degree-3 censuses on seed 0, rays A, B and C: the ray, and the flags
-    # of the path between the oracle's medians
+    # degree-3 censuses on seed 0, rays A, B and C: the ray, and the edges
+    # of the path between the oracle's medians, each once
     configs = [(2, seed, ray) for seed in (0, 1, 3) for ray in "ABC"]
     configs += [(3, 0, ray) for ray in "ABC"]
     curves = [s.curve() for d, seed, ray in configs for s in fiber(PI, d, pi_config(d, seed, ray))]
     assert {_quartet(c)[0] for c in curves} == {"A", "B", "C"}
     for c in curves:
+        g = c.graph
         ray, u, w = quartet_by_medians(c)
-        assert _quartet(c) == (ray, () if ray == "D" else c.graph.path_flags(u, w))
+        edges = [] if ray == "D" else [g.edge_of_flag(f) for f in g.path_flags(u, w)]
+        ray_found, central = _quartet(c)
+        assert (ray_found, sorted(central)) == (ray, sorted(edges))
 
 
 def test_m4_point_validation():
