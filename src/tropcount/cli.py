@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 from typing import List
@@ -86,14 +87,23 @@ def _seed(ns: argparse.Namespace) -> int:
 
 
 def _emit(out, text: str) -> None:
-    """Write text, newline-terminated, to the file out, or to stdout if None."""
+    """Write text, newline-terminated, to the file out, or to stdout if None.
+
+    An existing file is rewritten in place, not truncated first: on ext4 a
+    truncation to zero makes the close flush the new blocks.  A regular
+    file longer than text is then trimmed to it; no other target is, as
+    ftruncate fails on /dev/null.  The rewrite is not atomic."""
     if not text.endswith("\n"):
         text += "\n"
     if out is None:
         sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        return
+    with open(os.open(out, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.flush()
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
+            fh.truncate()
 
 
 _encode_str = json.encoder.encode_basestring_ascii

@@ -153,18 +153,28 @@ def _scan(runs1, runs2, k1, k2, hits, pending) -> None:
             den = u0 * w1 - u1 * w0
             dx = qx - px
             dy = qy - py
-            sn = dx * u1 - dy * u0
-            if den == 0:
-                if sn == 0:
-                    pending.append((pieces1, pieces2, True))
-                continue
             # the runs cross at tn / (a * big) along the first and at
-            # sn / (a * big) along the second
-            tn = dx * w1 - dy * w0
-            a = den
-            if a < 0:
-                a, tn, sn = -a, -tn, -sn
-            if tn < 0 or sn < 0:
+            # sn / (a * big) along the second, a = |den|; most pairs leave
+            # on a negative tn or sn, each signed as den is
+            if den > 0:
+                tn = dx * w1 - dy * w0
+                if tn < 0:
+                    continue
+                sn = dx * u1 - dy * u0
+                if sn < 0:
+                    continue
+                a = den
+            elif den < 0:
+                tn = dy * w0 - dx * w1
+                if tn < 0:
+                    continue
+                sn = dy * u0 - dx * u1
+                if sn < 0:
+                    continue
+                a = -den
+            else:
+                if dx * u1 == dy * u0:
+                    pending.append((pieces1, pieces2, True))
                 continue
             if lu is not None and tn > lu * a:
                 continue

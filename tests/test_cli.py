@@ -1,7 +1,10 @@
 """Command-line entry points, exercised through main(argv)."""
 
+import errno
 import json
+import os
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +134,82 @@ def test_count_report_bytes_are_json_dumps(capsys, tmp_path):
     text = target.read_bytes()
     report = json.loads(text)
     assert text == (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+
+
+REPORTS = (
+    ["count", "--d", "2", "--seed", "3"],
+    ["nd", "--dmax", "40"],
+    ["nd", "--dmax", "40", "--json"],
+)
+
+
+@pytest.mark.parametrize("argv", REPORTS)
+@pytest.mark.parametrize("old", [b"x" * 100_000 + b"\n", b"[\n", b""])
+def test_out_rewrites_an_existing_file_to_a_fresh_write(capsys, tmp_path, argv, old):
+    # a longer file loses its stale tail; a shorter or empty one grows
+    fresh = tmp_path / "fresh.txt"
+    assert main(argv + ["--out", str(fresh)]) == 0
+    target = tmp_path / "target.txt"
+    target.write_bytes(old)
+    code, out = run(capsys, argv + ["--out", str(target)])
+    assert code == 0 and out == ""
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_out_to_dev_null(capsys):
+    # /dev/null is seekable but not a regular file, and refuses ftruncate
+    code = main(["count", "--d", "1", "--seed", "0", "--out", os.devnull])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == "" and captured.err == ""
+
+
+def test_out_to_a_fifo(capsys, tmp_path):
+    fresh = tmp_path / "fresh.json"
+    argv = ["count", "--d", "2", "--seed", "3", "--out"]
+    assert main(argv + [str(fresh)]) == 0
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        with open(fifo, "rb") as fh:
+            got.append(fh.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    code, out = run(capsys, argv + [str(fifo)])
+    reader.join(timeout=60)
+    assert code == 0 and out == ""
+    assert got == [fresh.read_bytes()]
+
+
+def test_out_to_a_read_only_file(capsys, monkeypatch, tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("old\n")
+    target.chmod(0o444)
+    if os.access(target, os.W_OK):
+        # root writes past the mode bits: refuse as the kernel refuses others
+        real_open = os.open
+
+        def refusing_open(path, flags, *args, **kwargs):
+            if flags & (os.O_WRONLY | os.O_RDWR):
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing_open)
+    code = main(["nd", "--dmax", "3", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: [Errno 13] Permission denied: '{target}'\n"
+    assert target.read_text() == "old\n"
+
+
+def test_out_to_a_directory(capsys, tmp_path):
+    code = main(["nd", "--dmax", "3", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
 def test_count_output_is_deterministic(capsys):

@@ -106,6 +106,50 @@ def test_no_indent_in_json_dumps():
         assert not stray, f"{module} line {stray[0].lineno} passes indent= to json.dumps"
 
 
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
+
+
+def opens_to_write(node):
+    """Whether node calls open() with a mode that writes, or one not
+    spelled as a literal, or os.open() with a flag that writes."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        modes = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "mode"]
+        return any(
+            not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+            or set(mode.value) & set("wax+")
+            for mode in modes
+        )
+    if (
+        isinstance(func, ast.Attribute) and func.attr == "open"
+        and isinstance(func.value, ast.Name) and func.value.id == "os"
+    ):
+        return any(
+            isinstance(sub, ast.Attribute) and sub.attr in WRITE_FLAGS
+            or isinstance(sub, ast.Name) and sub.id in WRITE_FLAGS
+            for arg in node.args[1:] for sub in ast.walk(arg)
+        )
+    return False
+
+
+def test_files_are_written_only_by_emit():
+    # every command writes its --out file through cli._emit, which rewrites
+    # an existing file in place instead of truncating it first
+    for module, tree in parsed():
+        allowed = set()
+        if module == "cli":
+            (emit,) = [
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_emit"
+            ]
+            allowed = {id(sub) for sub in ast.walk(emit) if opens_to_write(sub)}
+            assert len(allowed) == 2  # os.open, then open() on its descriptor
+        stray = [sub for sub in ast.walk(tree) if opens_to_write(sub) and id(sub) not in allowed]
+        assert not stray, f"{module} line {stray[0].lineno} opens a file to write"
+
+
 def decorator_name(node):
     """The name a decorator calls or is: cache for @cache, @functools.cache
     and @lru_cache(...)'s lru_cache."""
