@@ -90,9 +90,13 @@ def _emit(out, text: str) -> None:
     """Write text, newline-terminated, to the file out, or to stdout if None.
 
     An existing file is rewritten in place, not truncated first: on ext4 a
-    truncation to zero makes the close flush the new blocks.  A regular
-    file longer than text is then trimmed to it; no other target is, as
-    ftruncate fails on /dev/null.  The rewrite is not atomic."""
+    truncation to zero makes the close start writing the new blocks to
+    disk, which is most of the write's cost.  A regular file longer than
+    text is then trimmed to it; no other target is, as ftruncate fails on
+    /dev/null.  So the new bytes of a rewrite stay in memory until the
+    kernel writes them back, seconds after the command has exited 0, and a
+    power loss or crash until then, not only during the write, can leave
+    the old text, or old bytes cut to the new length, on disk."""
     if not text.endswith("\n"):
         text += "\n"
     if out is None:

@@ -931,10 +931,7 @@ def _integer_points(points, *denominators):
     if len(set(points)) != len(points):
         raise GeneralPositionViolation("two input points coincide")
     scale = math.lcm(*(c.denominator for p in points for c in p), *denominators)
-    return scale, [
-        (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-        for x, y in points
-    ]
+    return scale, [(int(x * scale), int(y * scale)) for x, y in points]
 
 
 # ---------------------------------------------------------------------------

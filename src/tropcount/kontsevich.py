@@ -153,28 +153,23 @@ def _scan(runs1, runs2, k1, k2, hits, pending) -> None:
             den = u0 * w1 - u1 * w0
             dx = qx - px
             dy = qy - py
-            # the runs cross at tn / (a * big) along the first and at
-            # sn / (a * big) along the second, a = |den|; most pairs leave
-            # on a negative tn or sn, each signed as den is
-            if den > 0:
-                tn = dx * w1 - dy * w0
-                if tn < 0:
-                    continue
-                sn = dx * u1 - dy * u0
-                if sn < 0:
-                    continue
-                a = den
-            elif den < 0:
-                tn = dy * w0 - dx * w1
-                if tn < 0:
-                    continue
-                sn = dy * u0 - dx * u1
-                if sn < 0:
-                    continue
-                a = -den
-            else:
+            if den == 0:
                 if dx * u1 == dy * u0:
                     pending.append((pieces1, pieces2, True))
+                continue
+            # the runs cross at tn / (a * big) along the first and at
+            # sn / (a * big) along the second, a = |den|; most pairs leave
+            # on a negative tn or sn, so sn waits for tn's test
+            a = den
+            tn = dx * w1 - dy * w0
+            if den < 0:
+                a, tn = -den, -tn
+            if tn < 0:
+                continue
+            sn = dx * u1 - dy * u0
+            if den < 0:
+                sn = -sn
+            if sn < 0:
                 continue
             if lu is not None and tn > lu * a:
                 continue
