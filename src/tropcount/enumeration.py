@@ -76,6 +76,7 @@ from .moduli_maps import (
     pi_matrix,
     pi_which,
     restrict,
+    vertex_rows,
 )
 from .plane import (
     PlaneCurve,
@@ -580,26 +581,18 @@ class _TreeData:
         """(cols, rows, base) of the leaf's chart: the base columns root x,
         root y and the length of each bounded edge e at cols[e], then each
         mark's offset from flag_vertex[h] along dirs[h] on its host h.
-        rows[h][c] is coordinate c of flag_vertex[h] over the base columns.
-        A point on h at offset t is rows[h][c]·x + dirs[h][c]·t in
-        coordinate c, so base[h] = dy·rows[h][0] − dx·rows[h][1], for
-        dirs[h] = (dx, dy), is the row it pins once t is eliminated."""
+        rows[h] is vertex_rows' [x row, y row] of flag_vertex[h], shared
+        by the handles at that vertex and never changed.  A point on h at
+        offset t is rows[h][c]·x + dirs[h][c]·t in coordinate c, so
+        base[h] = dy·rows[h][0] − dx·rows[h][1], for dirs[h] = (dx, dy),
+        is the row it pins once t is eliminated."""
         g = self.t.graph
-        dirs = self.t.dirs
-        cols = {e: 2 + i for i, e in enumerate(g.bounded_edges())}
-        walks = [g.path_flags(0, v) for v in range(g.num_vertices)]
-        rows = {}
+        cols, at = vertex_rows(self.t)
+        rows = {h: at[g.flag_vertex[h]] for h in self.handles}
         base = {}
-        for h in self.handles:
-            rows[h] = []
-            for c in (0, 1):
-                row = [0] * (2 + len(cols))
-                row[c] = 1
-                for f in walks[g.flag_vertex[h]]:
-                    row[cols[g.edge_of_flag(f)]] = dirs[f][c]
-                rows[h].append(row)
-            dx, dy = dirs[h]
-            base[h] = [dy * a - dx * b for a, b in zip(*rows[h])]
+        for h, (x, y) in rows.items():
+            dx, dy = self.t.dirs[h]
+            base[h] = [dy * a - dx * b for a, b in zip(x, y)]
         return cols, rows, base
 
     @_built

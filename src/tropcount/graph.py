@@ -137,19 +137,9 @@ class Graph:
 
     def path_flags(self, u: int, w: int):
         """Flags traversed away from u along the unique path u..w in a
-        tree, one per edge: one walk out of u records the flag each vertex
-        is reached by, and the path is read back from w."""
-        reached_by = {u: None}
-        stack = [u]
-        while stack:
-            v = stack.pop()
-            if v == w:
-                break
-            for f in self._flags_at[v]:
-                p = self.flag_partner[f]
-                if p is not None and self.flag_vertex[p] not in reached_by:
-                    reached_by[self.flag_vertex[p]] = f
-                    stack.append(self.flag_vertex[p])
+        tree, one per edge, read back from w off the flags component(u)
+        reached each vertex by."""
+        reached_by = self.component(u)
         if w not in reached_by:
             raise ValueError("no path (disconnected input)")
         path = []

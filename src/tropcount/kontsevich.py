@@ -51,17 +51,20 @@ def _trade_term(ray: str, d: int, d1: int) -> Tuple[int, int]:
     return d1 * d1 * d2 * d2, comb(3 * d - 4, 3 * d1 - 2)
 
 
+def _split_terms(d: int, nd: Dict[int, int]):
+    """(A term, B term, N_d1·N_d2) per split d = d1 + d2, in order of d1."""
+    for d1 in range(1, d):
+        coeff_a, choose_a = _trade_term("A", d, d1)
+        coeff_b, choose_b = _trade_term("B", d, d1)
+        yield coeff_a * choose_a, coeff_b * choose_b, nd[d1] * nd[d - d1]
+
+
 def _recursion_terms(d_max: int):
     """(d, N_d) for d = 1..d_max in order, each from those before it."""
     nd = {}
     for d in range(1, d_max + 1):
-        total = 1 if d == 1 else 0
-        for d1 in range(1, d):
-            coeff_a, choose_a = _trade_term("A", d, d1)
-            coeff_b, choose_b = _trade_term("B", d, d1)
-            total += (coeff_b * choose_b - coeff_a * choose_a) * nd[d1] * nd[d - d1]
-        nd[d] = total
-        yield d, total
+        nd[d] = 1 if d == 1 else sum((b - a) * nn for a, b, nn in _split_terms(d, nd))
+        yield d, nd[d]
 
 
 def recursion_nd(d_max: int) -> Dict[int, int]:
@@ -81,14 +84,10 @@ def wdvv_sides(d: int, nd: Dict[int, int]) -> Tuple[int, int]:
     """
     if d < 2:
         raise ValueError("the trade needs degree at least 2")
-    lhs_a = nd[d]
-    rhs_b = 0
-    for d1 in range(1, d):
-        nn = nd[d1] * nd[d - d1]
-        coeff_a, choose_a = _trade_term("A", d, d1)
-        coeff_b, choose_b = _trade_term("B", d, d1)
-        lhs_a += coeff_a * choose_a * nn
-        rhs_b += coeff_b * choose_b * nn
+    lhs_a, rhs_b = nd[d], 0
+    for a, b, nn in _split_terms(d, nd):
+        lhs_a += a * nn
+        rhs_b += b * nn
     return lhs_a, rhs_b
 
 

@@ -46,30 +46,44 @@ class M4Point:
             raise ValueError("ray D holds exactly the length-0 point")
 
 
+def vertex_rows(t: PlaneType) -> tuple:
+    """(cols, rows): cols[e] is bounded edge e's column after root x and
+    root y (vertex 0), and rows[v] vertex v's [x row, y row] over them.
+    One component(0) walk builds them, each vertex's rows its walk-parent's
+    plus the direction of the edge it is reached by, in that edge's column."""
+    g = t.graph
+    cols = {e: 2 + i for i, e in enumerate(g.bounded_edges())}
+    rows = [None] * g.num_vertices
+    for v, f in g.component(0).items():
+        if f is None:
+            rows[v] = [[1, 0] + [0] * len(cols), [0, 1] + [0] * len(cols)]
+            continue
+        x, y = (row[:] for row in rows[g.flag_vertex[f]])
+        col, (dx, dy) = cols[g.edge_of_flag(f)], t.dirs[f]
+        x[col] += dx
+        y[col] += dy
+        rows[v] = [x, y]
+    return cols, rows
+
+
 def ev_matrix(t: PlaneType, which=None) -> list:
     """Evaluation rows for selected (mark index, coordinate) pairs.
 
-    which defaults to all marks, both coordinates, in mark order.  The
-    columns are root x, root y (vertex 0), then one length per bounded edge
-    in bounded_edges() order.  Root columns are an identity block; a length
-    column carries the direction component when its edge lies on the
-    root-to-mark path.
+    which defaults to all marks, both coordinates, in mark order.  Each is
+    a copy of the mark vertex's row in vertex_rows: root x, root y, then
+    the direction component in each length column on the root-to-mark path.
     """
     g = t.graph
-    cols = {e: 2 + i for i, e in enumerate(g.bounded_edges())}
     if which is None:
         which = [(i, c) for i in range(len(t.marks)) for c in (0, 1)]
+    at = vertex_rows(t)[1]
     rows = []
     for i, c in which:
         if not (0 <= i < len(t.marks)):
             raise ValueError(f"no mark with index {i}")
         if c not in (0, 1):
             raise ValueError("coordinate selector must be 0 or 1")
-        row = [0] * (2 + len(cols))
-        row[c] = 1
-        for f in g.path_flags(0, g.flag_vertex[t.marks[i]]):
-            row[cols[g.edge_of_flag(f)]] += t.dirs[f][c]
-        rows.append(row)
+        rows.append(at[g.flag_vertex[t.marks[i]]][c][:])
     return rows
 
 

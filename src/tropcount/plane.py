@@ -324,8 +324,8 @@ def image_positions(c: PlaneCurve) -> Mapping:
 
 def image_position(c: PlaneCurve, v: int):
     """Image of vertex v: the root position plus the length-weighted
-    directions along the path to v, so that reading one vertex does not
-    walk the whole image."""
+    directions along the path to v, read back off a component walk, so
+    that reading one vertex builds no CurveImage."""
     g = c.graph
     x, y = c.root_pos
     for f in g.path_flags(c.root, v):

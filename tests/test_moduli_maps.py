@@ -1,9 +1,21 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from tropcount.enumeration import EV, PI, curve_multiplicity, fiber, pi_config, sampled_fiber
+from tropcount.enumeration import (
+    EV,
+    PI,
+    _classes,
+    _TreeData,
+    base_trees,
+    curve_multiplicity,
+    fiber,
+    pi_config,
+    sampled_fiber,
+)
 from tropcount.graph import AbstractType, Graph, MarkedAbstractCurve
+from tropcount.kontsevich import reducible_census
 from tropcount.linalg import det
 from tropcount.moduli_maps import (
     _PAIRINGS,
@@ -18,6 +30,7 @@ from tropcount.moduli_maps import (
     pi_matrix,
     resolve_four_valent,
     restrict,
+    vertex_rows,
 )
 from tropcount.plane import (
     PlaneCurve,
@@ -28,6 +41,8 @@ from tropcount.plane import (
     vadd,
     vneg,
 )
+
+from test_graph import path_by_distances
 
 W, S, NE = (-1, 0), (0, -1), (1, 1)
 
@@ -90,6 +105,52 @@ def test_ev_matrix_single_marked_line():
     rows = ev_matrix(t)
     assert rows == [[1, 0], [0, 1]]
     assert multiplicity(rows) == 1
+
+
+def rows_by_distances(t, v):
+    """Vertex v's [x row, y row], summed along the breadth-first oracle's
+    path from vertex 0, which shares no walk with Graph.component."""
+    g = t.graph
+    edges = g.bounded_edges()
+    rows = [[1, 0] + [0] * len(edges), [0, 1] + [0] * len(edges)]
+    for f in path_by_distances(g, 0, v):
+        for c in (0, 1):
+            rows[c][2 + edges.index(g.edge_of_flag(f))] += t.dirs[f][c]
+    return rows
+
+
+def test_vertex_rows_match_path_oracle():
+    # every vertex of every d <= 3 base tree, of every evaluation-map
+    # solution type for d <= 2 and seeds 0-4, and of the census-d2
+    # configurations (seed 0, rays A, B and C, scales 1 and 2), the base
+    # trees checked before any fiber runs; ev_matrix's rows and
+    # _TreeData.chart's rows and base are read off them
+    types = itertools.chain(
+        ((d, t) for d in (1, 2, 3) for t in base_trees(d)),
+        ((d, s.type) for d in (1, 2) for seed in range(5) for s in sampled_fiber(EV, d, seed)[1]),
+        (
+            (2, e.solution.type)
+            for ray in "ABC" for scale in (1, 2)
+            for e in reducible_census(2, pi_config(2, 0, ray, scale)).entries
+        ),
+    )
+    checked = 0
+    for d, t in types:
+        g = t.graph
+        cols, rows = vertex_rows(t)
+        assert cols == {e: 2 + i for i, e in enumerate(g.bounded_edges())}
+        assert rows == [rows_by_distances(t, v) for v in range(g.num_vertices)]
+        assert ev_matrix(t) == [rows[g.flag_vertex[m]][c] for m in t.marks for c in (0, 1)]
+        td = _TreeData(t, _classes(d))
+        chart_cols, chart_rows, base = td.chart
+        assert chart_cols == cols
+        assert list(chart_rows) == list(td.handles) == list(base)
+        for h, (x, y) in chart_rows.items():
+            assert [x, y] == rows[g.flag_vertex[h]]
+            dx, dy = t.dirs[h]
+            assert base[h] == [dy * a - dx * b for a, b in zip(x, y)]
+        checked += 1
+    assert checked == 1 + 23 + 1233 + 5 + 5 + 6 * 2  # base trees, N_1 = N_2 = 1, degree 2
 
 
 def test_multiplicity_rejects_non_square():
